@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .errors import (
     EtaUnavailable,
     LoopPresent,
     NotDoublyConnected,
+    QGraphError,
 )
 from .metric_graph import (
     MetricGraph,
@@ -37,6 +39,8 @@ from .metric_graph import (
     metric_diameter,
 )
 from .spectral import normalized_spectrum, underlying_weighted
+
+_log = logging.getLogger(__name__)
 
 PI2 = math.pi**2
 
@@ -548,7 +552,11 @@ def _ingredient_summary(report: BoundReport) -> str:
 def tabulate(
     g: MetricGraph, reports: Sequence[BoundReport], *, with_oracle: bool = True
 ) -> CompareTable:
-    """Turn reports into (method, index) rows with oracle column and ratio."""
+    """Turn reports into (method, index) rows with oracle column and ratio.
+
+    When the oracle raises a QGraphError (too large, threshold, mesh) the
+    oracle and ratio columns stay empty and the reason is logged at DEBUG;
+    any other exception is a bug and propagates."""
     needed = max((max(r.indices, default=1) for r in reports), default=2)
     oracle_values: Sequence[float] | None = None
     if with_oracle:
@@ -556,7 +564,8 @@ def tabulate(
 
         try:
             oracle_values = oracle.spectrum(g, count=min(needed, 40)).values
-        except Exception:
+        except QGraphError as exc:
+            _log.debug("oracle column left empty: %s: %s", exc.code, exc)
             oracle_values = None
 
     rows = []

@@ -13,9 +13,10 @@ Two independent routes:
   extrapolation over a halved mesh, for arbitrary lengths and as a genuinely
   separate cross-check of the first route.
 
-The transcendental route diagonalizes with this package's own Jacobi
-solver; the finite-element route uses LAPACK/ARPACK.  They share no linear
-algebra, so agreement between them is meaningful.
+The transcendental route diagonalizes with this package's own Householder
+and implicit-QL solver (``spectral.eigenvalues_sym``); the finite-element
+route uses LAPACK/ARPACK.  They share no eigensolver, so agreement between
+them is meaningful.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from . import metric_graph as mg
 from .errors import (
@@ -46,7 +45,12 @@ from .spectral import eigenvalues_sym, normalized_laplacian_sym, underlying_weig
 
 _BRANCH_EPS = 1e-9
 _DENSE_CUTOFF = 900
-_MATRIX_CAP = 6000
+# Largest subdivided graph the exact route diagonalises.  The dense solve
+# grows like n^3: on a 2-CPU x86 host with one BLAS thread it took 0.15 s at
+# 295 vertices, 0.5 s at 600, 1.8 s at 1000, 3.9 s at 1300, 5.7-7.0 s at 1500
+# and 18 s at 2000, so at 1500 auto falls back to finite elements well
+# within ~10 s.
+_MATRIX_CAP = 1500
 _MAX_HALVINGS = 12
 
 
@@ -212,6 +216,8 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
 
 def _fd_matrix(g: mg.MetricGraph, h_target: float):
     """Lumped P1 stiffness/mass pair on a per-edge uniform mesh."""
+    import scipy.sparse as sparse  # only this route needs scipy (~30 MiB)
+
     nodes = {v: i for i, v in enumerate(g.vertices)}
     rows, cols, vals = [], [], []
     mass = [0.0] * len(g.vertices)
@@ -251,6 +257,8 @@ def _fd_eigs(A, N: int, count: int) -> np.ndarray:
     if N <= _DENSE_CUTOFF:
         vals = np.linalg.eigvalsh(A.toarray())
         return vals[:count]
+    import scipy.sparse.linalg as sparse_linalg
+
     k = min(count, N - 2)
     vals = sparse_linalg.eigsh(A, k=k, sigma=-1e-2, which="LM",
                                return_eigenvectors=False)
@@ -266,7 +274,7 @@ def _fd_once(g: mg.MetricGraph, count: int, mesh: float, rtol: float) -> Spectru
     coarse = _fd_eigs(A1, N1, want)
     fine = _fd_eigs(A2, N2, want)
     ext, errs = [], []
-    for lc, lf in zip(coarse, fine):
+    for lc, lf in zip(coarse.tolist(), fine.tolist()):
         e = (lf - lc) / 3
         ext.append(lf + e)
         errs.append(abs(e))

@@ -1,16 +1,18 @@
 """Discrete spectral tools for weighted multigraphs.
 
-Holds the symmetric normalized Laplacian, a self-contained cyclic Jacobi
-eigensolver, and the Cheeger-constant machinery used to sandwich the second
-normalized eigenvalue.  The Jacobi solver is deliberately independent of
-the finite-difference oracle's LAPACK path so the two never share a code
-route when they cross-check each other.
+Holds the symmetric normalized Laplacian, a self-contained dense symmetric
+eigensolver (Householder tridiagonalisation followed by implicit QL with
+Wilkinson shifts), and the Cheeger-constant machinery used to sandwich the
+second normalized eigenvalue.  The eigensolver calls no LAPACK eigenroutine,
+so it never shares a code route with the finite-element oracle's LAPACK
+path when the two cross-check each other.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -142,13 +144,15 @@ def normalized_laplacian_sym(wg: WeightedGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
+# Householder tridiagonalisation + implicit QL eigensolver
+
+_QL_MAX_STEPS = 30
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted ascending, plus the off-diagonal residual actually
-    achieved by the sweep that produced them."""
+    """Eigenvalues sorted ascending, plus the Frobenius norm of the
+    off-diagonal entries the solver dropped (a Weyl bound on the error)."""
 
     values: tuple
     achieved: float
@@ -173,13 +177,56 @@ class Spectrum:
         return len(self.values)
 
 
-def eigenvalues_sym(matrix, tol: Optional[float] = None,
-                    max_sweeps: int = 60, want_vectors: bool = False) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
+def _tridiagonalize(B: np.ndarray, want_vectors: bool):
+    """Reduce symmetric B (overwritten) to tridiagonal form by Householder
+    reflections.  Returns the diagonal d, the subdiagonal e (e[n-1] = 0) as
+    float lists, and the orthogonal Q with B = Q T Q^T when asked for.
 
-    Runs full sweeps over the strict upper triangle, rotating away every
-    entry whose magnitude exceeds a per-sweep threshold, until the
-    off-diagonal Frobenius norm falls below tol * scale."""
+    Columns whose entries below the subdiagonal are already zero are left
+    alone, so diagonal and tridiagonal inputs come back exactly."""
+    n = B.shape[0]
+    e = [0.0] * n
+    Q = np.eye(n) if want_vectors else None
+    for k in range(n - 2):
+        x = B[k + 1:, k]
+        x0 = float(x[0])
+        sigma = float(x[1:] @ x[1:])
+        if sigma == 0.0:
+            e[k] = x0
+            continue
+        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
+        u = x.copy()
+        u[0] = x0 - alpha
+        u /= math.sqrt(u[0] * u[0] + sigma)
+        # H = I - 2uu^T: H S H = S - (u w^T + w u^T), p = 2Su, w = p - (u.p)u
+        S = B[k + 1:, k + 1:]
+        p = S @ u
+        p *= 2.0
+        uw = np.array([u, p - float(u @ p) * u])
+        S -= uw.T @ uw[::-1]  # one BLAS product for u w^T + w u^T
+        e[k] = alpha
+        if Q is not None:
+            Qk = Q[:, k + 1:]
+            Qk -= np.outer(2.0 * (Qk @ u), u)
+    if n >= 2:
+        e[n - 2] = float(B[n - 1, n - 2])
+    return B.diagonal().tolist(), e, Q
+
+
+def eigenvalues_sym(matrix, tol: Optional[float] = None,
+                    want_vectors: bool = False) -> Spectrum:
+    """All eigenvalues of a real symmetric matrix, ascending.
+
+    Householder reflections reduce the matrix to tridiagonal form; implicit
+    QL with Wilkinson shifts then diagonalises it.  An off-diagonal e_i is
+    dropped once |e_i| <= max(eps (|d_i| + |d_{i+1}|), tol * scale / (2n)),
+    where scale is the largest entry in magnitude and tol defaults to
+    QGB_TOL.  ``achieved`` is the Frobenius norm of everything dropped, so
+    by Weyl's inequality every value is within it of the exact one up to
+    rounding.  With want_vectors the reflectors and rotations are
+    accumulated into orthonormal eigenvectors (columns, same order).  Uses
+    no LAPACK eigenroutine, so it shares no code with the finite-element
+    oracle it is checked against."""
     A = np.array(matrix, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
@@ -189,58 +236,65 @@ def eigenvalues_sym(matrix, tol: Optional[float] = None,
     if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.abs(A).max()))):
         raise NotSymmetric("matrix is not symmetric")
     A = (A + A.T) / 2
-    V = np.eye(n) if want_vectors else None
     scale = max(float(np.abs(A).max()), 1e-300)
     tol = default_tol() if tol is None else tol
-    target = tol * scale
-
-    def offnorm():
-        off = A - np.diag(np.diag(A))
-        return float(np.sqrt((off * off).sum()))
-
-    if n == 1:
-        return Spectrum((float(A[0, 0]),), 0.0,
-                        V if want_vectors else None)
-
-    achieved = offnorm()
-    for _ in range(max_sweeps):
-        if achieved <= target:
-            break
-        skip = achieved / (2 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = A[p, p], A[q, q]
-                theta = (aqq - app) / (2 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1))
-                c = 1 / math.sqrt(t * t + 1)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-                if V is not None:
-                    vp = V[:, p].copy()
-                    vq = V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-        achieved = offnorm()
-    else:
-        if achieved > target:
-            raise NoConvergence(
-                f"Jacobi sweeps did not reach residual {target:.3e} "
-                f"(achieved {achieved:.3e} after {max_sweeps} sweeps)")
-    order = np.argsort(np.diag(A), kind="stable")
-    values = tuple(float(x) for x in np.diag(A)[order])
-    vectors = V[:, order] if V is not None else None
-    return Spectrum(values, achieved, vectors)
+    floor = tol * scale / (2 * n)
+    eps = sys.float_info.epsilon
+    d, e, Z = _tridiagonalize(A, want_vectors)
+    dropped = 0.0
+    for l in range(n):
+        steps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                em = abs(e[m])
+                if em <= eps * (abs(d[m]) + abs(d[m + 1])) or em <= floor:
+                    dropped += em * em
+                    e[m] = 0.0
+                    break
+                m += 1
+            if m == l:
+                break
+            if steps == _QL_MAX_STEPS:
+                raise NoConvergence(
+                    f"QL needed more than {_QL_MAX_STEPS} steps for "
+                    f"eigenvalue {l} of {n}", index=l, size=n)
+            steps += 1
+            # Wilkinson shift from the leading 2x2 block, then chase the bulge
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: split here and restart
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if Z is not None:
+                    zi = Z[:, i].copy()
+                    zj = Z[:, i + 1]
+                    Z[:, i] = c * zi - s * zj
+                    Z[:, i + 1] = s * zi + c * zj
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    order = sorted(range(n), key=d.__getitem__)
+    values = tuple(d[i] for i in order)
+    vectors = None if Z is None else Z[:, order]
+    return Spectrum(values, math.sqrt(2.0 * dropped), vectors)
 
 
 def normalized_spectrum(wg: WeightedGraph, tol: Optional[float] = None) -> Spectrum:

@@ -19,6 +19,7 @@ from qgbounds.errors import (
     EtaUnavailable,
     LoopPresent,
     NotDoublyConnected,
+    TooLarge,
 )
 
 from conftest import corpus_graph, corpus_oracle
@@ -291,3 +292,32 @@ def test_compare_report_custom_cover_and_no_oracle():
         with_oracle=False)
     assert all(r.oracle is None and r.ratio is None for r in table.rows)
     assert any(r.method == "transfer[face_pairs,exact_cycle]" for r in table.rows)
+
+
+def test_tabulate_csv_has_plain_floats_on_irrational_lengths():
+    g = mg.pumpkin(3, [1, math.sqrt(2), math.pi / 2])
+    table = bounds.tabulate(g, [bounds.star_bound(g)])
+    assert table.rows[-1].oracle is not None
+    assert "np.float64" not in table.to_csv()
+
+
+def test_tabulate_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the oracle")
+
+    monkeypatch.setattr(oracle, "spectrum", broken)
+    g = corpus_graph("tetrahedron")
+    with pytest.raises(RuntimeError):
+        bounds.tabulate(g, [bounds.star_bound(g)])
+
+
+def test_tabulate_leaves_oracle_empty_on_library_errors(monkeypatch, caplog):
+    def too_large(*args, **kwargs):
+        raise TooLarge("subdivision needs too many vertices")
+
+    monkeypatch.setattr(oracle, "spectrum", too_large)
+    g = corpus_graph("tetrahedron")
+    with caplog.at_level("DEBUG", logger="qgbounds"):
+        table = bounds.tabulate(g, [bounds.star_bound(g)])
+    assert all(r.oracle is None and r.ratio is None for r in table.rows)
+    assert any("TooLarge" in rec.getMessage() for rec in caplog.records)

@@ -1,7 +1,7 @@
 """Exact and finite-element eigenvalue oracles.
 
-The two routes are independent by construction (own Jacobi solver vs
-LAPACK), so cross-agreement between them is the main correctness check.
+The two routes are independent by construction (own Householder/QL solver
+vs LAPACK), so cross-agreement between them is the main correctness check.
 """
 
 from __future__ import annotations
@@ -210,6 +210,20 @@ def test_explicit_methods_and_unknown():
         oracle.spectrum(g, 4, method="magic")
     with pytest.raises(NotEquilateral):
         oracle.spectrum(mg.pumpkin(2, [1, 2]), 2, method="von_below")
+
+
+@pytest.mark.parametrize("method, g", [
+    ("von_below", mg.platonic("tetrahedron")),
+    ("subdivision", mg.pumpkin_chain((3, 2, 4))),
+    ("fd", mg.pumpkin(3, [1, math.sqrt(2), math.pi / 2])),
+    ("auto", mg.pumpkin(3, [1, math.sqrt(2), math.pi / 2])),
+    ("auto", mg.pumpkin(2, [Fraction(1), Fraction(3, 2)])),
+])
+def test_every_route_returns_plain_floats(method, g):
+    res = oracle.spectrum(g, 3, method=method)
+    assert all(type(v) is float for v in res.values)
+    for est in res.meta.get("error_estimates", []):
+        assert type(est) is float
 
 
 def test_result_shape():

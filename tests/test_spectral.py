@@ -1,6 +1,6 @@
-"""Weighted graphs, the Jacobi eigensolver, and the alpha_2 sandwich.
+"""Weighted graphs, the Householder/QL eigensolver, and the alpha_2 sandwich.
 
-The Jacobi solver is checked against numpy's LAPACK route on random
+The eigensolver is checked against numpy's LAPACK route on random
 symmetric matrices; the two implementations share no code, so agreement is
 meaningful.  The Cheeger constant gets a second, plain-Python brute force.
 """
@@ -16,7 +16,7 @@ import pytest
 
 from qgbounds import metric_graph as mg
 from qgbounds import spectral
-from qgbounds.errors import Disconnected, NotSymmetric, TooLarge
+from qgbounds.errors import Disconnected, NoConvergence, NotSymmetric, TooLarge
 
 from conftest import corpus_graph
 
@@ -53,7 +53,7 @@ def test_underlying_weighted_of_pumpkin():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver vs LAPACK
+# eigensolver vs LAPACK (the test_jacobi_* names are kept: ROADMAP gates on them)
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (5, 2), (8, 3), (12, 4),
@@ -91,6 +91,88 @@ def test_jacobi_vectors_diagonalize():
     V = spec.vectors
     assert np.allclose(A @ V, V @ np.diag(spec.values), atol=1e-9)
     assert np.allclose(V.T @ V, np.eye(6), atol=1e-9)
+
+
+def _complete_graph(n):
+    return spectral.WeightedGraph(
+        tuple(range(n)),
+        tuple((i, j, Fraction(1)) for i in range(n) for j in range(i + 1, n)))
+
+
+def test_repeated_eigenvalues_of_k7():
+    spec = spectral.normalized_spectrum(_complete_graph(7))
+    assert spec.values[0] == pytest.approx(0.0, abs=1e-12)
+    for a in spec.values[1:]:
+        assert a == pytest.approx(7 / 6, abs=1e-12)
+    grouped = spec.grouped()
+    assert [m for _, m in grouped] == [1, 6]
+    assert grouped[1][0] == pytest.approx(7 / 6, abs=1e-12)
+
+
+def test_diagonal_and_tridiagonal_inputs_come_back_exactly():
+    rng = np.random.default_rng(11)
+    diag = rng.normal(size=9)
+    spec = spectral.eigenvalues_sym(np.diag(diag))
+    assert spec.values == tuple(sorted(diag.tolist()))
+    assert spec.achieved == 0.0
+
+    n = 12
+    main = rng.normal(size=n)
+    off = rng.normal(size=n - 1)
+    T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    d, e, Q = spectral._tridiagonalize(T.copy(), want_vectors=True)
+    assert d == main.tolist()
+    assert e == off.tolist() + [0.0]
+    assert np.array_equal(Q, np.eye(n))
+
+    # second-difference matrix: eigenvalues 2 - 2 cos(k pi / (n + 1))
+    L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    want = [2 - 2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)]
+    assert spectral.eigenvalues_sym(L).values == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(60, 21), (150, 22)])
+def test_matches_lapack_random_large(n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    A = (B + B.T) / 2
+    ours = spectral.eigenvalues_sym(A).values
+    lapack = np.linalg.eigvalsh(A)
+    assert len(ours) == n
+    assert np.abs(np.array(ours) - lapack).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n, seed, tol", [(5, 31, None), (40, 32, None),
+                                          (40, 33, 1e-8), (100, 34, None)])
+def test_achieved_within_tolerance(n, seed, tol):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    A = (B + B.T) / 2
+    spec = spectral.eigenvalues_sym(A, tol=tol)
+    target = (spectral.default_tol() if tol is None else tol) * np.abs(A).max()
+    assert 0.0 <= spec.achieved <= target
+
+
+def test_vectors_with_repeated_eigenvalue():
+    n = 30
+    rng = np.random.default_rng(41)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.concatenate([np.full(5, 0.5), rng.uniform(-3, 3, size=n - 5)])
+    A = (Q * lam) @ Q.T
+    A = (A + A.T) / 2
+    spec = spectral.eigenvalues_sym(A, want_vectors=True)
+    V = spec.vectors
+    assert V.shape == (n, n)
+    assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
+    assert np.allclose(V.T @ A @ V, np.diag(spec.values), atol=1e-12)
+    assert spec.values == pytest.approx(sorted(lam), abs=1e-12)
+    assert [m for _, m in spec.grouped() if m > 1] == [5]
+
+
+def test_no_convergence_is_reported(monkeypatch):
+    monkeypatch.setattr(spectral, "_QL_MAX_STEPS", 0)
+    with pytest.raises(NoConvergence):
+        spectral.eigenvalues_sym([[1.0, 1.0], [1.0, 2.0]])
 
 
 def test_spectrum_grouped():
