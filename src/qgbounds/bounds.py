@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .covers import Cover, build_cover, cover_fold, element_subgraph, validate_cover, vicinity_graph
+from .covers import Cover, build_cover, validate_cover
 from .errors import (
     BadParameter,
     BadSpec,
@@ -57,19 +57,21 @@ def _nonneg(alpha: float, snap: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _eta_doubly_connected(sub: MetricGraph) -> float:
+    """4 pi^2 / L^2 (Band-Levy): valid for any doubly connected graph of
+    total length L."""
+    if not is_doubly_connected(sub):
+        raise EtaUnavailable("element is not doubly connected", strategy="doubly_connected")
+    return 4.0 * PI2 / float(sub.total_length) ** 2
+
+
 def _eta_exact_cycle(sub: MetricGraph) -> float:
-    """Spectral gap of a cycle of total length L is exactly 4 pi^2 / L^2."""
+    """Spectral gap of a cycle: the doubly connected bound, attained."""
     if not is_cycle_graph(sub):
         raise EtaUnavailable(
             "element is not a cycle", strategy="exact_cycle", vertices=len(sub.vertices)
         )
-    return 4.0 * PI2 / float(sub.total_length) ** 2
-
-
-def _eta_doubly_connected(sub: MetricGraph) -> float:
-    if not is_doubly_connected(sub):
-        raise EtaUnavailable("element is not doubly connected", strategy="doubly_connected")
-    return 4.0 * PI2 / float(sub.total_length) ** 2
+    return _eta_doubly_connected(sub)
 
 
 def _eta_nicaise(sub: MetricGraph) -> float:
@@ -185,13 +187,7 @@ def _json_clean(value):
 # ---------------------------------------------------------------------------
 
 
-def transfer_bound(
-    g: MetricGraph,
-    cover: Cover,
-    eta: str = "exact_cycle",
-    *,
-    index_limit: int | None = None,
-) -> BoundReport:
+def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> BoundReport:
     """Lower bounds lambda_i >= ((m-1)/m) * eta * alpha_i from an m-fold cover.
 
     ``eta`` names a strategy from :data:`ETA_STRATEGIES`; the scale factor is
@@ -201,16 +197,15 @@ def transfer_bound(
     """
     if eta not in ETA_STRATEGIES:
         raise BadParameter("unknown eta strategy", eta=eta, known=sorted(ETA_STRATEGIES))
-    validate_cover(g, cover)
-    fold = cover_fold(g, cover)
-    gamma = vicinity_graph(g, cover)
+    analysis = validate_cover(g, cover)
+    fold, gamma = analysis.fold, analysis.vicinity
     alpha = normalized_spectrum(gamma).values
 
     strategy = ETA_STRATEGIES[eta]
     eta_per_element = {}
-    for label in cover.labels:
+    for label, sub in analysis.subgraphs.items():
         try:
-            eta_per_element[label] = strategy(element_subgraph(g, cover, label))
+            eta_per_element[label] = strategy(sub)
         except EtaUnavailable as exc:
             raise EtaUnavailable(
                 str(exc), element=label, **{k: v for k, v in exc.context.items() if k != "element"}
@@ -224,11 +219,10 @@ def transfer_bound(
         flags.append("disconnected_vicinity")
 
     prefactor = (fold - 1) / fold * eta_value
-    k = len(alpha) if index_limit is None else min(index_limit, len(alpha))
-    bounds = tuple(prefactor * _nonneg(alpha[i]) for i in range(k))
+    bounds = tuple(prefactor * _nonneg(a) for a in alpha)
     return BoundReport(
         method=f"transfer[{cover.name},{eta}]",
-        indices=tuple(range(1, k + 1)),
+        indices=tuple(range(1, len(alpha) + 1)),
         bounds=bounds,
         ingredients={
             "fold": fold,

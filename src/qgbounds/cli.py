@@ -9,6 +9,7 @@ object; usage errors exit 2, computation errors exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -57,7 +58,10 @@ def _resolve_cover(g: mg.MetricGraph, spec: str) -> covers.Cover:
             raise ParseError(f"invalid JSON in {path}: {exc.msg}", path=path) from None
         return covers.cover_from_json(data)
     if spec.startswith("copies:"):
-        return covers.copies_cover(g, int(spec[len("copies:"):]))
+        m = spec[len("copies:"):]
+        if not m.isdecimal():
+            raise BadParameter("copies cover needs an integer m", cover=spec)
+        return covers.copies_cover(g, int(m))
     return covers.build_cover(g, spec)
 
 
@@ -97,11 +101,10 @@ def _cmd_bounds(args) -> int:
         report = bounds.star_bound(g)
     else:
         cover = _resolve_cover(g, args.cover)
-        report = bounds.transfer_bound(g, cover, eta, index_limit=args.k)
-    if args.k is not None and report.method == "stars":
-        report = bounds.BoundReport(
-            report.method, report.indices[: args.k], report.bounds[: args.k],
-            report.ingredients, report.upper_bounds, report.flags)
+        report = bounds.transfer_bound(g, cover, eta)
+    if args.k is not None:
+        report = dataclasses.replace(
+            report, indices=report.indices[:args.k], bounds=report.bounds[:args.k])
     if args.format == "json":
         payload = json.dumps(report.to_json(), indent=2) + "\n"
     else:
@@ -126,6 +129,12 @@ def _cmd_repro(args) -> int:
     else:
         _emit(args, repro.format_rows(rows) + "\n")
     return 0 if repro.all_pass(rows) else 1
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _parse_mesh(text: str):
@@ -167,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--eta", default="cycle",
                    help="exact, cycle, nicaise, star, oracle (or full "
                         "strategy names)")
-    b.add_argument("--k", type=int, help="report only the first K indices")
+    b.add_argument("--k", type=_positive_int,
+                   help="report only the first K indices (K >= 1)")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--no-oracle", action="store_true",
                    help="skip the oracle column in CSV output")

@@ -16,7 +16,7 @@ recomputed from the data, never trusted from a file.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,23 +49,22 @@ class Cover:
     def edge_sets(self) -> dict:
         return {lbl: frozenset(eids) for lbl, eids in self.elements}
 
-    def edges_of(self, label: str) -> tuple:
-        for lbl, eids in self.elements:
-            if lbl == label:
-                return tuple(eids)
-        raise BadSpec(f"cover has no element {label!r}")
-
     def __len__(self) -> int:
         return len(self.elements)
 
 
 @dataclass(frozen=True)
 class CoverReport:
+    """A valid cover's fold, element subgraphs (label -> MetricGraph) and
+    vicinity graph, plus the sizes that ``to_json`` reports."""
+
     fold: int
     element_count: int
     element_lengths: dict
     vicinity_degrees: dict
     vicinity_volume: mg.Length
+    subgraphs: dict
+    vicinity: WeightedGraph
 
     def to_json(self) -> dict:
         return {
@@ -80,7 +79,8 @@ class CoverReport:
 
 
 def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
-    """Check uniform fold and element connectivity; report the key sizes.
+    """Check uniform fold and element connectivity; return the fold, the
+    element subgraphs and the vicinity graph with the key sizes.
 
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
@@ -114,8 +114,9 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     fold = folds.pop()
     if fold == 0:
         raise NotUniform("cover elements cover no edges")
+    subgraphs = {}
     for lbl, eids in cover.elements:
-        sub = mg.subgraph(g, eids)
+        subgraphs[lbl] = sub = mg.subgraph(g, eids)
         if not mg.is_connected(sub):
             raise DisconnectedElement(f"element {lbl!r} is disconnected",
                                       element=lbl)
@@ -127,7 +128,9 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         element_count=len(cover.elements),
         element_lengths=lengths,
         vicinity_degrees=degs,
-        vicinity_volume=wg.volume,
+        vicinity_volume=sum(degs.values(), start=Fraction(0)),
+        subgraphs=subgraphs,
+        vicinity=wg,
     )
 
 
@@ -135,33 +138,12 @@ def _element_length(g: mg.MetricGraph, eids: Iterable) -> mg.Length:
     return sum((g.edge(eid).length for eid in eids), start=Fraction(0))
 
 
-def cover_fold(g: mg.MetricGraph, cover: Cover) -> int:
-    counts = {e.id: 0 for e in g.edges}
-    for _, eids in cover.elements:
-        for eid in eids:
-            if eid in counts:
-                counts[eid] += 1
-    folds = set(counts.values())
-    if len(folds) != 1:
-        raise NotUniform("cover is not uniformly folded")
-    return folds.pop()
-
-
-def element_subgraph(g: mg.MetricGraph, cover: Cover, label: str) -> mg.MetricGraph:
-    return mg.subgraph(g, cover.edges_of(label))
-
-
 def vicinity_graph(g: mg.MetricGraph, cover: Cover) -> WeightedGraph:
     """Weighted graph on cover elements; weight = total shared edge length."""
-    raw = []
-    items = cover.elements
-    for i in range(len(items)):
-        li, si = items[i][0], cover.edge_sets[items[i][0]]
-        for j in range(i + 1, len(items)):
-            lj, sj = items[j][0], cover.edge_sets[items[j][0]]
-            shared = si & sj
-            if shared:
-                raw.append((li, lj, _element_length(g, shared)))
+    sets = cover.edge_sets
+    raw = [(a, b, _element_length(g, shared))
+           for a, b in itertools.combinations(cover.labels, 2)
+           if (shared := sets[a] & sets[b])]
     return reduce_multigraph(cover.labels, raw)
 
 
@@ -173,12 +155,13 @@ def proof_identity_residual(g: mg.MetricGraph, cover: Cover) -> float:
     vicinity degree diagonal D and fold m, the matrix
     m*I - (m-1) * D^{-1/2} J M J^T D^{-1/2} must equal (m-1) times the
     symmetric normalized vicinity Laplacian.  Returns the maximum absolute
-    entry of the difference; exact covers land at rounding error."""
-    fold = cover_fold(g, cover)
-    labels = cover.labels
-    wg = vicinity_graph(g, cover)
+    entry of the difference; exact covers land at rounding error.  The
+    cover is validated first, so a malformed cover raises as in
+    :func:`validate_cover`."""
+    rep = validate_cover(g, cover)
+    fold, wg = rep.fold, rep.vicinity
     pos = {lbl: k for k, lbl in enumerate(wg.vertices)}
-    n = len(labels)
+    n = len(wg.vertices)
     edge_ids = [e.id for e in g.edges]
     eix = {eid: k for k, eid in enumerate(edge_ids)}
     J = np.zeros((n, len(edge_ids)))
@@ -186,7 +169,7 @@ def proof_identity_residual(g: mg.MetricGraph, cover: Cover) -> float:
         for eid in eids:
             J[pos[lbl], eix[eid]] = 1.0
     M = np.diag([float(e.length) for e in g.edges])
-    deg = np.array([float(d) for d in wg.degree_vector()])
+    deg = np.array([float(d) for d in rep.vicinity_degrees.values()])
     if np.any(deg <= 0):
         raise DisconnectedElement(
             "an element shares no length with any other element")
@@ -416,7 +399,6 @@ def cyclic_configurations(items: Sequence) -> list:
         raise BadSpec(f"{k} items give too many cyclic orders to enumerate")
     if k <= 2:
         return [tuple(items)]
-    import itertools
     head, rest = items[0], items[1:]
     out = []
     for perm in itertools.permutations(rest):

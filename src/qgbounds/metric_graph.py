@@ -170,15 +170,6 @@ class MetricGraph:
     def weighted_degree(self, v: VertexId) -> Length:
         return sum((e.length for e, _ in self.incident[v]), start=Fraction(0))
 
-    def half_edges_at(self, v: VertexId) -> set:
-        out = set()
-        for e in self.edges:
-            if e.u == v:
-                out.add((e.id, 0))
-            if e.v == v:
-                out.add((e.id, 1))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -231,10 +222,13 @@ def _structural_check(g: MetricGraph) -> None:
             if v not in seen_v:
                 raise BadParameter(
                     f"rotation lists unknown vertex {v!r}", vertex=v)
+        expected = {v: [] for v in g.vertices}
+        for e in g.edges:
+            expected[e.u].append((e.id, 0))
+            expected[e.v].append((e.id, 1))
         for v in g.vertices:
-            expected = g.half_edges_at(v)
             listed = list(g.rotation.get(v, ()))
-            if sorted(map(str, listed)) != sorted(map(str, expected)):
+            if sorted(map(str, listed)) != sorted(map(str, expected[v])):
                 raise BadParameter(
                     f"rotation at vertex {v!r} does not list each incident "
                     f"half-edge exactly once", vertex=v)
@@ -257,25 +251,31 @@ def validate(g: MetricGraph) -> ValidationReport:
     )
 
 
-def components(g: MetricGraph) -> list:
-    """Connected components as lists of vertices (graph order)."""
+def connected_components(vertices: Sequence, pairs: Iterable) -> list:
+    """Components of the graph on ``vertices`` with (u, v) edges ``pairs``,
+    as vertex lists in breadth-first order from roots in the given order."""
+    adj = {v: [] for v in vertices}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = set()
     out = []
-    for root in g.vertices:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for _, w in g.incident[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(comp)
+    for root in vertices:
+        if root not in seen:
+            seen.add(root)
+            comp = [root]
+            for x in comp:  # comp grows while it is scanned
+                for w in adj[x]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            out.append(comp)
     return out
+
+
+def components(g: MetricGraph) -> list:
+    """Connected components as lists of vertices (graph order)."""
+    return connected_components(g.vertices, (e.ends for e in g.edges))
 
 
 def is_connected(g: MetricGraph) -> bool:
@@ -391,31 +391,31 @@ def split_loops(g: MetricGraph) -> MetricGraph:
 # shortest paths and the metric-space diameter
 
 
-def vertex_distances(g: MetricGraph) -> dict:
-    """All-pairs shortest path distances between vertices (Floyd-Warshall).
-
-    Stays exact when all lengths are rational."""
-    verts = g.vertices
-    dist = {u: {v: (Fraction(0) if u == v else math.inf) for v in verts}
-            for u in verts}
-    for e in g.edges:
-        if e.u == e.v:
-            continue
-        if e.length < dist[e.u][e.v]:
-            dist[e.u][e.v] = e.length
-            dist[e.v][e.u] = e.length
-    for w in verts:
+def shortest_distances(vertices: Sequence, arcs: Iterable) -> dict:
+    """All-pairs shortest paths (Floyd-Warshall) over undirected (u, v, cost)
+    ``arcs``; unreachable pairs are math.inf, rational costs stay exact."""
+    dist = {u: {v: (Fraction(0) if u == v else math.inf) for v in vertices}
+            for u in vertices}
+    for u, v, c in arcs:
+        if u != v and c < dist[u][v]:
+            dist[u][v] = dist[v][u] = c
+    for w in vertices:
         dw = dist[w]
-        for u in verts:
+        for u in vertices:
             duw = dist[u][w]
             if duw == math.inf:
                 continue
             du = dist[u]
-            for v in verts:
+            for v in vertices:
                 alt = duw + dw[v]
                 if alt < du[v]:
                     du[v] = alt
     return dist
+
+
+def vertex_distances(g: MetricGraph) -> dict:
+    """All-pairs shortest path distances between vertices of g."""
+    return shortest_distances(g.vertices, ((e.u, e.v, e.length) for e in g.edges))
 
 
 def _max_min_affine(lines, lo, hi):

@@ -293,8 +293,7 @@ def _fd_once(g: mg.MetricGraph, count: int, mesh: float, rtol: float) -> Spectru
 
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
                 mesh: Optional[float] = None,
-                rtol: float = 1e-3,
-                points_per_unit_length: Optional[float] = None) -> SpectrumResult:
+                rtol: float = 1e-3) -> SpectrumResult:
     """Finite-element eigenvalues with Richardson extrapolation.
 
     Solves on a mesh of width ~mesh and on its uniform refinement by two;
@@ -303,14 +302,9 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     (lam_fine - lam_coarse)/3 estimates the remaining one.  Raises
     MeshTooCoarse when that estimate exceeds rtol relative to the value;
     when no mesh was pinned explicitly the mesh is refined a few times
-    first.  ``points_per_unit_length`` is an alternative way to pin the
-    mesh: it sets mesh = 1/points_per_unit_length."""
+    first."""
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
-    if points_per_unit_length is not None:
-        if mesh is not None:
-            raise BadParameter("give either mesh or points_per_unit_length")
-        mesh = 1.0 / float(points_per_unit_length)
     min_len = min(float(e.length) for e in g.edges)
     if mesh is not None:
         return _fd_once(g, count, min(mesh, min_len / 2), rtol)

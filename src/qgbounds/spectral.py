@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import metric_graph as mg
 from .errors import (
     Disconnected,
     IsolatedVertex,
@@ -80,21 +81,8 @@ class WeightedGraph:
         return sum(self.degree_vector(), start=Fraction(0))
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = {v: [] for v in self.vertices}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {self.vertices[0]}
-        queue = [self.vertices[0]]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == len(self.vertices)
+        pairs = ((u, v) for u, v, _ in self.edges)
+        return len(mg.connected_components(self.vertices, pairs)) <= 1
 
 
 def reduce_multigraph(vertices: Sequence, raw_edges: Sequence) -> WeightedGraph:
@@ -233,10 +221,11 @@ def eigenvalues_sym(matrix, tol: Optional[float] = None,
     n = A.shape[0]
     if n == 0:
         return Spectrum((), 0.0)
-    if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.abs(A).max()))):
+    scale = float(np.abs(A).max())
+    if not float(np.abs(A - A.T).max()) <= 1e-10 * max(1.0, scale):  # NaN fails too
         raise NotSymmetric("matrix is not symmetric")
     A = (A + A.T) / 2
-    scale = max(float(np.abs(A).max()), 1e-300)
+    scale = max(scale, 1e-300)
     tol = default_tol() if tol is None else tol
     floor = tol * scale / (2 * n)
     eps = sys.float_info.epsilon
@@ -339,18 +328,9 @@ def cheeger_constant(wg: WeightedGraph) -> float:
 
 def inverse_weight_diameter(wg: WeightedGraph) -> float:
     """Max over vertex pairs of the shortest path metric with edge costs 1/w."""
-    n = len(wg.vertices)
-    idx = wg.index
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for u, v, w in wg.edges:
-        c = 1.0 / float(w)
-        iu, iv = idx[u], idx[v]
-        if c < dist[iu, iv]:
-            dist[iu, iv] = dist[iv, iu] = c
-    for k in range(n):
-        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
-    m = float(dist.max())
+    dist = mg.shortest_distances(
+        wg.vertices, ((u, v, 1.0 / float(w)) for u, v, w in wg.edges))
+    m = float(max(max(row.values()) for row in dist.values()))
     if math.isinf(m):
         raise Disconnected("inverse-weight diameter of a disconnected graph")
     return m

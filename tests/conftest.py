@@ -6,9 +6,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from qgbounds import metric_graph as mg
 from qgbounds import oracle
+
+# property tests draw the same examples on every run, so tier-1 stays
+# deterministic; no deadline, because example times follow the host's load
+settings.register_profile("qgbounds", derandomize=True, deadline=None)
+settings.load_profile("qgbounds")
 
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron",
                   "icosahedron")

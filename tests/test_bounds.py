@@ -6,11 +6,12 @@ fold m, element gap eta, and the overlap graph's normalized spectrum.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
-from qgbounds import bounds, covers, oracle
+from qgbounds import bounds, cli, covers, oracle
 from qgbounds import metric_graph as mg
 from qgbounds.errors import (
     BadParameter,
@@ -68,11 +69,15 @@ def test_cube_sixfold_cover_bound():
     assert grouped == {0.0: 1, round(16 / 15, 9): 9, round(6 / 5, 9): 2}
 
 
-def test_index_limit_truncates():
-    g = corpus_graph("cube")
-    rep = bounds.transfer_bound(g, covers.face_cover(g), "exact_cycle",
-                                index_limit=3)
-    assert rep.indices == (1, 2, 3)
+def test_index_limit_truncates(tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(mg.graph_to_json(corpus_graph("cube"))))
+    code = cli.run(["bounds", str(path), "--cover", "faces", "--eta", "exact",
+                    "--k", "3", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["indices"] == [1, 2, 3] and len(out["bounds"]) == 3
+    assert len(out["ingredients"]["alpha"]) == 6  # alpha stays whole
 
 
 # ---------------------------------------------------------------------------

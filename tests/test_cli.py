@@ -142,6 +142,22 @@ def test_bounds_unknown_eta(tetra_file, capsys):
     assert "exact_cycle" in info["context"]["known"]
 
 
+def test_bounds_bad_copies_count(tetra_file, capsys):
+    code, _, err = invoke(capsys, "bounds", tetra_file, "--cover", "copies:abc")
+    assert code == 1
+    info = json.loads(err)
+    assert info["error"] == "BadParameter"
+    assert info["context"]["cover"] == "copies:abc"
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_bounds_rejects_nonpositive_k(tetra_file, capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["bounds", tetra_file, "--no-oracle", "--k", k])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
 def test_bounds_output_file(tetra_file, tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, out, _ = invoke(capsys, "bounds", tetra_file, "--no-oracle",

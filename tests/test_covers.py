@@ -62,7 +62,7 @@ def test_face_cover_is_a_cycle_double_cover(name):
     assert rep.element_count == FACE_COUNT[name]
     assert set(rep.element_lengths.values()) == {FACE_LEN[name]}
     for lbl in cover.labels:
-        assert mg.is_cycle_graph(covers.element_subgraph(g, cover, lbl))
+        assert mg.is_cycle_graph(rep.subgraphs[lbl])
 
 
 def test_cube_face_vicinity_is_the_octahedron():
@@ -260,6 +260,21 @@ def test_degree_and_volume_identities_exact(label, g, cover):
                          ids=[t[0] for t in _INVENTORY])
 def test_proof_identity_residual_tiny(label, g, cover):
     assert covers.proof_identity_residual(g, cover) <= 1e-12
+
+
+def test_proof_identity_residual_validates_the_cover():
+    g = corpus_graph("tetrahedron")
+    (lbl, eids), *rest = covers.star_cover(g).elements
+    unknown = covers.Cover("x", ((lbl, eids + ("bogus",)), *rest))
+    with pytest.raises(BadSpec):
+        covers.proof_identity_residual(g, unknown)
+    # e0 = v0v1 and e5 = v2v3 do not touch; the rest of the cover is uniform
+    whole = tuple(e.id for e in g.edges)
+    split = covers.Cover("x", (("far", ("e0", "e5")),
+                               ("ring", ("e1", "e2", "e3", "e4")),
+                               ("all", whole)))
+    with pytest.raises(DisconnectedElement):
+        covers.proof_identity_residual(g, split)
 
 
 def test_vicinity_graph_has_no_self_overlap():

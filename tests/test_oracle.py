@@ -163,10 +163,9 @@ def test_fd_pinned_mesh_is_strict():
 
 
 def test_fd_mesh_flags_conflict():
-    g = mg.pumpkin(2)
-    with pytest.raises(BadParameter):
-        oracle.fd_spectrum(g, 2, mesh=0.1, points_per_unit_length=10)
-    res = oracle.fd_spectrum(g, 2, points_per_unit_length=40)
+    # a pinned mesh of 1/40 is the only spelling of 40 points per unit length
+    res = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
+    assert res.meta["mesh"] == pytest.approx(1 / 40)
     assert res.gap == pytest.approx(PI2, rel=1e-5)
 
 

@@ -1,0 +1,65 @@
+"""Property tests: transference bounds on random small rational graphs.
+
+Every bound from the star cover and from two- and three-fold copies covers,
+with every rigorous eta strategy that applies, must sit below the exact
+oracle spectrum; the vicinity spectrum must lie in [0, 2]; the normalized
+vicinity Laplacian must have trace equal to the number of elements; and the
+algebraic identity behind the bound must hold to rounding error.  Examples
+are drawn by the derandomised profile registered in conftest.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgbounds import bounds, covers, oracle
+from qgbounds import metric_graph as mg
+from qgbounds.errors import EtaUnavailable
+from qgbounds.spectral import normalized_laplacian_sym
+
+LENGTHS = ("1/2", "1", "3/2", "2")
+BOUND_SLACK = 1e-6
+ALPHA_SLACK = 1e-10
+
+
+@st.composite
+def rational_multigraphs(draw):
+    """Connected loopless multigraph on 2-5 vertices: a random spanning tree
+    plus up to three extra (possibly parallel) edges."""
+    n = draw(st.integers(2, 5))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1]), max_size=3))
+    edges = [{"id": f"e{k}", "ends": [f"v{u}", f"v{v}"],
+              "length": draw(st.sampled_from(LENGTHS))}
+             for k, (u, v) in enumerate(pairs)]
+    return mg.graph_from_json(
+        {"vertices": [f"v{i}" for i in range(n)], "edges": edges})
+
+
+@settings(max_examples=40)
+@given(rational_multigraphs())
+def test_transfer_bounds_hold_on_random_rational_graphs(g):
+    cover_list = [covers.star_cover(g), covers.copies_cover(g, 2),
+                  covers.copies_cover(g, 3)]
+    reports = [bounds.star_bound(g)]
+    for cover in cover_list:
+        rep = covers.validate_cover(g, cover)
+        L = normalized_laplacian_sym(rep.vicinity)
+        assert abs(np.trace(L) - len(cover)) <= 1e-12
+        assert covers.proof_identity_residual(g, cover) < 1e-12
+        for eta in sorted(bounds.RIGOROUS_ETA):
+            try:
+                reports.append(bounds.transfer_bound(g, cover, eta))
+            except EtaUnavailable:
+                continue
+    count = max(len(r.indices) for r in reports)
+    exact = oracle.spectrum(g, count=count).values
+    for r in reports:
+        alpha = r.ingredients["alpha"]
+        assert all(-ALPHA_SLACK <= a <= 2.0 + ALPHA_SLACK for a in alpha), r.method
+        for i, b in zip(r.indices, r.bounds):
+            assert b <= exact[i - 1] + BOUND_SLACK, (r.method, i, b, exact[i - 1])

@@ -83,6 +83,14 @@ def test_jacobi_rejects_bad_matrices():
         spectral.eigenvalues_sym([[0.0, 1.0], [2.0, 0.0]])
 
 
+def test_small_asymmetry_is_rejected():
+    # 1e-6 is far above the 1e-10 * max|A| allowance
+    with pytest.raises(NotSymmetric):
+        spectral.eigenvalues_sym([[1.0, 1.0], [1.0 + 1e-6, 1.0]])
+    with pytest.raises(NotSymmetric):
+        spectral.eigenvalues_sym([[1.0, math.nan], [math.nan, 1.0]])
+
+
 def test_jacobi_vectors_diagonalize():
     rng = np.random.default_rng(7)
     B = rng.normal(size=(6, 6))
