@@ -15,11 +15,11 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .covers import Cover, build_cover, validate_cover
+from .covers import Cover, build_cover, star_cover, validate_cover
 from .errors import (
     BadParameter,
     BadSpec,
@@ -38,7 +38,7 @@ from .metric_graph import (
     is_star_graph,
     metric_diameter,
 )
-from .spectral import normalized_spectrum, underlying_weighted
+from .spectral import normalized_spectrum
 
 _log = logging.getLogger(__name__)
 
@@ -66,12 +66,13 @@ def _eta_doubly_connected(sub: MetricGraph) -> float:
 
 
 def _eta_exact_cycle(sub: MetricGraph) -> float:
-    """Spectral gap of a cycle: the doubly connected bound, attained."""
+    """Spectral gap of a cycle, 4 pi^2 / L^2: the doubly connected bound,
+    attained.  A cycle is connected and bridgeless, so no further check."""
     if not is_cycle_graph(sub):
         raise EtaUnavailable(
             "element is not a cycle", strategy="exact_cycle", vertices=len(sub.vertices)
         )
-    return _eta_doubly_connected(sub)
+    return 4.0 * PI2 / float(sub.total_length) ** 2
 
 
 def _eta_nicaise(sub: MetricGraph) -> float:
@@ -245,56 +246,19 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
 def star_bound(g: MetricGraph) -> BoundReport:
     """Whole-graph bounds from the cover by vertex stars.
 
-    With l_max the longest edge, wdeg_max the largest sum of incident edge
-    lengths, and (D*wdeg)_max the largest product of a vertex's star
-    diameter with its weighted degree,
+    This is :func:`transfer_bound` over :func:`covers.star_cover` with the
+    ``star_best`` eta: the star cover has fold 2 and its vicinity graph is
+    the length-weighted reduced graph, so
 
-        lambda_i >= max(pi^2/(8 l_max^2),
-                        pi^2/(2 wdeg_max^2),
-                        1/(2 (D*wdeg)_max)) * alpha_i
+        lambda_i >= (1/2) * min_v star_gap_bound(star at v) * alpha_i
 
-    where alpha_i is the spectrum of the length-weighted reduced graph.
-    The star diameter at a vertex is the sum of its two longest incident
-    edge lengths, or twice the length if only one edge is incident.
+    where alpha_i is the spectrum of that reduced graph.
     """
     if any(e.is_loop() for e in g.edges):
         raise LoopPresent("star bounds need a loopless graph; split loops first")
     if not is_connected(g):
         raise Disconnected("star bounds need a connected graph")
-
-    l_max = max(float(e.length) for e in g.edges)
-    wdeg = {v: float(g.weighted_degree(v)) for v in g.vertices}
-    d_times_deg = {}
-    for v in g.vertices:
-        lengths = sorted((float(e.length) for e, _ in g.incident[v]), reverse=True)
-        diam = lengths[0] + lengths[1] if len(lengths) >= 2 else 2.0 * lengths[0]
-        d_times_deg[v] = diam * wdeg[v]
-    wdeg_max = max(wdeg.values())
-    dd_max = max(d_times_deg.values())
-
-    candidates = {
-        "longest_edge": PI2 / (8.0 * l_max**2),
-        "weighted_degree": PI2 / (2.0 * wdeg_max**2),
-        "diameter_degree": 1.0 / (2.0 * dd_max),
-    }
-    factor = max(candidates.values())
-
-    reduced = underlying_weighted(g, weight="length")
-    alpha = normalized_spectrum(reduced).values
-    bounds = tuple(factor * _nonneg(a) for a in alpha)
-    return BoundReport(
-        method="stars",
-        indices=tuple(range(1, len(alpha) + 1)),
-        bounds=bounds,
-        ingredients={
-            "factor": factor,
-            "factor_candidates": candidates,
-            "longest_edge": l_max,
-            "max_weighted_degree": wdeg_max,
-            "max_diameter_times_degree": dd_max,
-            "alpha": list(alpha),
-        },
-    )
+    return replace(transfer_bound(g, star_cover(g), "star_best"), method="stars")
 
 
 def pumpkin_chain_bounds(spec: PumpkinChainSpec) -> BoundReport:
@@ -534,7 +498,7 @@ def _fmt(x: float | None) -> str:
 def _ingredient_summary(report: BoundReport) -> str:
     parts = []
     ing = report.ingredients
-    for key in ("fold", "eta", "eta_strategy", "factor", "total_length", "metric_diameter"):
+    for key in ("fold", "eta", "eta_strategy", "total_length", "metric_diameter"):
         if key in ing:
             val = ing[key]
             parts.append(f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}")
@@ -586,9 +550,11 @@ def compare_report(
     """One row per (method, index): bound, oracle value, tightness ratio.
 
     ``cover_specs`` entries are either a strategy name understood by
-    :func:`covers.build_cover` (with ``"stars"`` routed to the specialized
-    :func:`star_bound`) or a ``(label, Cover)`` pair.  ``eta_specs`` is a
-    single strategy name or a mapping from cover label to strategy.
+    :func:`covers.build_cover` or a ``(label, Cover)`` pair.  ``eta_specs``
+    is a single strategy name or a mapping from cover label to strategy;
+    ``"stars"`` goes to :func:`star_bound`, which always takes the
+    ``star_best`` eta: cycle etas do not apply to stars, and ``star_best``
+    is never weaker than ``nicaise``.
     Classical comparison bounds are always appended.  Rows are ordered by
     method name, then index.
     """

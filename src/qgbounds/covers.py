@@ -139,11 +139,14 @@ def _element_length(g: mg.MetricGraph, eids: Iterable) -> mg.Length:
 
 
 def vicinity_graph(g: mg.MetricGraph, cover: Cover) -> WeightedGraph:
-    """Weighted graph on cover elements; weight = total shared edge length."""
+    """Weighted graph on cover elements; weight = total shared edge length.
+
+    Shared lengths are summed in the first element's own edge order, never
+    in set order, so float weights do not depend on the hash seed."""
     sets = cover.edge_sets
     raw = [(a, b, _element_length(g, shared))
-           for a, b in itertools.combinations(cover.labels, 2)
-           if (shared := sets[a] & sets[b])]
+           for (a, ea), (b, _) in itertools.combinations(cover.elements, 2)
+           if (shared := [eid for eid in ea if eid in sets[b]])]
     return reduce_multigraph(cover.labels, raw)
 
 
@@ -383,10 +386,6 @@ def build_cover(g: mg.MetricGraph, strategy: str, *, m: Optional[int] = None,
             raise BadSpec("copies strategy needs m")
         return copies_cover(g, m)
     raise BadSpec(f"unknown cover strategy {strategy!r}")
-
-
-COVER_STRATEGIES = ("stars", "faces", "face_pairs", "pumpkin_cycles",
-                    "layered", "concatenated", "copies")
 
 
 def cyclic_configurations(items: Sequence) -> list:

@@ -110,7 +110,7 @@ def von_below_spectrum(g: mg.MetricGraph, count: Optional[int] = None,
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
     ell = float(equilateral_length(g))
-    wg = underlying_weighted(g, weight="unit")
+    wg = underlying_weighted(g)
     alphas = eigenvalues_sym(normalized_laplacian_sym(wg), tol=tol)
     threshold = (math.pi / ell) ** 2
     values = []

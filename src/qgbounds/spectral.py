@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ class WeightedGraph:
     edges: tuple
 
     def __post_init__(self):
-        idx = {v: i for i, v in enumerate(self.vertices)}
+        idx = self.index
         for u, v, w in self.edges:
             if u not in idx or v not in idx:
                 raise NotSymmetric(f"edge ({u!r}, {v!r}) references unknown vertex")
@@ -64,7 +65,7 @@ class WeightedGraph:
             if not w > 0:
                 raise NotSymmetric(f"edge ({u!r}, {v!r}) has nonpositive weight {w}")
 
-    @property
+    @cached_property
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
@@ -95,17 +96,14 @@ def reduce_multigraph(vertices: Sequence, raw_edges: Sequence) -> WeightedGraph:
     return WeightedGraph(tuple(vertices), edges)
 
 
-def underlying_weighted(g, weight: str = "unit") -> WeightedGraph:
-    """Weighted graph underlying a metric graph.
-
-    weight="unit" counts parallel edges with multiplicity one each (merged
-    by addition); weight="length" uses edge lengths as weights."""
+def underlying_weighted(g) -> WeightedGraph:
+    """Weighted graph underlying a metric graph: each edge has weight one,
+    so parallel edges merge into their multiplicity."""
     raw = []
     for e in g.edges:
         if e.u == e.v:
             raise NotSymmetric(f"loop {e.id!r}: split loops before reducing")
-        w = Fraction(1) if weight == "unit" else e.length
-        raw.append((e.u, e.v, w))
+        raw.append((e.u, e.v, Fraction(1)))
     return reduce_multigraph(g.vertices, raw)
 
 

@@ -85,7 +85,7 @@ PLATONIC_ALPHA = {
 def test_criterion_01_platonic_normalized_spectra():
     checks = []
     for name in PLATONIC_NAMES:
-        wg = underlying_weighted(corpus_graph(name), weight="unit")
+        wg = underlying_weighted(corpus_graph(name))
         got = normalized_spectrum(wg).values
         want = [v for v, m in PLATONIC_ALPHA[name] for _ in range(m)]
         dev = max(abs(a - b) for a, b in zip(got, want))

@@ -144,12 +144,31 @@ def test_disconnected_vicinity_is_flagged_not_fatal():
 
 def test_star_bound_on_tetrahedron():
     rep = bounds.star_bound(corpus_graph("tetrahedron"))
-    cands = rep.ingredients["factor_candidates"]
-    assert cands["longest_edge"] == pytest.approx(PI2 / 8, abs=1e-12)
-    assert cands["weighted_degree"] == pytest.approx(PI2 / 18, abs=1e-12)
-    assert cands["diameter_degree"] == pytest.approx(1 / 12, abs=1e-12)
-    assert rep.ingredients["factor"] == pytest.approx(PI2 / 8, abs=1e-12)
+    etas = rep.ingredients["eta_per_element"]
+    assert len(etas) == 4
+    for eta in etas.values():
+        assert eta == pytest.approx(PI2 / 4, abs=1e-12)
+    assert rep.ingredients["eta"] == pytest.approx(PI2 / 4, abs=1e-12)
+    assert rep.ingredients["fold"] == 2
     assert rep.bound(2) == pytest.approx(PI2 / 6, abs=1e-9)
+
+
+def test_star_bound_takes_the_best_factor_at_each_vertex():
+    # stars: v0 {1, 2, 2}, v1 {1, 3}, v2 {3}, v3 {2, 2}; the weakest star
+    # gap is pi^2/16 (v0, v1, v3), so the factor is pi^2/32.  The best of
+    # the three factors taken each as the worst over all vertices is only
+    # pi^2/50 (weighted degree 5 at v0), 16/25 of that
+    g = mg.graph_from_json({
+        "vertices": ["v0", "v1", "v2", "v3"],
+        "edges": [{"id": "a", "ends": ["v0", "v1"], "length": 1},
+                  {"id": "b", "ends": ["v1", "v2"], "length": 3},
+                  {"id": "c", "ends": ["v0", "v3"], "length": 2},
+                  {"id": "d", "ends": ["v0", "v3"], "length": 2}]})
+    rep = bounds.star_bound(g)
+    alpha2 = rep.ingredients["alpha"][1]
+    assert rep.ingredients["eta"] == pytest.approx(PI2 / 16, abs=1e-12)
+    assert rep.bound(2) == pytest.approx(PI2 / 32 * alpha2, abs=1e-12)
+    assert rep.bound(2) <= oracle.spectrum(g, 2).gap + 1e-9
 
 
 def test_star_bound_on_icosahedron():

@@ -8,6 +8,9 @@ length, and the vicinity volume is m(m-1) times the graph's total length.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -281,6 +284,19 @@ def test_vicinity_graph_has_no_self_overlap():
     g = corpus_graph("icosahedron")
     gamma = covers.vicinity_graph(g, covers.face_cover(g))
     assert all(u != v for u, v, _ in gamma.edges)
+
+
+def test_vicinity_weights_do_not_depend_on_the_hash_seed():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+    code = ("from qgbounds import covers, metric_graph as mg\n"
+            "g = mg.pumpkin(3, [0.1, 0.2, 0.3])\n"
+            "print(repr(covers.vicinity_graph(g, covers.star_cover(g)).edges[0][2]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covers.__file__)))
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == repr(0.1 + 0.2 + 0.3), seed
 
 
 # ---------------------------------------------------------------------------

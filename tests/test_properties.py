@@ -4,11 +4,15 @@ Every bound from the star cover and from two- and three-fold copies covers,
 with every rigorous eta strategy that applies, must sit below the exact
 oracle spectrum; the vicinity spectrum must lie in [0, 2]; the normalized
 vicinity Laplacian must have trace equal to the number of elements; and the
-algebraic identity behind the bound must hold to rounding error.  Examples
-are drawn by the derandomised profile registered in conftest.
+algebraic identity behind the bound must hold to rounding error.  The star
+bound must also be no weaker than the best-of-worsts star factor times
+alpha.  Examples are drawn by the derandomised profile registered in
+conftest.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,12 +44,32 @@ def rational_multigraphs(draw):
         {"vertices": [f"v{i}" for i in range(n)], "edges": edges})
 
 
+def _best_of_worsts_star_factor(g: mg.MetricGraph) -> float:
+    """max(pi^2/(8 l_max^2), pi^2/(2 wdeg_max^2), 1/(2 (D*wdeg)_max)): the
+    best of three factors, each the worst over all vertices, with D a
+    star's diameter (its two longest edges, or twice its only one)."""
+    l_max = max(float(e.length) for e in g.edges)
+    wdeg_max = dd_max = 0.0
+    for v in g.vertices:
+        lengths = sorted((float(e.length) for e, _ in g.incident[v]), reverse=True)
+        wdeg = float(g.weighted_degree(v))
+        diam = lengths[0] + lengths[1] if len(lengths) >= 2 else 2.0 * lengths[0]
+        wdeg_max = max(wdeg_max, wdeg)
+        dd_max = max(dd_max, diam * wdeg)
+    return max(math.pi ** 2 / (8.0 * l_max ** 2), math.pi ** 2 / (2.0 * wdeg_max ** 2),
+               1.0 / (2.0 * dd_max))
+
+
 @settings(max_examples=40)
 @given(rational_multigraphs())
 def test_transfer_bounds_hold_on_random_rational_graphs(g):
     cover_list = [covers.star_cover(g), covers.copies_cover(g, 2),
                   covers.copies_cover(g, 3)]
-    reports = [bounds.star_bound(g)]
+    star = bounds.star_bound(g)
+    factor = _best_of_worsts_star_factor(g)
+    for b, a in zip(star.bounds, star.ingredients["alpha"]):
+        assert b >= factor * a - 1e-12, (b, factor, a)
+    reports = [star]
     for cover in cover_list:
         rep = covers.validate_cover(g, cover)
         L = normalized_laplacian_sym(rep.vicinity)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qgbounds import covers
 from qgbounds import metric_graph as mg
 from qgbounds import spectral
 from qgbounds.errors import Disconnected, NoConvergence, NotSymmetric, TooLarge
@@ -45,11 +46,12 @@ def test_reduce_multigraph_merges_parallel_edges():
 
 
 def test_underlying_weighted_of_pumpkin():
-    unit = spectral.underlying_weighted(mg.pumpkin(3), weight="unit")
+    unit = spectral.underlying_weighted(mg.pumpkin(3))
     assert unit.edges == (("u", "v", Fraction(3)),)
-    by_len = spectral.underlying_weighted(
-        mg.pumpkin(2, [Fraction(1, 2), Fraction(3, 2)]), weight="length")
-    assert by_len.edges == (("u", "v", Fraction(2)),)
+    # the length-weighted reduced graph is the star cover's vicinity graph
+    p = mg.pumpkin(2, [Fraction(1, 2), Fraction(3, 2)])
+    by_len = covers.vicinity_graph(p, covers.star_cover(p))
+    assert by_len.edges == (("star:u", "star:v", Fraction(2)),)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +195,8 @@ def test_spectrum_grouped():
 # normalized spectra: closed forms
 
 
-def _alpha(g: mg.MetricGraph, weight="unit"):
-    wg = spectral.underlying_weighted(g, weight=weight)
+def _alpha(g: mg.MetricGraph):
+    wg = spectral.underlying_weighted(g)
     return spectral.normalized_spectrum(wg).values
 
 
@@ -242,7 +244,7 @@ def test_platonic_alpha_spectra(name):
 @pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron",
                                   "chain_324", "four_pumpkin_2"])
 def test_alpha_range_and_trace(name):
-    wg = spectral.underlying_weighted(corpus_graph(name), weight="unit")
+    wg = spectral.underlying_weighted(corpus_graph(name))
     got = spectral.normalized_spectrum(wg).values
     assert got[0] == pytest.approx(0.0, abs=1e-10)
     assert got[1] > 1e-9  # connected
@@ -268,14 +270,17 @@ def _cheeger_slow(wg: spectral.WeightedGraph) -> float:
     return best
 
 
+def _star_vicinity(g: mg.MetricGraph) -> spectral.WeightedGraph:
+    return covers.vicinity_graph(g, covers.star_cover(g))
+
+
 @pytest.mark.parametrize("build, known", [
     (lambda: spectral.underlying_weighted(mg.path_graph(1)), 1.0),
     (lambda: spectral.underlying_weighted(mg.cycle_graph(1, segments=4)), 0.5),
     (lambda: spectral.underlying_weighted(corpus_graph("tetrahedron")), 2 / 3),
     (lambda: spectral.underlying_weighted(corpus_graph("octahedron")), None),
     (lambda: spectral.underlying_weighted(corpus_graph("cube")), None),
-    (lambda: spectral.underlying_weighted(
-        mg.pumpkin_chain((3, 2, 4)), weight="length"), None),
+    (lambda: _star_vicinity(mg.pumpkin_chain((3, 2, 4))), None),
 ])
 def test_cheeger_against_slow_version(build, known):
     wg = build()
@@ -309,7 +314,7 @@ def test_inverse_weight_diameter():
 @pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron",
                                   "icosahedron", "chain_324", "four_pumpkin_2"])
 def test_alpha2_sandwich_brackets_alpha2(name):
-    wg = spectral.underlying_weighted(corpus_graph(name), weight="unit")
+    wg = spectral.underlying_weighted(corpus_graph(name))
     alpha2 = spectral.normalized_spectrum(wg).values[1]
     sandwich = spectral.alpha2_sandwich(wg)
     assert sandwich.lower <= alpha2 + 1e-12
