@@ -80,9 +80,7 @@ def _emit(args, payload: str) -> None:
 def _cmd_validate(args) -> int:
     g = load_graph(args.graph)
     report = mg.validate(g)
-    out = report.to_json()
-    out["total_length"] = mg.length_to_json(g.total_length)
-    print(json.dumps(out, indent=2))
+    print(json.dumps(report.to_json(), indent=2))
     return 0
 
 

@@ -418,63 +418,30 @@ def vertex_distances(g: MetricGraph) -> dict:
     return shortest_distances(g.vertices, ((e.u, e.v, e.length) for e in g.edges))
 
 
-def _max_min_affine(lines, lo, hi):
-    """Maximize t -> min_i (a_i t + b_i) over [lo, hi].
+def metric_diameter(g: MetricGraph) -> Length:
+    """Diameter of g as a metric space, edge interiors included.
 
-    The objective is concave piecewise linear, so the maximum sits at an
-    interval endpoint or at a crossing of two of the lines."""
-    cands = [lo, hi]
-    for (a1, b1), (a2, b2) in itertools.combinations(lines, 2):
-        if a1 != a2:
-            t = (b2 - b1) / (a1 - a2)
-            if lo < t < hi:
-                cands.append(t)
-    return max(min(a * t + b for a, b in lines) for t in cands)
-
-
-def _edge_pair_max(A, B, C, D, l1, l2):
-    """Largest distance between a point of edge 1 and a point of edge 2.
-
-    A, B, C, D are the four endpoint-to-endpoint distances (u1u2, u1v2,
-    v1u2, v1v2).  The distance as a function of the two offsets is the
-    minimum of four affine route lengths; maximizing out the second offset
-    leaves the minimum of eight affine functions of the first offset."""
-    half = Fraction(1, 2)
-    p = ((1, A), (-1, C + l1))
-    q = ((1, B), (-1, D + l1))
-    lines = []
-    for pa, pb in p:
-        lines.append((pa, pb + l2))
-        for qa, qb in q:
-            lines.append((half * (pa + qa), half * (pb + qb + l2)))
-    for qa, qb in q:
-        lines.append((qa, qb + l2))
-    return _max_min_affine(lines, Fraction(0), l1)
-
-
-def metric_diameter(g: MetricGraph, dist: Optional[dict] = None) -> Length:
-    """Diameter of g as a metric space, edge interiors included."""
+    Take edges e = u1v1 and f = u2v2, points at offsets x from u1 and y
+    from u2, and A, B, C, D = d(u1,u2), d(u1,v2), d(v1,u2), d(v1,v2).  The
+    distance is the least of four routes: x+A+y, x+B+(lf-y), (le-x)+C+y and
+    (le-x)+D+(lf-y).  The two straight routes (through A and D) average to
+    (le+lf+A+D)/2 and the two crossed ones to (le+lf+B+C)/2, so the
+    distance never exceeds (le + lf + min(A+D, B+C))/2.  Both pairs tie at
+    x* = (2le+C+D-A-B)/4 and y* = (2lf+B+D-A-C)/4, which lie on the edges
+    because ends of one edge differ in distance to anything by at most its
+    length (|C-A|, |D-B| <= le and |B-A|, |D-C| <= lf); so the bound is
+    attained.  Two points of one edge are at most (d(u,v) + le)/2 apart.
+    Vertex pairs need no term of their own: in a connected graph with two
+    or more edges any two vertices lie on two distinct edges, whose pair
+    term bounds their distance, and with one edge its own term does."""
     if not is_connected(g):
         raise Disconnected("diameter of a disconnected graph is infinite")
-    if dist is None:
-        dist = vertex_distances(g)
-    best: Length = Fraction(0)
-    verts = g.vertices
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if dist[u][v] > best:
-                best = dist[u][v]
-    for e in g.edges:
-        cand = (dist[e.u][e.v] + e.length) / 2
-        if cand > best:
-            best = cand
-    for e, f in itertools.combinations(g.edges, 2):
-        cand = _edge_pair_max(
-            dist[e.u][f.u], dist[e.u][f.v], dist[e.v][f.u], dist[e.v][f.v],
-            e.length, f.length)
-        if cand > best:
-            best = cand
-    return best
+    dist = vertex_distances(g)
+    singles = ((dist[e.u][e.v] + e.length) / 2 for e in g.edges)
+    pairs = ((e.length + f.length + min(dist[e.u][f.u] + dist[e.v][f.v],
+                                         dist[e.u][f.v] + dist[e.v][f.u])) / 2
+             for e, f in itertools.combinations(g.edges, 2))
+    return max(itertools.chain(singles, pairs), default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -502,10 +469,9 @@ def metrics(g: MetricGraph) -> GraphMetrics:
     _structural_check(g)
     if not is_connected(g):
         raise Disconnected("metrics require a connected graph")
-    dist = vertex_distances(g)
     return GraphMetrics(
         total_length=g.total_length,
-        diameter=metric_diameter(g, dist),
+        diameter=metric_diameter(g),
         bridge_total_length=sum((e.length for e in bridge_edges(g)),
                                 start=Fraction(0)),
         vertex_degrees={v: g.degree(v) for v in g.vertices},

@@ -52,6 +52,8 @@ _DENSE_CUTOFF = 900
 # within ~10 s.
 _MATRIX_CAP = 1500
 _MAX_HALVINGS = 12
+_FD_NODE_CAP = 250_000
+_FD_RTOL = 1e-3  # relative error estimate a finite-element value must meet
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,8 @@ def equilateral_length(g: mg.MetricGraph) -> mg.Length:
     return lens.pop()
 
 
-def von_below_spectrum(g: mg.MetricGraph, count: Optional[int] = None,
-                       tol: Optional[float] = None) -> SpectrumResult:
+def von_below_spectrum(g: mg.MetricGraph,
+                       count: Optional[int] = None) -> SpectrumResult:
     """All Laplacian eigenvalues below the first branch threshold of an
     equilateral graph, via the discrete normalized spectrum.
 
@@ -111,7 +113,7 @@ def von_below_spectrum(g: mg.MetricGraph, count: Optional[int] = None,
         raise Disconnected("spectrum of a disconnected graph")
     ell = float(equilateral_length(g))
     wg = underlying_weighted(g)
-    alphas = eigenvalues_sym(normalized_laplacian_sym(wg), tol=tol)
+    alphas = eigenvalues_sym(normalized_laplacian_sym(wg))
     threshold = (math.pi / ell) ** 2
     values = []
     for a in alphas.values:
@@ -155,9 +157,7 @@ def _subdivide(g: mg.MetricGraph, h: Fraction) -> mg.MetricGraph:
 
 
 def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
-                         h: Optional[Fraction] = None,
-                         tol: Optional[float] = None,
-                         max_halvings: int = _MAX_HALVINGS) -> SpectrumResult:
+                         h: Optional[Fraction] = None) -> SpectrumResult:
     """Exact spectrum for rational edge lengths.
 
     Subdivides every edge on a common grid; degree-2 subdivision points do
@@ -184,7 +184,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                     f"grid {h} does not divide edge {e.id} of length {e.length}")
     else:
         h = mg.rational_gcd([e.length for e in g.edges])
-    attempts = 1 if pinned else max_halvings + 1
+    attempts = 1 if pinned else _MAX_HALVINGS + 1
     for _ in range(attempts):
         n_vertices = len(g.vertices) + sum(
             int(e.length / h) - 1 for e in g.edges)
@@ -194,7 +194,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                 f"(cap {_MATRIX_CAP})")
         fine = _subdivide(g, h)
         try:
-            res = von_below_spectrum(fine, count, tol=tol)
+            res = von_below_spectrum(fine, count)
         except CountExceedsBranch as exc:
             if pinned:
                 raise ThresholdExceeded(
@@ -207,7 +207,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
         meta.update({"grid": str(h), "subdivided_vertices": n_vertices})
         return SpectrumResult(res.values, "subdivision", meta)
     raise CountExceedsBranch(
-        f"could not expose {count} eigenvalues within {max_halvings} grid halvings")
+        f"could not expose {count} eigenvalues within {_MAX_HALVINGS} grid halvings")
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +215,29 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
 
 
 def _fd_matrix(g: mg.MetricGraph, h_target: float):
-    """Lumped P1 stiffness/mass pair on a per-edge uniform mesh."""
+    """Lumped P1 stiffness/mass pair on a per-edge uniform mesh.  The node
+    count is checked against _FD_NODE_CAP before anything is assembled."""
+    segments = [max(2, round(float(e.length) / h_target)) for e in g.edges]
+    N = len(g.vertices) + sum(n - 1 for n in segments)
+    if N > _FD_NODE_CAP:
+        raise TooLarge(f"mesh {float(h_target):g} needs {N} nodes (cap {_FD_NODE_CAP})")
     import scipy.sparse as sparse  # only this route needs scipy (~30 MiB)
 
-    nodes = {v: i for i, v in enumerate(g.vertices)}
+    index = {v: i for i, v in enumerate(g.vertices)}
     rows, cols, vals = [], [], []
-    mass = [0.0] * len(g.vertices)
-
-    def node(label):
-        if label not in nodes:
-            nodes[label] = len(nodes)
-            mass.append(0.0)
-        return nodes[label]
-
-    def add_segment(i, j, s):
+    mass = [0.0] * N
+    fresh = len(index)  # interior nodes are numbered after the vertices
+    for e, n in zip(g.edges, segments):
+        s = float(e.length) / n
         w = 1.0 / s
-        rows.extend([i, j, i, j])
-        cols.extend([i, j, j, i])
-        vals.extend([w, w, -w, -w])
-        mass[i] += s / 2
-        mass[j] += s / 2
-
-    for e in g.edges:
-        L = float(e.length)
-        n = max(2, round(L / h_target))
-        s = L / n
-        prev = node(e.u)
-        for k in range(1, n):
-            cur = node(f"{e.id}%{k}")
-            add_segment(prev, cur, s)
-            prev = cur
-        add_segment(prev, node(e.v), s)
-    N = len(mass)
+        path = [index[e.u], *range(fresh, fresh + n - 1), index[e.v]]
+        fresh += n - 1
+        for i, j in zip(path, path[1:]):
+            rows.extend([i, j, i, j])
+            cols.extend([i, j, j, i])
+            vals.extend([w, w, -w, -w])
+            mass[i] += s / 2
+            mass[j] += s / 2
     K = sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
     dinv = 1.0 / np.sqrt(np.array(mass))
     A = sparse.diags(dinv) @ K @ sparse.diags(dinv)
@@ -265,11 +256,9 @@ def _fd_eigs(A, N: int, count: int) -> np.ndarray:
     return np.sort(vals)[:count]
 
 
-def _fd_once(g: mg.MetricGraph, count: int, mesh: float, rtol: float) -> SpectrumResult:
+def _fd_once(g: mg.MetricGraph, count: int, mesh: float) -> SpectrumResult:
+    A2, N2 = _fd_matrix(g, mesh / 2)  # the finer mesh first: it hits the cap
     A1, N1 = _fd_matrix(g, mesh)
-    A2, N2 = _fd_matrix(g, mesh / 2)
-    if N2 > 250_000:
-        raise TooLarge(f"refined mesh needs {N2} nodes")
     want = min(count + 2, N1 - 1)
     coarse = _fd_eigs(A1, N1, want)
     fine = _fd_eigs(A2, N2, want)
@@ -281,10 +270,10 @@ def _fd_once(g: mg.MetricGraph, count: int, mesh: float, rtol: float) -> Spectru
     ext[0] = 0.0
     scale = [max(abs(x), 1.0) for x in ext]
     bad = [i for i in range(min(count, len(ext)))
-           if errs[i] > rtol * scale[i]]
+           if errs[i] > _FD_RTOL * scale[i]]
     if bad:
         raise MeshTooCoarse(
-            f"error estimate exceeds rtol={rtol:g} at indices {bad}",
+            f"error estimate exceeds rtol={_FD_RTOL:g} at indices {bad}",
             estimates=[errs[i] for i in bad], mesh=mesh)
     return SpectrumResult(tuple(ext[:count]), "fd",
                           {"mesh": mesh, "nodes": N2,
@@ -292,29 +281,30 @@ def _fd_once(g: mg.MetricGraph, count: int, mesh: float, rtol: float) -> Spectru
 
 
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
-                mesh: Optional[float] = None,
-                rtol: float = 1e-3) -> SpectrumResult:
+                mesh: Optional[float] = None) -> SpectrumResult:
     """Finite-element eigenvalues with Richardson extrapolation.
 
     Solves on a mesh of width ~mesh and on its uniform refinement by two;
     the lumped P1 scheme converges at second order, so the extrapolation
     lam_fine + (lam_fine - lam_coarse)/3 cancels the leading error term and
     (lam_fine - lam_coarse)/3 estimates the remaining one.  Raises
-    MeshTooCoarse when that estimate exceeds rtol relative to the value;
-    when no mesh was pinned explicitly the mesh is refined a few times
-    first."""
+    MeshTooCoarse when that estimate exceeds _FD_RTOL relative to the
+    value; when no mesh was pinned explicitly the mesh is refined a few
+    times first.  A pinned mesh must be finite and positive."""
+    if mesh is not None and not (math.isfinite(mesh) and mesh > 0):
+        raise BadParameter(f"mesh must be finite and positive, got {mesh}")
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
     min_len = min(float(e.length) for e in g.edges)
     if mesh is not None:
-        return _fd_once(g, count, min(mesh, min_len / 2), rtol)
+        return _fd_once(g, count, min(mesh, min_len / 2))
     mesh = min_len / 8
     for _ in range(3):
         try:
-            return _fd_once(g, count, mesh, rtol)
+            return _fd_once(g, count, mesh)
         except MeshTooCoarse:
             mesh /= 2
-    return _fd_once(g, count, mesh, rtol)
+    return _fd_once(g, count, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +312,7 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
 
 
 def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
-             tol: Optional[float] = None, mesh: Optional[float] = None,
-             rtol: float = 1e-3) -> SpectrumResult:
+             mesh: Optional[float] = None) -> SpectrumResult:
     """Best available oracle for the first count eigenvalues.
 
     auto picks the exact route for rational lengths (equilateral graphs
@@ -334,21 +323,21 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
         if all(isinstance(e.length, Fraction) for e in g.edges):
             if mesh is not None:
                 try:
-                    return subdivision_spectrum(g, count, h=_as_grid(mesh), tol=tol)
+                    return subdivision_spectrum(g, count, h=_as_grid(mesh))
                 except IncommensurableLengths:
-                    return fd_spectrum(g, count, mesh=float(mesh), rtol=rtol)
+                    return fd_spectrum(g, count, mesh=float(mesh))
             try:
-                return subdivision_spectrum(g, count, tol=tol)
+                return subdivision_spectrum(g, count)
             except TooLarge:
-                return fd_spectrum(g, count, mesh=mesh, rtol=rtol)
-        return fd_spectrum(g, count, mesh=mesh, rtol=rtol)
+                return fd_spectrum(g, count, mesh=mesh)
+        return fd_spectrum(g, count, mesh=mesh)
     if method == "von_below":
-        return von_below_spectrum(g, count, tol=tol)
+        return von_below_spectrum(g, count)
     if method == "subdivision":
         h = None if mesh is None else _as_grid(mesh)
-        return subdivision_spectrum(g, count, h=h, tol=tol)
+        return subdivision_spectrum(g, count, h=h)
     if method == "fd":
-        return fd_spectrum(g, count, mesh=mesh, rtol=rtol)
+        return fd_spectrum(g, count, mesh=mesh)
     raise UnknownKind(f"unknown oracle method {method!r}")
 
 

@@ -284,8 +284,8 @@ def eigenvalues_sym(matrix, tol: Optional[float] = None,
     return Spectrum(values, math.sqrt(2.0 * dropped), vectors)
 
 
-def normalized_spectrum(wg: WeightedGraph, tol: Optional[float] = None) -> Spectrum:
-    return eigenvalues_sym(normalized_laplacian_sym(wg), tol=tol)
+def normalized_spectrum(wg: WeightedGraph) -> Spectrum:
+    return eigenvalues_sym(normalized_laplacian_sym(wg))
 
 
 # ---------------------------------------------------------------------------

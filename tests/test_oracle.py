@@ -169,6 +169,35 @@ def test_fd_mesh_flags_conflict():
     assert res.gap == pytest.approx(PI2, rel=1e-5)
 
 
+@pytest.mark.parametrize("mesh", [-1, 0, math.nan, math.inf])
+def test_fd_rejects_mesh_that_is_not_finite_and_positive(mesh):
+    # -1 and inf would put two segments on every edge of both meshes, so
+    # coarse would equal fine and a wrong gap would pass its error estimate
+    with pytest.raises(BadParameter):
+        oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=mesh)
+
+
+def test_fd_node_cap_is_checked_before_assembly():
+    # the refined mesh would need ~3e8 nodes; the cap must fire first
+    with pytest.raises(TooLarge):
+        oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=1e-7)
+
+
+def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
+    def triangle(third):
+        return mg.graph_from_json({
+            "vertices": ["a", "b", third],
+            "edges": [{"id": "e0", "ends": ["a", "b"], "length": 1.0},
+                      {"id": "e1", "ends": ["b", third], "length": 1.0},
+                      {"id": "e2", "ends": [third, "a"], "length": 1.0}]})
+
+    plain = oracle.fd_spectrum(triangle("c"), 3, mesh=0.05)
+    # "e0%1" spells an interior node of e0 in a label-keyed mesh
+    clash = oracle.fd_spectrum(triangle("e0%1"), 3, mesh=0.05)
+    assert clash.values == plain.values
+    assert clash.gap == pytest.approx(oracle.analytic_gap("cycle(3)"), rel=1e-6)
+
+
 def test_fd_rejects_disconnected():
     split = mg.MetricGraph(
         ("a", "b", "c", "d"),

@@ -6,8 +6,10 @@ oracle spectrum; the vicinity spectrum must lie in [0, 2]; the normalized
 vicinity Laplacian must have trace equal to the number of elements; and the
 algebraic identity behind the bound must hold to rounding error.  The star
 bound must also be no weaker than the best-of-worsts star factor times
-alpha.  Examples are drawn by the derandomised profile registered in
-conftest.
+alpha.  The exact metric diameter must equal the largest vertex distance
+after subdividing every edge at a quarter of the length gcd, where the
+farthest points sit.  Examples are drawn by the derandomised profile
+registered in conftest.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from qgbounds import bounds, covers, oracle
 from qgbounds import metric_graph as mg
@@ -87,3 +91,28 @@ def test_transfer_bounds_hold_on_random_rational_graphs(g):
         assert all(-ALPHA_SLACK <= a <= 2.0 + ALPHA_SLACK for a in alpha), r.method
         for i, b in zip(r.indices, r.bounds):
             assert b <= exact[i - 1] + BOUND_SLACK, (r.method, i, b, exact[i - 1])
+
+
+def _subdivided_vertex_diameter(g: mg.MetricGraph) -> float:
+    """Largest vertex distance of g with every edge cut into pieces of a
+    quarter of the length gcd.  Every edge gets at least four pieces, so
+    the subdivided graph has no parallel arcs; all pieces are multiples of
+    1/8, so the float path sums are exact."""
+    h = mg.rational_gcd([e.length for e in g.edges]) / 4
+    index = {v: i for i, v in enumerate(g.vertices)}
+    size = len(index)
+    rows, cols = [], []
+    for e in g.edges:
+        n = int(e.length / h)
+        path = [index[e.u], *range(size, size + n - 1), index[e.v]]
+        size += n - 1
+        rows += path[:-1]
+        cols += path[1:]
+    adj = coo_matrix(([float(h)] * len(rows), (rows, cols)), shape=(size, size))
+    return float(shortest_path(adj.tocsr(), directed=False).max())
+
+
+@settings(max_examples=200)
+@given(rational_multigraphs())
+def test_metric_diameter_matches_subdivided_vertex_diameter(g):
+    assert float(mg.metric_diameter(g)) == _subdivided_vertex_diameter(g)
