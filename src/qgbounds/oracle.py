@@ -11,12 +11,16 @@ Two independent routes:
 
 * a finite-element route (piecewise linear, lumped mass) with Richardson
   extrapolation over a halved mesh, for arbitrary lengths and as a genuinely
-  separate cross-check of the first route.
+  separate cross-check of the first route.  Up to _DENSE_CUTOFF mesh nodes
+  it diagonalizes densely with LAPACK.  Above it, ARPACK in shift-invert
+  mode computes only the eigenvalues asked for, and they are returned only
+  when a SuperLU inertia count (Sylvester's law) confirms that ARPACK
+  skipped none, as it can on a multiple eigenvalue.
 
 The transcendental route diagonalizes with this package's own Householder
 and implicit-QL solver (``spectral.eigenvalues_sym``); the finite-element
-route uses LAPACK/ARPACK.  They share no eigensolver, so agreement between
-them is meaningful.
+route uses LAPACK, ARPACK and SuperLU.  They share no eigensolver, so
+agreement between them is meaningful.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import (
     Disconnected,
     IncommensurableLengths,
     MeshTooCoarse,
+    NoConvergence,
     NotEquilateral,
     ThresholdExceeded,
     TooLarge,
@@ -44,7 +49,13 @@ from .errors import (
 from .spectral import eigenvalues_sym, normalized_laplacian_sym, underlying_weighted
 
 _BRANCH_EPS = 1e-9
-_DENSE_CUTOFF = 900
+# Largest finite-element matrix solved densely.  One solve on a 2-CPU x86
+# host with one BLAS thread, best of 15, dense eigvalsh against the
+# inertia-checked shift-invert route, on solids with random float lengths
+# and a four-pumpkin, for 6-30 values: 1.0 against 3-6 ms at ~130 nodes,
+# 1.9 against 4-6 ms at ~180, 4 against 4-7 ms at ~230, 6 against 4-8 ms
+# at ~280 and 9.5 against 3.5-9 ms at ~350.
+_DENSE_CUTOFF = 250
 # Largest subdivided graph the exact route diagonalises.  The dense solve
 # grows like n^3: on a 2-CPU x86 host with one BLAS thread it took 0.15 s at
 # 295 vertices, 0.5 s at 600, 1.8 s at 1000, 3.9 s at 1300, 5.7-7.0 s at 1500
@@ -54,6 +65,11 @@ _MATRIX_CAP = 1500
 _MAX_HALVINGS = 12
 _FD_NODE_CAP = 250_000
 _FD_RTOL = 1e-3  # relative error estimate a finite-element value must meet
+_FD_SOLVE_ATTEMPTS = 4  # shift-invert solves per mesh before NoConvergence
+# The inertia count is taken this far (relative) above an ARPACK value.  Next
+# to 12- and 18-fold eigenvalues of pumpkins (590-3,584 nodes) the count was
+# wrong at 1e-9 and 1e-8 and right from 1e-7 on; ARPACK's own error is ~1e-12.
+_FD_COUNT_GAP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -84,6 +100,11 @@ class SpectrumResult:
         return out
 
 
+def _check_count(count) -> None:
+    if count < 1:
+        raise BadParameter(f"need at least one eigenvalue, got count={count}")
+
+
 # ---------------------------------------------------------------------------
 # transcendental route
 
@@ -109,6 +130,8 @@ def von_below_spectrum(g: mg.MetricGraph,
     recovers them on a finer grid.  With count=None returns everything
     below the threshold, otherwise exactly count values or raises
     CountExceedsBranch."""
+    if count is not None:
+        _check_count(count)
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
     ell = float(equilateral_length(g))
@@ -168,6 +191,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
     divide every edge length and is used as-is; if the threshold then cuts
     off the requested eigenvalues, ThresholdExceeded asks for a smaller h.
     """
+    _check_count(count)
     if not all(isinstance(e.length, Fraction) for e in g.edges):
         raise IncommensurableLengths(
             "subdivision needs exact rational edge lengths")
@@ -215,69 +239,129 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
 
 
 def _fd_matrix(g: mg.MetricGraph, h_target: float):
-    """Lumped P1 stiffness/mass pair on a per-edge uniform mesh.  The node
-    count is checked against _FD_NODE_CAP before anything is assembled."""
-    segments = [max(2, round(float(e.length) / h_target)) for e in g.edges]
-    N = len(g.vertices) + sum(n - 1 for n in segments)
+    """Lumped P1 stiffness over mass on a per-edge uniform mesh, as the
+    symmetric M^-1/2 K M^-1/2.  Interior nodes are numbered after the
+    vertices, edge by edge.  The node count is checked against _FD_NODE_CAP
+    before anything is assembled."""
+    lengths = np.array([float(e.length) for e in g.edges])
+    # float, so that a tiny mesh cannot wrap a fixed-width integer
+    segments = np.maximum(2.0, np.rint(lengths / h_target))
+    N = len(g.vertices) + float(np.sum(segments - 1))
     if N > _FD_NODE_CAP:
-        raise TooLarge(f"mesh {float(h_target):g} needs {N} nodes (cap {_FD_NODE_CAP})")
+        raise TooLarge(f"mesh {float(h_target):g} needs {N:.3g} nodes (cap {_FD_NODE_CAP})")
     import scipy.sparse as sparse  # only this route needs scipy (~30 MiB)
 
+    N = int(N)
+    n = segments.astype(np.int64)
     index = {v: i for i, v in enumerate(g.vertices)}
-    rows, cols, vals = [], [], []
-    mass = [0.0] * N
-    fresh = len(index)  # interior nodes are numbered after the vertices
-    for e, n in zip(g.edges, segments):
-        s = float(e.length) / n
-        w = 1.0 / s
-        path = [index[e.u], *range(fresh, fresh + n - 1), index[e.v]]
-        fresh += n - 1
-        for i, j in zip(path, path[1:]):
-            rows.extend([i, j, i, j])
-            cols.extend([i, j, j, i])
-            vals.extend([w, w, -w, -w])
-            mass[i] += s / 2
-            mass[j] += s / 2
-    K = sparse.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
-    dinv = 1.0 / np.sqrt(np.array(mass))
-    A = sparse.diags(dinv) @ K @ sparse.diags(dinv)
+    u, v = np.array([(index[e.u], index[e.v]) for e in g.edges], dtype=np.int64).T
+    fresh = len(g.vertices) + np.cumsum(n - 1) - (n - 1)  # first interior node
+    edge = np.repeat(np.arange(len(n)), n)  # the edge of each segment
+    k = np.arange(edge.size) - (np.cumsum(n) - n)[edge]  # its place on the edge
+    left = np.where(k == 0, u[edge], fresh[edge] + k - 1)
+    right = np.where(k == n[edge] - 1, v[edge], fresh[edge] + k)
+    s = (lengths / n)[edge]
+    ends = np.concatenate((left, right))
+    dinv = 1.0 / np.sqrt(np.bincount(ends, np.concatenate((s, s)) / 2, N))
+    stiff = np.bincount(ends, np.concatenate((1.0 / s, 1.0 / s)), N)
+    off = -dinv[left] * dinv[right] / s
+    diag = np.arange(N)
+    A = sparse.csr_matrix(
+        (np.concatenate((off, off, stiff * dinv * dinv)),
+         (np.concatenate((ends, diag)), np.concatenate((right, left, diag)))),
+        shape=(N, N))
     return A, N
 
 
-def _fd_eigs(A, N: int, count: int) -> np.ndarray:
-    if N <= _DENSE_CUTOFF:
-        vals = np.linalg.eigvalsh(A.toarray())
-        return vals[:count]
+def _shifted_lu(A, mu: float):
+    """SuperLU of A - mu I in symmetric mode: a minimum-degree ordering of
+    A + A^T, applied to rows and columns alike, and no threshold pivoting, so
+    every pivot stays on the diagonal unless one is exactly zero."""
+    import scipy.sparse as sparse
     import scipy.sparse.linalg as sparse_linalg
 
-    k = min(count, N - 2)
-    vals = sparse_linalg.eigsh(A, k=k, sigma=-1e-2, which="LM",
-                               return_eigenvectors=False)
-    return np.sort(vals)[:count]
+    shifted = (A - mu * sparse.identity(A.shape[0], format="csr")).tocsc()
+    return sparse_linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
-def _fd_once(g: mg.MetricGraph, count: int, mesh: float) -> SpectrumResult:
-    A2, N2 = _fd_matrix(g, mesh / 2)  # the finer mesh first: it hits the cap
-    A1, N1 = _fd_matrix(g, mesh)
-    want = min(count + 2, N1 - 1)
-    coarse = _fd_eigs(A1, N1, want)
-    fine = _fd_eigs(A2, N2, want)
+def _count_below(A, mu: float) -> Optional[int]:
+    """How many eigenvalues of the symmetric A lie below mu.
+
+    By Sylvester's law of inertia, A - mu I = P^T L D L^T P has as many
+    negative eigenvalues as D has negative entries, and with every pivot on
+    the diagonal (perm_r equal to perm_c) U's diagonal is D.  None when
+    SuperLU had to pivot off the diagonal, or A - mu I is singular."""
+    try:
+        lu = _shifted_lu(A, mu)
+    except RuntimeError:  # exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _fd_eigs(A, N: int, want: int) -> np.ndarray:
+    """The want smallest eigenvalues of the symmetric positive semidefinite
+    A, ascending.
+
+    Dense LAPACK up to _DENSE_CUTOFF nodes.  Above it, ARPACK in
+    shift-invert mode, whose values are returned only when an inertia count
+    confirms them: at the first gap after the values wanted (or just above
+    the largest value returned) the count of eigenvalues below must equal
+    the count returned below, because ARPACK can miss copies of a multiple
+    eigenvalue.  A short count asks for as many more values as were missed,
+    plus a margin."""
+    if N <= _DENSE_CUTOFF:
+        return np.linalg.eigvalsh(A.toarray())[:want]
+    import scipy.sparse.linalg as sparse_linalg
+
+    # seeded, so the result repeats; random, because a constant start stays
+    # in an invariant subspace of a symmetric graph and misses eigenvalues
+    v0 = np.random.default_rng(0).standard_normal(N)
+    # A - shift I is positive definite: one factorisation serves every attempt
+    shift = -1e-2
+    inverse = sparse_linalg.LinearOperator((N, N), _shifted_lu(A, shift).solve,
+                                           dtype=A.dtype)
+    k = want + 2  # two spare values, so a gap after the last wanted is in view
+    for _ in range(_FD_SOLVE_ATTEMPTS):
+        k = min(k, N - 1)
+        vals = np.sort(sparse_linalg.eigsh(A, k=k, sigma=shift, which="LM", v0=v0,
+                                           OPinv=inverse, return_eigenvectors=False))
+        tol = _FD_COUNT_GAP * np.maximum(vals, 1.0)
+        gaps = np.flatnonzero(vals[want:] - vals[want - 1:-1] > 2 * tol[want - 1:-1])
+        j = want + int(gaps[0]) if gaps.size else k  # certify vals[:j]
+        below = _count_below(A, vals[j - 1] + tol[j - 1])
+        if below == j:
+            return vals[:want]
+        k += max(below or 0, j) - j + 8
+    raise NoConvergence(
+        f"shift-invert Lanczos did not match its inertia count on {N} nodes "
+        f"after {_FD_SOLVE_ATTEMPTS} attempts", nodes=N, want=want)
+
+
+def _fd_values(g: mg.MetricGraph, h: float, count: int):
+    """The first count eigenvalues (fewer on a mesh with few nodes) and the
+    node count of the mesh of width ~h."""
+    A, N = _fd_matrix(g, h)
+    return _fd_eigs(A, N, min(count, N - 1)), N
+
+
+def _extrapolate(coarse, fine, mesh: float, nodes: int) -> SpectrumResult:
     ext, errs = [], []
     for lc, lf in zip(coarse.tolist(), fine.tolist()):
         e = (lf - lc) / 3
         ext.append(lf + e)
         errs.append(abs(e))
     ext[0] = 0.0
-    scale = [max(abs(x), 1.0) for x in ext]
-    bad = [i for i in range(min(count, len(ext)))
-           if errs[i] > _FD_RTOL * scale[i]]
+    bad = [i for i, (x, e) in enumerate(zip(ext, errs))
+           if e > _FD_RTOL * max(abs(x), 1.0)]
     if bad:
         raise MeshTooCoarse(
             f"error estimate exceeds rtol={_FD_RTOL:g} at indices {bad}",
             estimates=[errs[i] for i in bad], mesh=mesh)
-    return SpectrumResult(tuple(ext[:count]), "fd",
-                          {"mesh": mesh, "nodes": N2,
-                           "error_estimates": list(errs[:count])})
+    return SpectrumResult(tuple(ext), "fd",
+                          {"mesh": mesh, "nodes": nodes, "error_estimates": errs})
 
 
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
@@ -289,22 +373,28 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     lam_fine + (lam_fine - lam_coarse)/3 cancels the leading error term and
     (lam_fine - lam_coarse)/3 estimates the remaining one.  Raises
     MeshTooCoarse when that estimate exceeds _FD_RTOL relative to the
-    value; when no mesh was pinned explicitly the mesh is refined a few
-    times first.  A pinned mesh must be finite and positive."""
+    value; when no mesh was pinned explicitly the mesh is halved a few
+    times first, each refinement reusing the previous fine mesh as its
+    coarse one.  A pinned mesh must be finite and positive."""
+    _check_count(count)
     if mesh is not None and not (math.isfinite(mesh) and mesh > 0):
         raise BadParameter(f"mesh must be finite and positive, got {mesh}")
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
     min_len = min(float(e.length) for e in g.edges)
-    if mesh is not None:
-        return _fd_once(g, count, min(mesh, min_len / 2))
-    mesh = min_len / 8
-    for _ in range(3):
+    refinements = 0 if mesh is not None else 3
+    mesh = min(mesh, min_len / 2) if mesh is not None else min_len / 8
+    fine, nodes = _fd_values(g, mesh / 2, count)  # the finer mesh first: it hits the cap
+    coarse, _ = _fd_values(g, mesh, count)
+    for _ in range(refinements):
         try:
-            return _fd_once(g, count, mesh)
+            return _extrapolate(coarse, fine, mesh, nodes)
         except MeshTooCoarse:
+            # mesh/2 rounds to the same segments, so its solve carries over
             mesh /= 2
-    return _fd_once(g, count, mesh)
+            coarse = fine
+            fine, nodes = _fd_values(g, mesh / 2, count)
+    return _extrapolate(coarse, fine, mesh, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,14 @@ def test_oracle_branch_overflow(tetra_file, capsys):
     assert info["context"]["available"] == 4
 
 
+@pytest.mark.parametrize("method", ["auto", "von_below", "subdivision", "fd"])
+def test_oracle_rejects_a_count_below_one(tetra_file, capsys, method):
+    code, out, err = invoke(capsys, "oracle", tetra_file, "--count", "-3",
+                            "--method", method)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"
+
+
 def test_oracle_bad_mesh_is_a_usage_error(tetra_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["oracle", tetra_file, "--mesh", "abc"])

@@ -19,6 +19,7 @@ from qgbounds.errors import (
     Disconnected,
     IncommensurableLengths,
     MeshTooCoarse,
+    NoConvergence,
     NotEquilateral,
     ThresholdExceeded,
     TooLarge,
@@ -178,9 +179,11 @@ def test_fd_rejects_mesh_that_is_not_finite_and_positive(mesh):
 
 
 def test_fd_node_cap_is_checked_before_assembly():
-    # the refined mesh would need ~3e8 nodes; the cap must fire first
-    with pytest.raises(TooLarge):
-        oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=1e-7)
+    # the refined mesh would need ~3e8 nodes; the cap must fire first.  At
+    # 1e-300 the segment count would wrap a fixed-width integer.
+    for mesh in (1e-7, 1e-300):
+        with pytest.raises(TooLarge):
+            oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=mesh)
 
 
 def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
@@ -196,6 +199,30 @@ def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
     clash = oracle.fd_spectrum(triangle("e0%1"), 3, mesh=0.05)
     assert clash.values == plain.values
     assert clash.gap == pytest.approx(oracle.analytic_gap("cycle(3)"), rel=1e-6)
+
+
+def test_fd_sparse_route_repeats_bit_for_bit():
+    g = mg.platonic("cube", length=math.sqrt(2))
+    first = oracle.fd_spectrum(g, 4, mesh=0.02)
+    assert first.meta["nodes"] > oracle._DENSE_CUTOFF
+    assert oracle.fd_spectrum(g, 4, mesh=0.02).values == first.values
+
+
+@pytest.mark.parametrize("count, mesh", [(32, 1 / 30), (30, None)])
+def test_fd_finds_every_copy_of_multiple_eigenvalues(count, mesh):
+    # the icosahedron of edge sqrt 2 has the spectrum of the unit one over 2,
+    # with multiplicities up to 18; missed copies used to pass the
+    # Richardson check on 2,532 nodes and raise MeshTooCoarse unpinned
+    exact = oracle.subdivision_spectrum(mg.platonic("icosahedron"), count).values
+    res = oracle.spectrum(mg.platonic("icosahedron", length=math.sqrt(2)), count, mesh=mesh)
+    assert res.method == "fd" and res.meta["nodes"] > oracle._DENSE_CUTOFF
+    assert res.values == pytest.approx([x / 2 for x in exact], rel=1e-4, abs=1e-12)
+
+
+def test_fd_never_returns_a_list_its_inertia_count_contradicts(monkeypatch):
+    monkeypatch.setattr(oracle, "_count_below", lambda A, mu: None)
+    with pytest.raises(NoConvergence):
+        oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 4, mesh=0.02)
 
 
 def test_fd_rejects_disconnected():
@@ -238,6 +265,24 @@ def test_explicit_methods_and_unknown():
         oracle.spectrum(g, 4, method="magic")
     with pytest.raises(NotEquilateral):
         oracle.spectrum(mg.pumpkin(2, [1, 2]), 2, method="von_below")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda g, n: oracle.spectrum(g, n),
+    lambda g, n: oracle.spectrum(g, n, method="fd"),
+    lambda g, n: oracle.von_below_spectrum(g, n),
+    lambda g, n: oracle.subdivision_spectrum(g, n),
+    lambda g, n: oracle.fd_spectrum(g, n),
+], ids=["spectrum", "spectrum_fd", "von_below", "subdivision", "fd"])
+def test_every_route_rejects_a_count_below_one(call, count, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the count")
+
+    monkeypatch.setattr(oracle, "eigenvalues_sym", no_solve)
+    monkeypatch.setattr(oracle, "_fd_eigs", no_solve)
+    with pytest.raises(BadParameter):
+        call(mg.platonic("tetrahedron"), count)
 
 
 @pytest.mark.parametrize("method, g", [

@@ -8,8 +8,10 @@ algebraic identity behind the bound must hold to rounding error.  The star
 bound must also be no weaker than the best-of-worsts star factor times
 alpha.  The exact metric diameter must equal the largest vertex distance
 after subdividing every edge at a quarter of the length gcd, where the
-farthest points sit.  Examples are drawn by the derandomised profile
-registered in conftest.
+farthest points sit.  Above its dense cutoff, the finite-element route's
+inertia-checked shift-invert solve must agree with dense LAPACK on the same
+matrix, multiple eigenvalues included.  Examples are drawn by the
+derandomised profile registered in conftest.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -33,16 +35,17 @@ ALPHA_SLACK = 1e-10
 
 
 @st.composite
-def rational_multigraphs(draw):
+def multigraphs(draw, lengths=st.sampled_from(LENGTHS)):
     """Connected loopless multigraph on 2-5 vertices: a random spanning tree
-    plus up to three extra (possibly parallel) edges."""
+    plus up to three extra (possibly parallel) edges, with lengths drawn
+    from ``lengths`` (the rational LENGTHS by default)."""
     n = draw(st.integers(2, 5))
     pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     pairs += draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         .filter(lambda p: p[0] != p[1]), max_size=3))
     edges = [{"id": f"e{k}", "ends": [f"v{u}", f"v{v}"],
-              "length": draw(st.sampled_from(LENGTHS))}
+              "length": draw(lengths)}
              for k, (u, v) in enumerate(pairs)]
     return mg.graph_from_json(
         {"vertices": [f"v{i}" for i in range(n)], "edges": edges})
@@ -65,7 +68,7 @@ def _best_of_worsts_star_factor(g: mg.MetricGraph) -> float:
 
 
 @settings(max_examples=40)
-@given(rational_multigraphs())
+@given(multigraphs())
 def test_transfer_bounds_hold_on_random_rational_graphs(g):
     cover_list = [covers.star_cover(g), covers.copies_cover(g, 2),
                   covers.copies_cover(g, 3)]
@@ -113,6 +116,36 @@ def _subdivided_vertex_diameter(g: mg.MetricGraph) -> float:
 
 
 @settings(max_examples=200)
-@given(rational_multigraphs())
+@given(multigraphs())
 def test_metric_diameter_matches_subdivided_vertex_diameter(g):
     assert float(mg.metric_diameter(g)) == _subdivided_vertex_diameter(g)
+
+
+@st.composite
+def fd_graphs(draw):
+    """A multigraph with float lengths, an equilateral platonic solid, or an
+    equilateral pumpkin of 2-18 edges."""
+    kind = draw(st.sampled_from(("random", "platonic", "pumpkin")))
+    if kind == "platonic":
+        return mg.platonic(draw(st.sampled_from(
+            ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron"))),
+            length=draw(st.sampled_from((1.0, math.sqrt(2)))))
+    if kind == "pumpkin":
+        return mg.pumpkin(draw(st.integers(2, 18)), 1.0)
+    return draw(multigraphs(st.floats(0.25, 2.0)))
+
+
+@settings(max_examples=40)
+@given(fd_graphs(), st.integers(1, 30), st.integers(300, 900))
+# copies an unchecked shift-invert solve misses
+@example(mg.platonic("icosahedron"), 30, 500)
+@example(mg.platonic("dodecahedron", length=math.sqrt(2)), 30, 300)
+@example(mg.pumpkin(18, 1.0), 8, 900)
+def test_fd_sparse_solve_matches_dense(g, want, nodes):
+    A, N = oracle._fd_matrix(g, sum(float(e.length) for e in g.edges) / nodes)
+    assert N > oracle._DENSE_CUTOFF
+    dense = np.linalg.eigvalsh(A.toarray())[:want]
+    # absolute floor: both solvers round at about eps * ||A|| (the zero
+    # eigenvalue comes out near 1e-10 on fine meshes)
+    floor = 10 * np.finfo(float).eps * abs(A).sum(axis=1).max()
+    np.testing.assert_allclose(oracle._fd_eigs(A, N, want), dense, rtol=1e-9, atol=floor)
