@@ -31,7 +31,7 @@ from .errors import (
 )
 from .metric_graph import (
     MetricGraph,
-    PumpkinChainSpec,
+    chain_structure,
     is_connected,
     is_cycle_graph,
     is_doubly_connected,
@@ -261,8 +261,9 @@ def star_bound(g: MetricGraph) -> BoundReport:
     return replace(transfer_bound(g, star_cover(g), "star_best"), method="stars")
 
 
-def pumpkin_chain_bounds(spec: PumpkinChainSpec) -> BoundReport:
-    """Spectral-gap bounds for a locally equilateral pumpkin chain.
+def pumpkin_chain_bounds(g: MetricGraph) -> BoundReport:
+    """Spectral-gap bounds for a locally equilateral pumpkin chain; BadSpec
+    when g is not a chain.
 
     Two lower bounds on lambda_2, in terms of the pumpkin total lengths
     P_i = m_i * l_i and the longest single edge:
@@ -281,14 +282,12 @@ def pumpkin_chain_bounds(spec: PumpkinChainSpec) -> BoundReport:
     for n = 3, where lambda_2 attains it only on symmetric necklaces such
     as (2, 2, 2).  The report therefore claims no upper bound.
     """
-    n = spec.n
-    if n < 1:
-        raise BadSpec("chain needs at least one pumpkin", n=n)
-    p_lengths = [float(p) for p in spec.pumpkin_lengths]
-    if any(p <= 0 for p in p_lengths):
-        raise BadSpec("pumpkin total lengths must be positive")
-    l_max = float(spec.max_edge_length)
-    total = float(spec.total_length)
+    pumpkins = [[g.edge(eid).length for eid in eids] for _, _, eids in chain_structure(g)]
+    n = len(pumpkins)
+    totals = [sum(ls, start=Fraction(0)) for ls in pumpkins]
+    p_lengths = [float(p) for p in totals]
+    l_max = float(max(l for ls in pumpkins for l in ls))
+    total = float(sum(totals, start=Fraction(0)))
 
     sum_p = sum(p_lengths)
     sum_inv = sum(1.0 / p for p in p_lengths)

@@ -25,17 +25,20 @@ ETA_ALIASES = {
 }
 
 
-def load_graph(path: str) -> mg.MetricGraph:
-    """Parse and validate a graph file; loops are split on load."""
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", path=path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}",
                          path=path, line=exc.lineno, column=exc.colno) from None
-    return mg.graph_from_json(data)
+
+
+def load_graph(path: str) -> mg.MetricGraph:
+    """Parse and validate a graph file; loops are split on load."""
+    return mg.graph_from_json(_read_json(path))
 
 
 def _resolve_eta(name: str) -> str:
@@ -48,15 +51,7 @@ def _resolve_eta(name: str) -> str:
 
 def _resolve_cover(g: mg.MetricGraph, spec: str) -> covers.Cover:
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc.strerror}", path=path) from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc.msg}", path=path) from None
-        return covers.cover_from_json(data)
+        return covers.cover_from_json(_read_json(spec[len("file:"):]))
     if spec.startswith("copies:"):
         m = spec[len("copies:"):]
         if not m.isdecimal():
@@ -159,10 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     gn = sub.add_parser("gen", help="generate a graph file from a family spec")
     gn.add_argument("family",
                     help="e.g. platonic:cube, pumpkin:4, pumpkin_chain:3,2,4, "
-                         "cycle:6, path:3, star")
+                         "cycle:6, path:3, star:1,3/2,2")
     gn.add_argument("--length", help="uniform edge length (int, p/q or float)")
     gn.add_argument("--segments", type=int,
-                    help="edge count for cycle/path families")
+                    help="edge count for the cycle family")
     gn.add_argument("-o", "--output")
     gn.set_defaults(fn=_cmd_gen)
 

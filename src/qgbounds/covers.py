@@ -245,15 +245,9 @@ def copies_cover(g: mg.MetricGraph, m: int) -> Cover:
     return Cover(f"copies:{m}", tuple((f"copy{k}", all_ids) for k in range(m)))
 
 
-def _require_pumpkin(g: mg.MetricGraph) -> tuple:
-    endsets = {frozenset(e.ends) for e in g.edges}
-    if len(endsets) != 1 or any(e.is_loop() for e in g.edges):
-        raise BadSpec("graph is not a single pumpkin")
-    return tuple(e.id for e in g.edges)
-
-
 def pumpkin_cycle_cover(g: mg.MetricGraph, ordering: Optional[Sequence] = None) -> Cover:
-    """Cover by consecutive edge pairs within each pumpkin.
+    """Cover by consecutive edge pairs within each pumpkin; element
+    ``cyc{i}.{j}`` is the j-th pair of pumpkin i.
 
     For a single pumpkin an explicit cyclic ``ordering`` of the edges may be
     given; different orderings give genuinely different vicinity graphs.  On
@@ -262,31 +256,30 @@ def pumpkin_cycle_cover(g: mg.MetricGraph, ordering: Optional[Sequence] = None) 
     per pumpkin, so the transference bound degenerates; the cover is still
     valid and useful as a cautionary baseline.
     """
-    try:
-        ids = _require_pumpkin(g)
-    except BadSpec:
-        if ordering is not None:
-            raise BadSpec("edge orderings only apply to a single pumpkin") from None
-        spec, edge_ids = _chain_data(g)
-        slots = _chain_cycle_slots(spec, edge_ids)
-        elements = tuple(
-            (f"cyc{i}.{j}", pair) for (i, j), pair in sorted(slots.items()))
-        return Cover("pumpkin_cycles", elements)
-    if len(ids) < 2:
-        raise NotBridgeless("a single-edge pumpkin has no cycle cover")
-    if ordering is None:
-        ordering = ids
-    ordering = tuple(ordering)
-    if sorted(map(str, ordering)) != sorted(map(str, ids)):
-        raise BadSpec("ordering must list each pumpkin edge exactly once")
-    m = len(ordering)
-    elements = tuple(
-        (f"cyc{j}", (ordering[j], ordering[(j + 1) % m])) for j in range(m))
+    edge_ids = _pumpkin_edge_ids(g)
+    if ordering is not None:
+        if len(edge_ids) != 1:
+            raise BadSpec("edge orderings only apply to a single pumpkin")
+        ordering = tuple(ordering)
+        if sorted(map(str, ordering)) != sorted(map(str, edge_ids[0])):
+            raise BadSpec("ordering must list each pumpkin edge exactly once")
+        edge_ids = (ordering,)
+    slots = _chain_cycle_slots(edge_ids)
+    elements = tuple((f"cyc{i}.{j}", pair) for (i, j), pair in slots.items())
     return Cover("pumpkin_cycles", elements)
 
 
-def _chain_cycle_slots(spec: mg.PumpkinChainSpec, edge_ids: Sequence) -> dict:
-    """(i, j) -> edge id pair for the j-th consecutive cycle of pumpkin i.
+def _pumpkin_edge_ids(g: mg.MetricGraph) -> tuple:
+    """Each pumpkin's edge ids, in chain order."""
+    edge_ids = tuple(eids for _, _, eids in mg.chain_structure(g))
+    if any(len(eids) < 2 for eids in edge_ids):
+        raise NotBridgeless("chain covers need every pumpkin to have >= 2 edges")
+    return edge_ids
+
+
+def _chain_cycle_slots(edge_ids: Sequence) -> dict:
+    """(i, j) -> edge id pair for the j-th consecutive cycle of pumpkin i,
+    in that order.
 
     Pumpkins are 1-based; slot (i, m_i) wraps around to the first edge."""
     slots = {}
@@ -297,25 +290,16 @@ def _chain_cycle_slots(spec: mg.PumpkinChainSpec, edge_ids: Sequence) -> dict:
     return slots
 
 
-def _chain_data(g: mg.MetricGraph):
-    pumpkins = mg.chain_structure(g)
-    spec = mg.chain_spec_of(g)
-    if not spec.is_bridgeless():
-        raise NotBridgeless("chain covers need every pumpkin to have >= 2 edges")
-    edge_ids = tuple(eids for _, _, eids in pumpkins)
-    return spec, edge_ids
-
-
 def layered_chain_cover(g: mg.MetricGraph) -> Cover:
     """Layered cover of a pumpkin chain.
 
     Layer j glues the j-th consecutive cycle of every pumpkin thick enough
     to have one, split into connected runs; the wrap-around cycles of all
     pumpkins form one closing element."""
-    spec, edge_ids = _chain_data(g)
-    slots = _chain_cycle_slots(spec, edge_ids)
-    ms = spec.multiplicities
-    n = spec.n
+    edge_ids = _pumpkin_edge_ids(g)
+    slots = _chain_cycle_slots(edge_ids)
+    ms = [len(eids) for eids in edge_ids]
+    n = len(ms)
     elements = []
     for j in range(1, max(ms)):
         run = []
@@ -347,10 +331,10 @@ def concatenated_chain_cover(g: mg.MetricGraph) -> Cover:
     Element i joins the first cycle of pumpkin i with the second cycle of
     pumpkin i+1; every cycle slot not absorbed that way stays an element of
     its own."""
-    spec, edge_ids = _chain_data(g)
-    slots = _chain_cycle_slots(spec, edge_ids)
-    ms = spec.multiplicities
-    n = spec.n
+    edge_ids = _pumpkin_edge_ids(g)
+    slots = _chain_cycle_slots(edge_ids)
+    ms = [len(eids) for eids in edge_ids]
+    n = len(ms)
     used = set()
     elements = []
     for i in range(1, n):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -646,75 +646,33 @@ def four_pumpkin(a) -> MetricGraph:
     return pumpkin(4, [1, 1, a, a])
 
 
-@dataclass(frozen=True)
-class PumpkinChainSpec:
-    """A chain of pumpkins: pumpkin i has multiplicities[i] parallel edges
-    with the given per-edge lengths, glued along a path of vertices."""
+def pumpkin_chain(multiplicities: Sequence[int], lengths=1) -> MetricGraph:
+    """Metric graph of a pumpkin chain: pumpkin i has multiplicities[i]
+    parallel edges from v{i} to v{i+1}; edges come pumpkin by pumpkin.
 
-    multiplicities: tuple
-    lengths: tuple  # tuple of per-pumpkin tuples
-
-    @classmethod
-    def create(cls, multiplicities: Sequence[int], lengths=1) -> "PumpkinChainSpec":
-        ms = tuple(int(m) for m in multiplicities)
-        if not ms:
-            raise BadSpec("a pumpkin chain needs at least one pumpkin")
-        if any(m < 1 for m in ms):
-            raise BadSpec(f"multiplicities must be >= 1, got {ms}")
-        n = len(ms)
-        if isinstance(lengths, (list, tuple)):
-            if len(lengths) != n:
-                raise BadSpec(f"expected {n} length entries, got {len(lengths)}")
-            per = []
-            for i, entry in enumerate(lengths):
-                if isinstance(entry, (list, tuple)):
-                    if len(entry) != ms[i]:
-                        raise BadSpec(
-                            f"pumpkin {i + 1} needs {ms[i]} lengths")
-                    per.append(tuple(as_length(x) for x in entry))
-                else:
-                    per.append((as_length(entry),) * ms[i])
-        else:
-            l = as_length(lengths)
-            per = [(l,) * m for m in ms]
-        for pl in per:
-            for l in pl:
-                if not l > 0:
-                    raise NonpositiveLength(f"nonpositive edge length {l}")
-        return cls(ms, tuple(per))
-
-    @property
-    def n(self) -> int:
-        return len(self.multiplicities)
-
-    @property
-    def pumpkin_lengths(self) -> tuple:
-        return tuple(sum(pl, start=Fraction(0)) for pl in self.lengths)
-
-    @property
-    def total_length(self) -> Length:
-        return sum(self.pumpkin_lengths, start=Fraction(0))
-
-    @property
-    def max_edge_length(self) -> Length:
-        return max(l for pl in self.lengths for l in pl)
-
-    def is_bridgeless(self) -> bool:
-        return all(m >= 2 for m in self.multiplicities)
-
-
-def pumpkin_chain(spec_or_ms, lengths=1) -> MetricGraph:
-    """Metric graph of a pumpkin chain; edges come pumpkin by pumpkin."""
-    if isinstance(spec_or_ms, PumpkinChainSpec):
-        spec = spec_or_ms
-    else:
-        spec = PumpkinChainSpec.create(spec_or_ms, lengths)
-    verts = tuple(f"v{i}" for i in range(spec.n + 1))
+    ``lengths`` is one length for every edge, or one entry per pumpkin:
+    a length for all its edges, or a list of its edge lengths."""
+    ms = tuple(int(m) for m in multiplicities)
+    if not ms:
+        raise BadSpec("a pumpkin chain needs at least one pumpkin")
+    if any(m < 1 for m in ms):
+        raise BadSpec(f"multiplicities must be >= 1, got {ms}")
+    if not isinstance(lengths, (list, tuple)):
+        lengths = [lengths] * len(ms)
+    elif len(lengths) != len(ms):
+        raise BadSpec(f"expected {len(ms)} length entries, got {len(lengths)}")
+    verts = tuple(f"v{i}" for i in range(len(ms) + 1))
     edges = []
-    for i, m in enumerate(spec.multiplicities, start=1):
-        for j in range(1, m + 1):
-            edges.append(Edge(f"e{i}_{j}", verts[i - 1], verts[i],
-                              spec.lengths[i - 1][j - 1]))
+    for i, (m, entry) in enumerate(zip(ms, lengths), start=1):
+        if not isinstance(entry, (list, tuple)):
+            entry = [entry] * m
+        elif len(entry) != m:
+            raise BadSpec(f"pumpkin {i} needs {m} lengths")
+        for j, x in enumerate(entry, start=1):
+            l = as_length(x)
+            if not l > 0:
+                raise NonpositiveLength(f"nonpositive edge length {l}")
+            edges.append(Edge(f"e{i}_{j}", verts[i - 1], verts[i], l))
     return MetricGraph(verts, tuple(edges), None)
 
 
@@ -754,8 +712,9 @@ def star_graph(lengths) -> MetricGraph:
 
 
 def generate(family: str, *, length=None, lengths=None, segments=None) -> MetricGraph:
-    """Dispatch on a family spec string like ``platonic:cube`` or
-    ``pumpkin_chain:3,2,4``.  Loops never arise from these families."""
+    """Dispatch on a family spec string like ``platonic:cube``,
+    ``pumpkin_chain:3,2,4`` or ``star:1,3/2,2``.  Loops never arise from
+    these families."""
     kind, _, arg = str(family).partition(":")
     try:
         if kind == "platonic":
@@ -774,8 +733,10 @@ def generate(family: str, *, length=None, lengths=None, segments=None) -> Metric
         if kind == "path":
             return path_graph(arg if arg else (1 if length is None else length))
         if kind == "star":
+            if arg:
+                lengths = arg.split(",")
             if lengths is None:
-                raise BadParameter("star requires --lengths")
+                raise BadParameter("star needs its edge lengths, as in star:1,3/2,2")
             return star_graph(lengths)
     except ValueError as exc:
         raise BadParameter(f"bad parameter in family {family!r}: {exc}") from exc
@@ -787,7 +748,7 @@ def generate(family: str, *, length=None, lengths=None, segments=None) -> Metric
 
 
 def chain_structure(g: MetricGraph) -> list:
-    """Recognize g as a pumpkin chain.
+    """Recognize g as a pumpkin chain; a single pumpkin is a chain of one.
 
     Returns the ordered pumpkins as (left vertex, right vertex, edge ids);
     edge ids keep the graph's edge order within each pumpkin.  Raises
@@ -825,15 +786,6 @@ def chain_structure(g: MetricGraph) -> list:
     for a, b in zip(order, order[1:]):
         out.append((a, b, tuple(groups[frozenset((a, b))])))
     return out
-
-
-def chain_spec_of(g: MetricGraph) -> PumpkinChainSpec:
-    """PumpkinChainSpec carried by a chain-shaped metric graph."""
-    pumpkins = chain_structure(g)
-    ms = tuple(len(eids) for _, _, eids in pumpkins)
-    lengths = tuple(tuple(g.edge(eid).length for eid in eids)
-                    for _, _, eids in pumpkins)
-    return PumpkinChainSpec(ms, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -375,10 +375,11 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     MeshTooCoarse when that estimate exceeds _FD_RTOL relative to the
     value; when no mesh was pinned explicitly the mesh is halved a few
     times first, each refinement reusing the previous fine mesh as its
-    coarse one.  A pinned mesh must be finite and positive."""
+    coarse one.  A pinned mesh must be finite and positive, and so must
+    its half, the width of the finer mesh."""
     _check_count(count)
-    if mesh is not None and not (math.isfinite(mesh) and mesh > 0):
-        raise BadParameter(f"mesh must be finite and positive, got {mesh}")
+    if mesh is not None and not (math.isfinite(mesh) and mesh / 2 > 0):
+        raise BadParameter(f"mesh and its half must be finite and positive, got {mesh}")
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
     min_len = min(float(e.length) for e in g.edges)

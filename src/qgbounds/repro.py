@@ -177,15 +177,11 @@ def _case_cube_sixfold() -> list:
     return rows
 
 
-def _chain_case(case: str, multiplicities, expect) -> list:
+def _chain_case(case: str, g: mg.MetricGraph, expect) -> list:
     """Shared body for the two worked pumpkin chains (unit lengths)."""
-    spec = mg.PumpkinChainSpec.create(multiplicities)
-    g = mg.pumpkin_chain(spec)
     rows = []
-    reps = {}
     for strat in ("layered", "concatenated"):
         rep = bounds.transfer_bound(g, covers.build_cover(g, strat), "doubly_connected")
-        reps[strat] = rep
         alpha2 = rep.ingredients["alpha"][1]
         rows.append(_check(case, f"{strat}.alpha2", alpha2,
                            expect[strat]["alpha2"], ROUNDED_TOL))
@@ -193,7 +189,7 @@ def _chain_case(case: str, multiplicities, expect) -> list:
                            expect[strat]["bound"], ROUNDED_TOL))
         rows += _both(case, f"{strat}.eta", rep.ingredients["eta"],
                       expect[strat]["eta"])
-    return rows, g, spec, reps
+    return rows
 
 
 def _case_chain_324() -> list:
@@ -202,12 +198,13 @@ def _case_chain_324() -> list:
         "layered": {"alpha2": 0.629, "bound": 0.345, "eta": PI2 / 9},
         "concatenated": {"alpha2": 0.229, "bound": 0.282, "eta": PI2 / 4},
     }
-    rows, g, spec, _ = _chain_case(case, (3, 2, 4), expect)
+    g = mg.pumpkin_chain((3, 2, 4))
+    rows = _chain_case(case, g, expect)
 
     cls = {r.method: r for r in bounds.classical_bounds(g)}
     rows += _both(case, "band_levy", cls["band_levy"].bound(2), 4 * PI2 / 81, 0.487)
 
-    chain = bounds.pumpkin_chain_bounds(spec)
+    chain = bounds.pumpkin_chain_bounds(g)
     rows += _both(case, "diam_route", chain.bound(2), PI2 / 39)
     friedlander_n1 = chain.ingredients["friedlander_lower_lambda_n_plus_1"]
     rows += _both(case, "upper", friedlander_n1, 4 * PI2 / 81,
@@ -235,8 +232,7 @@ def _case_chain_342() -> list:
         "layered": {"alpha2": 0.974, "bound": 0.533, "eta": PI2 / 9},
         "concatenated": {"alpha2": 0.322, "bound": 0.398, "eta": PI2 / 4},
     }
-    rows, _, _, _ = _chain_case(case, (3, 4, 2), expect)
-    return rows
+    return _chain_case(case, mg.pumpkin_chain((3, 4, 2)), expect)
 
 
 def _case_four_pumpkin(a) -> list:

@@ -315,7 +315,7 @@ def _sweep_reports(name: str, g: mg.MetricGraph) -> list:
             for strat in ("layered", "concatenated"):
                 reports.append(bounds.transfer_bound(
                     g, covers.build_cover(g, strat), "doubly_connected"))
-        reports.append(bounds.pumpkin_chain_bounds(mg.chain_spec_of(g)))
+        reports.append(bounds.pumpkin_chain_bounds(g))
     return reports
 
 
@@ -342,13 +342,13 @@ def test_criterion_07_corpus_soundness():
     # (n+1)^2 pi^2/(4 L^2) bounds lambda_{n+1} from below; it is no upper
     # bound on lambda_2, so the chain report must not claim one
     for name in CHAIN_NAMES:
-        spec = mg.chain_spec_of(corpus_graph(name))
-        rep = bounds.pumpkin_chain_bounds(spec)
+        rep = bounds.pumpkin_chain_bounds(corpus_graph(name))
         checks.append((f"{name}: chain report claims no upper bound",
                        rep.upper_bounds == {}, f"{rep.upper_bounds}"))
         value = rep.ingredients["friedlander_lower_lambda_n_plus_1"]
-        lam = corpus_oracle(name, count=spec.n + 1)[spec.n]
-        checks.append((f"{name}: (n+1)^2 value below lambda_{spec.n + 1}",
+        n = rep.ingredients["n"]
+        lam = corpus_oracle(name, count=n + 1)[n]
+        checks.append((f"{name}: (n+1)^2 value below lambda_{n + 1}",
                        value <= lam + 1e-6,
                        f"value {value:.6g} > oracle {lam:.6g}"))
     _verdict(7, "corpus soundness", checks)

@@ -194,8 +194,7 @@ def test_star_bound_rejects():
 
 
 def test_chain_bounds_unit_324():
-    spec = mg.chain_spec_of(corpus_graph("chain_324"))
-    rep = bounds.pumpkin_chain_bounds(spec)
+    rep = bounds.pumpkin_chain_bounds(corpus_graph("chain_324"))
     assert rep.bound(2) == pytest.approx(PI2 / 39, abs=1e-12)
     assert rep.ingredients["harmonic_route"] == pytest.approx(
         2 * PI2 / 81, abs=1e-12)
@@ -205,8 +204,7 @@ def test_chain_bounds_unit_324():
 
 
 def test_chain_bounds_unit_222_collapse_to_equality():
-    spec = mg.chain_spec_of(corpus_graph("chain_222"))
-    rep = bounds.pumpkin_chain_bounds(spec)
+    rep = bounds.pumpkin_chain_bounds(corpus_graph("chain_222"))
     assert rep.bound(2) == pytest.approx(PI2 / 36, abs=1e-12)
     assert rep.ingredients["harmonic_route"] == pytest.approx(
         rep.bound(2), abs=1e-12)
@@ -219,9 +217,14 @@ def test_chain_bounds_unit_222_collapse_to_equality():
 
 
 def test_chain_bounds_single_pumpkin_has_no_upper():
-    rep = bounds.pumpkin_chain_bounds(mg.PumpkinChainSpec.create((3,)))
+    rep = bounds.pumpkin_chain_bounds(mg.pumpkin_chain((3,)))
     assert rep.upper_bounds == {}
     assert rep.bound(2) == pytest.approx(PI2 / 4, abs=1e-12)
+
+
+def test_chain_bounds_reject_a_graph_that_is_not_a_chain():
+    with pytest.raises(BadSpec):
+        bounds.pumpkin_chain_bounds(mg.platonic("cube"))
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,17 @@ def test_gen_cycle_segments(tmp_path, capsys):
 def test_gen_star_needs_lengths(capsys):
     code, _, err = invoke(capsys, "gen", "star")
     assert code == 1
-    assert json.loads(err)["error"] == "BadParameter"
+    info = json.loads(err)
+    assert info["error"] == "BadParameter"
+    assert "star:1,3/2,2" in info["message"]
+
+
+def test_gen_star_reads_lengths_from_the_family(capsys):
+    code, out, err = invoke(capsys, "gen", "star:1,3/2,2")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert len(data["vertices"]) == 4
+    assert [e["length"] for e in data["edges"]] == [1, "3/2", 2]
 
 
 def test_bounds_csv_table(tetra_file, capsys):
@@ -108,6 +118,13 @@ def test_bounds_cover_from_file(tetra_file, tmp_path, capsys):
     data = json.loads(out)
     assert data["method"] == "transfer[face_pairs,exact_cycle]"
     assert data["bounds"][1] == pytest.approx(3 * PI2 / 16, abs=1e-9)
+
+    cov.write_text('{"elements":\n  {broken')
+    code, _, err = invoke(capsys, "bounds", tetra_file, "--cover", f"file:{cov}")
+    assert code == 1
+    info = json.loads(err)
+    assert info["error"] == "ParseError"
+    assert info["context"]["line"] == 2
 
 
 def test_bounds_copies_with_oracle_eta(tetra_file, capsys):

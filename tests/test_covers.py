@@ -130,6 +130,27 @@ def test_pumpkin_cycle_cover_orderings():
         covers.pumpkin_cycle_cover(mg.pumpkin(1))
 
 
+def test_single_pumpkin_cycle_cover_is_a_chain_of_one():
+    g = mg.pumpkin(4)
+    assert covers.pumpkin_cycle_cover(g).elements == (
+        ("cyc1.1", ("e0", "e1")), ("cyc1.2", ("e1", "e2")),
+        ("cyc1.3", ("e2", "e3")), ("cyc1.4", ("e3", "e0")))
+    explicit = covers.pumpkin_cycle_cover(g, ordering=("e0", "e2", "e1", "e3"))
+    assert explicit.elements == (
+        ("cyc1.1", ("e0", "e2")), ("cyc1.2", ("e2", "e1")),
+        ("cyc1.3", ("e1", "e3")), ("cyc1.4", ("e3", "e0")))
+
+
+@pytest.mark.parametrize("strategy", ["pumpkin_cycles", "layered", "concatenated"])
+def test_chain_covers_recognise_the_chain_once(strategy, monkeypatch):
+    calls = []
+    recognise = mg.chain_structure
+    monkeypatch.setattr(mg, "chain_structure",
+                        lambda g: calls.append(g) or recognise(g))
+    covers.build_cover(corpus_graph("chain_324"), strategy)
+    assert len(calls) == 1
+
+
 def test_pumpkin_cycle_cover_on_a_chain_splits_per_pumpkin():
     g = corpus_graph("chain_324")
     cover = covers.pumpkin_cycle_cover(g)

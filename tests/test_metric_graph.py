@@ -119,25 +119,26 @@ def test_pumpkin_and_chain_builders():
     chain = mg.pumpkin_chain((3, 2, 4))
     assert len(chain.vertices) == 4
     assert len(chain.edges) == 9
-    spec = mg.chain_spec_of(chain)
-    assert spec.multiplicities == (3, 2, 4)
-    assert spec.pumpkin_lengths == (3, 2, 4)
-    assert spec.total_length == 9
-    assert spec.is_bridgeless()
+    pumpkins = [[chain.edge(eid).length for eid in eids]
+                for _, _, eids in mg.chain_structure(chain)]
+    assert tuple(len(ls) for ls in pumpkins) == (3, 2, 4)
+    assert tuple(sum(ls) for ls in pumpkins) == (3, 2, 4)
+    assert chain.total_length == 9
+    assert mg.bridge_edges(chain) == []
 
-    bridgy = mg.PumpkinChainSpec.create((2, 1, 2))
-    assert not bridgy.is_bridgeless()
+    bridges = mg.bridge_edges(mg.pumpkin_chain((2, 1, 2)))
+    assert [e.id for e in bridges] == ["e2_1"]
 
 
-def test_chain_spec_create_rejects():
+def test_pumpkin_chain_rejects():
     with pytest.raises(BadSpec):
-        mg.PumpkinChainSpec.create(())
+        mg.pumpkin_chain(())
     with pytest.raises(BadSpec):
-        mg.PumpkinChainSpec.create((2, 0))
+        mg.pumpkin_chain((2, 0))
     with pytest.raises(BadSpec):
-        mg.PumpkinChainSpec.create((2, 2), [1])
+        mg.pumpkin_chain((2, 2), [1])
     with pytest.raises(NonpositiveLength):
-        mg.PumpkinChainSpec.create((2,), [[1, -1]])
+        mg.pumpkin_chain((2,), [[1, -1]])
 
 
 def test_chain_structure_rejects_non_chains():
@@ -152,9 +153,12 @@ def test_generate_dispatch():
     assert len(mg.generate("cycle:2", segments=4).edges) == 4
     assert mg.generate("path:3/2").total_length == Fraction(3, 2)
     chain = mg.generate("pumpkin_chain:3,2,4")
-    assert mg.chain_spec_of(chain).multiplicities == (3, 2, 4)
+    assert [len(eids) for _, _, eids in mg.chain_structure(chain)] == [3, 2, 4]
     star = mg.generate("star", lengths=[1, 2, 3])
     assert mg.is_star_graph(star)
+    assert mg.generate("star:1,3/2,2").edges == mg.star_graph([1, "3/2", 2]).edges
+    with pytest.raises(BadParameter):
+        mg.generate("star")
     with pytest.raises(UnknownFamily):
         mg.generate("moebius:3")
     with pytest.raises(UnknownFamily):

@@ -170,10 +170,12 @@ def test_fd_mesh_flags_conflict():
     assert res.gap == pytest.approx(PI2, rel=1e-5)
 
 
-@pytest.mark.parametrize("mesh", [-1, 0, math.nan, math.inf])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mesh", [-1, 0, math.nan, math.inf, 5e-324])
 def test_fd_rejects_mesh_that_is_not_finite_and_positive(mesh):
     # -1 and inf would put two segments on every edge of both meshes, so
-    # coarse would equal fine and a wrong gap would pass its error estimate
+    # coarse would equal fine and a wrong gap would pass its error estimate;
+    # half of 5e-324, the finer mesh, underflows to 0
     with pytest.raises(BadParameter):
         oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=mesh)
 
