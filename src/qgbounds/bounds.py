@@ -332,16 +332,6 @@ class FourPumpkinBounds:
     via_cover_grouped: float
     via_cover_alternating: float
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "bound_grouped": self.bound_grouped,
-            "bound_alternating": self.bound_alternating,
-            "better": self.better,
-            "via_cover_grouped": self.via_cover_grouped,
-            "via_cover_alternating": self.via_cover_alternating,
-        }
-
 
 def four_pumpkin_bounds(a: float) -> FourPumpkinBounds:
     """Closed-form cover bounds for pumpkin(4, [1, 1, a, a]), a >= 1."""

@@ -52,11 +52,6 @@ def _resolve_eta(name: str) -> str:
 def _resolve_cover(g: mg.MetricGraph, spec: str) -> covers.Cover:
     if spec.startswith("file:"):
         return covers.cover_from_json(_read_json(spec[len("file:"):]))
-    if spec.startswith("copies:"):
-        m = spec[len("copies:"):]
-        if not m.isdecimal():
-            raise BadParameter("copies cover needs an integer m", cover=spec)
-        return covers.copies_cover(g, int(m))
     return covers.build_cover(g, spec)
 
 
@@ -155,9 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("family",
                     help="e.g. platonic:cube, pumpkin:4, pumpkin_chain:3,2,4, "
                          "cycle:6, path:3, star:1,3/2,2")
-    gn.add_argument("--length", help="uniform edge length (int, p/q or float)")
+    gn.add_argument("--length",
+                    help="uniform edge length (int, p/q or float) of the platonic, "
+                         "pumpkin and pumpkin_chain families")
     gn.add_argument("--segments", type=int,
-                    help="edge count for the cycle family")
+                    help="edge count of the cycle family")
     gn.add_argument("-o", "--output")
     gn.set_defaults(fn=_cmd_gen)
 

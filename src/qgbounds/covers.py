@@ -26,6 +26,7 @@ import numpy as np
 
 from . import metric_graph as mg
 from .errors import (
+    BadParameter,
     BadSpec,
     DisconnectedElement,
     NoRotation,
@@ -56,31 +57,16 @@ class Cover:
 @dataclass(frozen=True)
 class CoverReport:
     """A valid cover's fold, element subgraphs (label -> MetricGraph) and
-    vicinity graph, plus the sizes that ``to_json`` reports."""
+    vicinity graph."""
 
     fold: int
-    element_count: int
-    element_lengths: dict
-    vicinity_degrees: dict
-    vicinity_volume: mg.Length
     subgraphs: dict
     vicinity: WeightedGraph
-
-    def to_json(self) -> dict:
-        return {
-            "fold": self.fold,
-            "element_count": self.element_count,
-            "element_lengths": {
-                lbl: mg.length_to_json(x) for lbl, x in self.element_lengths.items()},
-            "vicinity_degrees": {
-                lbl: mg.length_to_json(x) for lbl, x in self.vicinity_degrees.items()},
-            "vicinity_volume": mg.length_to_json(self.vicinity_volume),
-        }
 
 
 def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     """Check uniform fold and element connectivity; return the fold, the
-    element subgraphs and the vicinity graph with the key sizes.
+    element subgraphs and the vicinity graph.
 
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
@@ -120,18 +106,7 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         if not mg.is_connected(sub):
             raise DisconnectedElement(f"element {lbl!r} is disconnected",
                                       element=lbl)
-    lengths = {lbl: _element_length(g, eids) for lbl, eids in cover.elements}
-    wg = vicinity_graph(g, cover)
-    degs = dict(zip(wg.vertices, wg.degree_vector()))
-    return CoverReport(
-        fold=fold,
-        element_count=len(cover.elements),
-        element_lengths=lengths,
-        vicinity_degrees=degs,
-        vicinity_volume=sum(degs.values(), start=Fraction(0)),
-        subgraphs=subgraphs,
-        vicinity=wg,
-    )
+    return CoverReport(fold, subgraphs, vicinity_graph(g, cover))
 
 
 def _element_length(g: mg.MetricGraph, eids: Iterable) -> mg.Length:
@@ -172,7 +147,7 @@ def proof_identity_residual(g: mg.MetricGraph, cover: Cover) -> float:
         for eid in eids:
             J[pos[lbl], eix[eid]] = 1.0
     M = np.diag([float(e.length) for e in g.edges])
-    deg = np.array([float(d) for d in rep.vicinity_degrees.values()])
+    deg = np.array([float(d) for d in wg.degree_vector()])
     if np.any(deg <= 0):
         raise DisconnectedElement(
             "an element shares no length with any other element")
@@ -349,10 +324,9 @@ def concatenated_chain_cover(g: mg.MetricGraph) -> Cover:
     return Cover("concatenated", tuple(elements))
 
 
-def build_cover(g: mg.MetricGraph, strategy: str, *, m: Optional[int] = None,
-                ordering: Optional[Sequence] = None) -> Cover:
+def build_cover(g: mg.MetricGraph, strategy: str) -> Cover:
     """Construct a cover by name: stars, faces, face_pairs, pumpkin_cycles,
-    layered, concatenated, copies."""
+    layered, concatenated, or copies:M for M copies of the edge set."""
     if strategy == "stars":
         return star_cover(g)
     if strategy == "faces":
@@ -360,15 +334,16 @@ def build_cover(g: mg.MetricGraph, strategy: str, *, m: Optional[int] = None,
     if strategy == "face_pairs":
         return face_pair_cover(g)
     if strategy == "pumpkin_cycles":
-        return pumpkin_cycle_cover(g, ordering)
+        return pumpkin_cycle_cover(g)
     if strategy == "layered":
         return layered_chain_cover(g)
     if strategy == "concatenated":
         return concatenated_chain_cover(g)
-    if strategy == "copies":
-        if m is None:
-            raise BadSpec("copies strategy needs m")
-        return copies_cover(g, m)
+    if strategy.startswith("copies:"):
+        m = strategy[len("copies:"):]
+        if not m.isdecimal():
+            raise BadParameter("copies cover needs an integer m", cover=strategy)
+        return copies_cover(g, int(m))
     raise BadSpec(f"unknown cover strategy {strategy!r}")
 
 
@@ -413,5 +388,6 @@ def cover_from_json(data) -> Cover:
     for lbl, eids in raw.items():
         if not isinstance(eids, list):
             raise ParseError(f"element {lbl!r} must be an array of edge ids")
-        elements.append((lbl, tuple(eids)))
+        elements.append((lbl, tuple(
+            mg.id_from_json(eid, f"an edge of element {lbl!r}") for eid in eids)))
     return Cover(str(data.get("name", "cover")), tuple(elements))

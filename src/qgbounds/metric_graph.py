@@ -87,6 +87,15 @@ def length_from_json(raw) -> Length:
     raise ParseError(f"cannot interpret {raw!r} as a length")
 
 
+def id_from_json(raw, item: str):
+    """Decode a JSON vertex or edge id, named ``item`` in the error; ids
+    are dict keys, so an array or object cannot be one."""
+    if isinstance(raw, (list, dict)):
+        kind = "an array" if isinstance(raw, list) else "an object"
+        raise ParseError(f"{item} is {kind}, not a string or number")
+    return raw
+
+
 def length_to_json(value: Length):
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -711,36 +720,40 @@ def star_graph(lengths) -> MetricGraph:
     return MetricGraph(verts, edges, None)
 
 
-def generate(family: str, *, length=None, lengths=None, segments=None) -> MetricGraph:
+def generate(family: str, *, length=None, segments=None) -> MetricGraph:
     """Dispatch on a family spec string like ``platonic:cube``,
-    ``pumpkin_chain:3,2,4`` or ``star:1,3/2,2``.  Loops never arise from
-    these families."""
+    ``pumpkin_chain:3,2,4``, ``cycle:6`` or ``star:1,3/2,2``.
+
+    ``length`` is the uniform edge length (default 1) of the platonic,
+    pumpkin and pumpkin_chain families; cycle, path and star carry their
+    lengths in the spec.  ``segments`` is the edge count of a cycle
+    (default 2).  An option the family does not take raises BadParameter.
+    Loops never arise from these families."""
     kind, _, arg = str(family).partition(":")
+    uniform = kind in ("platonic", "pumpkin", "pumpkin_chain")
+    if not uniform and kind not in ("cycle", "path", "star"):
+        raise UnknownFamily(f"unknown family {kind!r}")
+    if length is not None and not uniform:
+        raise BadParameter(f"{kind} takes its lengths from the spec", family=family)
+    if segments is not None and kind != "cycle":
+        raise BadParameter("only the cycle family takes segments", family=family)
+    length = 1 if length is None else length
     try:
         if kind == "platonic":
-            return platonic(arg, 1 if length is None else length)
+            return platonic(arg, length)
         if kind == "pumpkin":
-            m = int(arg)
-            return pumpkin(m, lengths if lengths is not None
-                           else (1 if length is None else length))
+            return pumpkin(int(arg), length)
         if kind == "pumpkin_chain":
-            ms = [int(x) for x in arg.split(",") if x]
-            return pumpkin_chain(ms, lengths if lengths is not None
-                                 else (1 if length is None else length))
+            return pumpkin_chain([int(x) for x in arg.split(",") if x], length)
         if kind == "cycle":
-            return cycle_graph(arg if arg else (1 if length is None else length),
-                               2 if segments is None else int(segments))
+            return cycle_graph(arg or 1, 2 if segments is None else int(segments))
         if kind == "path":
-            return path_graph(arg if arg else (1 if length is None else length))
-        if kind == "star":
-            if arg:
-                lengths = arg.split(",")
-            if lengths is None:
-                raise BadParameter("star needs its edge lengths, as in star:1,3/2,2")
-            return star_graph(lengths)
+            return path_graph(arg or 1)
+        if not arg:
+            raise BadParameter("star needs its edge lengths, as in star:1,3/2,2")
+        return star_graph(arg.split(","))
     except ValueError as exc:
         raise BadParameter(f"bad parameter in family {family!r}: {exc}") from exc
-    raise UnknownFamily(f"unknown family {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +829,7 @@ def graph_from_json(data) -> MetricGraph:
         raise ParseError(f"missing required key {exc.args[0]!r}") from exc
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise ParseError("'vertices' and 'edges' must be arrays")
-    vertices = tuple(raw_vertices)
+    vertices = tuple(id_from_json(v, f"vertex #{k}") for k, v in enumerate(raw_vertices))
     edges = []
     for k, re in enumerate(raw_edges):
         if not isinstance(re, dict):
@@ -828,8 +841,10 @@ def graph_from_json(data) -> MetricGraph:
         except KeyError as exc:
             raise ParseError(
                 f"edge #{k} is missing key {exc.args[0]!r}") from exc
+        eid = id_from_json(eid, f"the id of edge #{k}")
         if not isinstance(ends, list) or len(ends) != 2:
             raise ParseError(f"edge {eid!r}: 'ends' must be a pair")
+        ends = [id_from_json(w, f"an end of edge {eid!r}") for w in ends]
         try:
             ell = length_from_json(raw_len)
         except ParseError as exc:

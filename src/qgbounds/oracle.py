@@ -378,8 +378,10 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     coarse one.  A pinned mesh must be finite and positive, and so must
     its half, the width of the finer mesh."""
     _check_count(count)
-    if mesh is not None and not (math.isfinite(mesh) and mesh / 2 > 0):
-        raise BadParameter(f"mesh and its half must be finite and positive, got {mesh}")
+    if mesh is not None:
+        mesh = float(mesh)  # the command line pins an exact Fraction
+        if not (math.isfinite(mesh) and mesh / 2 > 0):
+            raise BadParameter(f"mesh and its half must be finite and positive, got {mesh}")
     if not mg.is_connected(g):
         raise Disconnected("spectrum of a disconnected graph")
     min_len = min(float(e.length) for e in g.edges)
@@ -416,7 +418,7 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
                 try:
                     return subdivision_spectrum(g, count, h=_as_grid(mesh))
                 except IncommensurableLengths:
-                    return fd_spectrum(g, count, mesh=float(mesh))
+                    return fd_spectrum(g, count, mesh=mesh)
             try:
                 return subdivision_spectrum(g, count)
             except TooLarge:

@@ -11,12 +11,11 @@ path when the two cross-check each other.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,18 +29,6 @@ from .errors import (
 )
 
 _CHEEGER_CAP = 22
-
-
-def default_tol() -> float:
-    """Baseline numerical tolerance; override with the QGB_TOL env var."""
-    raw = os.environ.get("QGB_TOL")
-    if raw is None:
-        return 1e-12
-    try:
-        val = float(raw)
-    except ValueError:
-        return 1e-12
-    return val if val > 0 else 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,6 +120,7 @@ def normalized_laplacian_sym(wg: WeightedGraph) -> np.ndarray:
 # Householder tridiagonalisation + implicit QL eigensolver
 
 _QL_MAX_STEPS = 30
+_QL_TOL = 1e-12  # relative deflation floor of the QL sweep
 
 
 @dataclass(frozen=True)
@@ -142,37 +130,29 @@ class Spectrum:
 
     values: tuple
     achieved: float
-    vectors: Optional[np.ndarray] = None
 
-    def grouped(self, tol: Optional[float] = None) -> list:
-        """Cluster near-equal eigenvalues into (value, multiplicity) pairs."""
-        tol = 1e-8 if tol is None else tol
+    def grouped(self) -> list:
+        """Cluster eigenvalues equal to a relative 1e-8 into (value,
+        multiplicity) pairs."""
         out = []
         for v in self.values:
-            if out and abs(v - out[-1][0]) <= tol * max(1.0, abs(v)):
+            if out and abs(v - out[-1][0]) <= 1e-8 * max(1.0, abs(v)):
                 val, mult = out[-1]
                 out[-1] = ((val * mult + v) / (mult + 1), mult + 1)
             else:
                 out.append((v, 1))
         return out
 
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _tridiagonalize(B: np.ndarray, want_vectors: bool):
+def _tridiagonalize(B: np.ndarray):
     """Reduce symmetric B (overwritten) to tridiagonal form by Householder
-    reflections.  Returns the diagonal d, the subdiagonal e (e[n-1] = 0) as
-    float lists, and the orthogonal Q with B = Q T Q^T when asked for.
+    reflections.  Returns the diagonal d and the subdiagonal e (e[n-1] = 0)
+    as float lists.
 
     Columns whose entries below the subdiagonal are already zero are left
     alone, so diagonal and tridiagonal inputs come back exactly."""
     n = B.shape[0]
     e = [0.0] * n
-    Q = np.eye(n) if want_vectors else None
     for k in range(n - 2):
         x = B[k + 1:, k]
         x0 = float(x[0])
@@ -191,28 +171,22 @@ def _tridiagonalize(B: np.ndarray, want_vectors: bool):
         uw = np.array([u, p - float(u @ p) * u])
         S -= uw.T @ uw[::-1]  # one BLAS product for u w^T + w u^T
         e[k] = alpha
-        if Q is not None:
-            Qk = Q[:, k + 1:]
-            Qk -= np.outer(2.0 * (Qk @ u), u)
     if n >= 2:
         e[n - 2] = float(B[n - 1, n - 2])
-    return B.diagonal().tolist(), e, Q
+    return B.diagonal().tolist(), e
 
 
-def eigenvalues_sym(matrix, tol: Optional[float] = None,
-                    want_vectors: bool = False) -> Spectrum:
+def eigenvalues_sym(matrix) -> Spectrum:
     """All eigenvalues of a real symmetric matrix, ascending.
 
     Householder reflections reduce the matrix to tridiagonal form; implicit
     QL with Wilkinson shifts then diagonalises it.  An off-diagonal e_i is
-    dropped once |e_i| <= max(eps (|d_i| + |d_{i+1}|), tol * scale / (2n)),
-    where scale is the largest entry in magnitude and tol defaults to
-    QGB_TOL.  ``achieved`` is the Frobenius norm of everything dropped, so
-    by Weyl's inequality every value is within it of the exact one up to
-    rounding.  With want_vectors the reflectors and rotations are
-    accumulated into orthonormal eigenvectors (columns, same order).  Uses
-    no LAPACK eigenroutine, so it shares no code with the finite-element
-    oracle it is checked against."""
+    dropped once |e_i| <= max(eps (|d_i| + |d_{i+1}|), _QL_TOL * scale / (2n)),
+    where scale is the largest entry in magnitude and _QL_TOL is 1e-12.
+    ``achieved`` is the Frobenius norm of everything dropped, so by Weyl's
+    inequality every value is within it of the exact one up to rounding.
+    Uses no LAPACK eigenroutine, so it shares no code with the
+    finite-element oracle it is checked against."""
     A = np.array(matrix, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
@@ -224,10 +198,9 @@ def eigenvalues_sym(matrix, tol: Optional[float] = None,
         raise NotSymmetric("matrix is not symmetric")
     A = (A + A.T) / 2
     scale = max(scale, 1e-300)
-    tol = default_tol() if tol is None else tol
-    floor = tol * scale / (2 * n)
+    floor = _QL_TOL * scale / (2 * n)
     eps = sys.float_info.epsilon
-    d, e, Z = _tridiagonalize(A, want_vectors)
+    d, e = _tridiagonalize(A)
     dropped = 0.0
     for l in range(n):
         steps = 0
@@ -269,19 +242,11 @@ def eigenvalues_sym(matrix, tol: Optional[float] = None,
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if Z is not None:
-                    zi = Z[:, i].copy()
-                    zj = Z[:, i + 1]
-                    Z[:, i] = c * zi - s * zj
-                    Z[:, i + 1] = s * zi + c * zj
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    order = sorted(range(n), key=d.__getitem__)
-    values = tuple(d[i] for i in order)
-    vectors = None if Z is None else Z[:, order]
-    return Spectrum(values, math.sqrt(2.0 * dropped), vectors)
+    return Spectrum(tuple(sorted(d)), math.sqrt(2.0 * dropped))
 
 
 def normalized_spectrum(wg: WeightedGraph) -> Spectrum:
@@ -343,14 +308,6 @@ class Alpha2Sandwich:
     @property
     def lower(self) -> float:
         return max(self.lower_cheeger, self.lower_diameter)
-
-    def to_json(self) -> dict:
-        return {
-            "lower_cheeger": self.lower_cheeger,
-            "lower_diameter": self.lower_diameter,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
 
 
 def alpha2_sandwich(wg: WeightedGraph) -> Alpha2Sandwich:

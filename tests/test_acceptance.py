@@ -385,10 +385,11 @@ def test_criterion_08_exact_structural_identities():
     for name, label, g, cover in _cover_inventory(rational):
         rep = covers.validate_cover(g, cover)
         m = rep.fold
+        degrees = dict(zip(rep.vicinity.vertices, rep.vicinity.degree_vector()))
         degrees_ok = all(
-            rep.vicinity_degrees[lbl] == (m - 1) * rep.element_lengths[lbl]
+            degrees[lbl] == (m - 1) * rep.subgraphs[lbl].total_length
             for lbl in cover.labels)
-        volume_ok = rep.vicinity_volume == m * (m - 1) * g.total_length
+        volume_ok = rep.vicinity.volume == m * (m - 1) * g.total_length
         residual = covers.proof_identity_residual(g, cover)
         ok = degrees_ok and volume_ok and residual <= 1e-12
         checks.append((f"{name}/{label}: degree, volume, overlap identity",

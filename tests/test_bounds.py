@@ -321,6 +321,13 @@ def test_compare_report_custom_cover_and_no_oracle():
     assert any(r.method == "transfer[face_pairs,exact_cycle]" for r in table.rows)
 
 
+def test_compare_report_spells_a_copies_cover():
+    g = mg.cycle_graph(3, segments=3)
+    table = bounds.compare_report(g, ["copies:2"])
+    rows = [r for r in table.rows if r.method == "transfer[copies:2,exact_cycle]"]
+    assert [r.index for r in rows] == [1, 2]
+
+
 def test_tabulate_csv_has_plain_floats_on_irrational_lengths():
     g = mg.pumpkin(3, [1, math.sqrt(2), math.pi / 2])
     table = bounds.tabulate(g, [bounds.star_bound(g)])

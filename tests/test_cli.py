@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,21 @@ def test_gen_cycle_segments(tmp_path, capsys):
     report = json.loads(out)
     assert report["edge_count"] == 3
     assert report["total_length"] == 6
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["cycle:", "--length", "2", "--segments", "4"], "BadParameter"),
+    (["cycle:6", "--length", "2"], "BadParameter"),
+    (["path:3", "--length", "5"], "BadParameter"),
+    (["star:1,3/2,2", "--length", "5"], "BadParameter"),
+    (["pumpkin:3", "--segments", "2"], "BadParameter"),
+    (["path:3", "--segments", "4"], "BadParameter"),
+    (["moebius:3", "--length", "2"], "UnknownFamily"),
+])
+def test_gen_rejects_options_the_family_does_not_take(capsys, argv, error):
+    code, out, err = invoke(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
 
 
 def test_gen_star_needs_lengths(capsys):
@@ -201,6 +217,25 @@ def test_oracle_subcommand(tetra_file, capsys):
                           "--method", "fd")
     assert code == 0
     assert json.loads(out)["method"] == "fd"
+
+
+@pytest.mark.parametrize("irrational, argv", [
+    (True, ["--mesh", "0.05"]),
+    # at the default count of 6, a 1/10 mesh is too coarse for lambda_5
+    (False, ["--method", "fd", "--mesh", "1/10", "--count", "4"]),
+])
+def test_oracle_pinned_fd_mesh(tetra_file, tmp_path, capsys, irrational, argv):
+    graph = tetra_file
+    if irrational:
+        data = json.loads(Path(tetra_file).read_text())
+        data["edges"][0]["length"] = math.sqrt(2)
+        graph = tmp_path / "irr.json"
+        graph.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "oracle", str(graph), *argv)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["method"] == "fd"
+    assert "mesh" in data
 
 
 def test_oracle_branch_overflow(tetra_file, capsys):

@@ -18,6 +18,7 @@ import pytest
 from qgbounds import covers
 from qgbounds import metric_graph as mg
 from qgbounds.errors import (
+    BadParameter,
     BadSpec,
     DisconnectedElement,
     NoRotation,
@@ -44,10 +45,10 @@ def test_star_cover_fold_two(name):
     cover = covers.star_cover(g)
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 2
-    assert rep.element_count == len(g.vertices)
+    assert len(rep.subgraphs) == len(g.vertices)
     for lbl in cover.labels:
         v = lbl.split(":", 1)[1]
-        assert rep.element_lengths[lbl] == g.weighted_degree(v)
+        assert rep.subgraphs[lbl].total_length == g.weighted_degree(v)
 
 
 FACE_COUNT = {"tetrahedron": 4, "cube": 6, "octahedron": 8,
@@ -62,8 +63,8 @@ def test_face_cover_is_a_cycle_double_cover(name):
     cover = covers.face_cover(g)
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 2
-    assert rep.element_count == FACE_COUNT[name]
-    assert set(rep.element_lengths.values()) == {FACE_LEN[name]}
+    assert len(rep.subgraphs) == FACE_COUNT[name]
+    assert {sub.total_length for sub in rep.subgraphs.values()} == {FACE_LEN[name]}
     for lbl in cover.labels:
         assert mg.is_cycle_graph(rep.subgraphs[lbl])
 
@@ -82,8 +83,8 @@ def test_tetrahedron_face_pairs_are_three_diamonds():
     cover = covers.face_pair_cover(g)
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 2
-    assert rep.element_count == 3
-    assert set(rep.element_lengths.values()) == {4}
+    assert len(rep.subgraphs) == 3
+    assert {sub.total_length for sub in rep.subgraphs.values()} == {4}
     gamma = covers.vicinity_graph(g, cover)
     got = normalized_spectrum(gamma).values
     assert got == pytest.approx((0.0, 1.5, 1.5), abs=1e-9)
@@ -94,8 +95,8 @@ def test_cube_face_pairs_form_a_sixfold_cover():
     cover = covers.face_pair_cover(g)
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 6
-    assert rep.element_count == 12
-    assert set(rep.element_lengths.values()) == {6}
+    assert len(rep.subgraphs) == 12
+    assert {sub.total_length for sub in rep.subgraphs.values()} == {6}
     # each element shares weight 2 with 3 others and weight 3 with 8 others
     gamma = covers.vicinity_graph(g, cover)
     for v in gamma.vertices:
@@ -156,7 +157,7 @@ def test_pumpkin_cycle_cover_on_a_chain_splits_per_pumpkin():
     cover = covers.pumpkin_cycle_cover(g)
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 2
-    assert rep.element_count == 9  # one 2-edge cycle per pumpkin edge slot
+    assert len(rep.subgraphs) == 9  # one 2-edge cycle per pumpkin edge slot
     gamma = covers.vicinity_graph(g, cover)
     assert not gamma.is_connected()
     with pytest.raises(BadSpec):
@@ -168,12 +169,12 @@ def test_chain_covers_shape():
     layered = covers.build_cover(g, "layered")
     rep = covers.validate_cover(g, layered)
     assert rep.fold == 2
-    assert sorted(rep.element_lengths.values()) == [2, 2, 2, 6, 6]
+    assert sorted(sub.total_length for sub in rep.subgraphs.values()) == [2, 2, 2, 6, 6]
 
     concat = covers.build_cover(g, "concatenated")
     rep = covers.validate_cover(g, concat)
     assert rep.fold == 2
-    assert sorted(rep.element_lengths.values()) == [2, 2, 2, 2, 2, 4, 4]
+    assert sorted(sub.total_length for sub in rep.subgraphs.values()) == [2, 2, 2, 2, 2, 4, 4]
 
     for cover in (layered, concat):
         assert covers.vicinity_graph(g, cover).is_connected()
@@ -189,9 +190,14 @@ def test_chain_covers_need_bridgeless_chains():
 def test_build_cover_dispatch():
     g = corpus_graph("tetrahedron")
     assert covers.build_cover(g, "stars").name == "stars"
-    assert covers.build_cover(g, "copies", m=2).name == "copies:2"
+    assert covers.build_cover(g, "copies:2").name == "copies:2"
     with pytest.raises(BadSpec):
         covers.build_cover(g, "copies")
+    with pytest.raises(BadSpec):
+        covers.build_cover(g, "copies:1")
+    with pytest.raises(BadParameter) as exc:
+        covers.build_cover(g, "copies:abc")
+    assert exc.value.context == {"cover": "copies:abc"}
     with pytest.raises(BadSpec):
         covers.build_cover(g, "nonsense")
     with pytest.raises(NoRotation):
@@ -275,9 +281,10 @@ _INVENTORY = _cover_inventory()
 def test_degree_and_volume_identities_exact(label, g, cover):
     rep = covers.validate_cover(g, cover)
     m = rep.fold
+    degrees = dict(zip(rep.vicinity.vertices, rep.vicinity.degree_vector()))
     for lbl in cover.labels:
-        assert rep.vicinity_degrees[lbl] == (m - 1) * rep.element_lengths[lbl]
-    assert rep.vicinity_volume == m * (m - 1) * g.total_length
+        assert degrees[lbl] == (m - 1) * rep.subgraphs[lbl].total_length
+    assert rep.vicinity.volume == m * (m - 1) * g.total_length
 
 
 @pytest.mark.parametrize("label, g, cover", _INVENTORY,
@@ -340,4 +347,11 @@ def test_cover_json_round_trip():
 ])
 def test_cover_from_json_rejects(data):
     with pytest.raises(ParseError):
+        covers.cover_from_json(data)
+
+
+@pytest.mark.parametrize("eid, kind", [(["e0"], "an array"), ({"id": "e0"}, "an object")])
+def test_cover_from_json_rejects_array_and_object_edge_ids(eid, kind):
+    data = {"elements": {"a": ["e1", eid]}}
+    with pytest.raises(ParseError, match=f"an edge of element 'a' is {kind}"):
         covers.cover_from_json(data)

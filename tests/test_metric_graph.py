@@ -154,7 +154,7 @@ def test_generate_dispatch():
     assert mg.generate("path:3/2").total_length == Fraction(3, 2)
     chain = mg.generate("pumpkin_chain:3,2,4")
     assert [len(eids) for _, _, eids in mg.chain_structure(chain)] == [3, 2, 4]
-    star = mg.generate("star", lengths=[1, 2, 3])
+    star = mg.generate("star:1,2,3")
     assert mg.is_star_graph(star)
     assert mg.generate("star:1,3/2,2").edges == mg.star_graph([1, "3/2", 2]).edges
     with pytest.raises(BadParameter):
@@ -357,4 +357,16 @@ def test_graph_from_json_splits_loops():
 ])
 def test_graph_from_json_rejects(data):
     with pytest.raises(ParseError):
+        mg.graph_from_json(data)
+
+
+@pytest.mark.parametrize("vertices, edge, item", [
+    (["a", ["b"]], {"id": "e", "ends": ["a", "a"]}, "vertex #1 is an array"),
+    (["a", "b"], {"id": {"k": 1}, "ends": ["a", "b"]}, "the id of edge #0 is an object"),
+    (["a", "b"], {"id": "e", "ends": ["a", ["b"]]}, "an end of edge 'e' is an array"),
+    (["a", "b"], {"id": "e", "ends": [{}, "b"]}, "an end of edge 'e' is an object"),
+])
+def test_graph_from_json_rejects_array_and_object_ids(vertices, edge, item):
+    data = {"vertices": vertices, "edges": [dict(edge, length=1)]}
+    with pytest.raises(ParseError, match=item):
         mg.graph_from_json(data)

@@ -180,6 +180,12 @@ def test_fd_rejects_mesh_that_is_not_finite_and_positive(mesh):
         oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=mesh)
 
 
+def test_fd_pinned_fraction_mesh_equals_its_float():
+    g = mg.platonic("cube", length=math.sqrt(2))
+    exact = oracle.fd_spectrum(g, 3, mesh=Fraction(1, 20))
+    assert exact == oracle.fd_spectrum(g, 3, mesh=0.05)
+
+
 def test_fd_node_cap_is_checked_before_assembly():
     # the refined mesh would need ~3e8 nodes; the cap must fire first.  At
     # 1e-300 the segment count would wrap a fixed-width integer.

@@ -93,16 +93,6 @@ def test_small_asymmetry_is_rejected():
         spectral.eigenvalues_sym([[1.0, math.nan], [math.nan, 1.0]])
 
 
-def test_jacobi_vectors_diagonalize():
-    rng = np.random.default_rng(7)
-    B = rng.normal(size=(6, 6))
-    A = (B + B.T) / 2
-    spec = spectral.eigenvalues_sym(A, want_vectors=True)
-    V = spec.vectors
-    assert np.allclose(A @ V, V @ np.diag(spec.values), atol=1e-9)
-    assert np.allclose(V.T @ V, np.eye(6), atol=1e-9)
-
-
 def _complete_graph(n):
     return spectral.WeightedGraph(
         tuple(range(n)),
@@ -130,10 +120,9 @@ def test_diagonal_and_tridiagonal_inputs_come_back_exactly():
     main = rng.normal(size=n)
     off = rng.normal(size=n - 1)
     T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    d, e, Q = spectral._tridiagonalize(T.copy(), want_vectors=True)
+    d, e = spectral._tridiagonalize(T.copy())
     assert d == main.tolist()
     assert e == off.tolist() + [0.0]
-    assert np.array_equal(Q, np.eye(n))
 
     # second-difference matrix: eigenvalues 2 - 2 cos(k pi / (n + 1))
     L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -152,15 +141,13 @@ def test_matches_lapack_random_large(n, seed):
     assert np.abs(np.array(ours) - lapack).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n, seed, tol", [(5, 31, None), (40, 32, None),
-                                          (40, 33, 1e-8), (100, 34, None)])
-def test_achieved_within_tolerance(n, seed, tol):
+@pytest.mark.parametrize("n, seed", [(5, 31), (40, 32), (40, 33), (100, 34)])
+def test_achieved_within_tolerance(n, seed):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
     A = (B + B.T) / 2
-    spec = spectral.eigenvalues_sym(A, tol=tol)
-    target = (spectral.default_tol() if tol is None else tol) * np.abs(A).max()
-    assert 0.0 <= spec.achieved <= target
+    spec = spectral.eigenvalues_sym(A)
+    assert 0.0 <= spec.achieved <= spectral._QL_TOL * np.abs(A).max()
 
 
 def test_vectors_with_repeated_eigenvalue():
@@ -170,11 +157,7 @@ def test_vectors_with_repeated_eigenvalue():
     lam = np.concatenate([np.full(5, 0.5), rng.uniform(-3, 3, size=n - 5)])
     A = (Q * lam) @ Q.T
     A = (A + A.T) / 2
-    spec = spectral.eigenvalues_sym(A, want_vectors=True)
-    V = spec.vectors
-    assert V.shape == (n, n)
-    assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
-    assert np.allclose(V.T @ A @ V, np.diag(spec.values), atol=1e-12)
+    spec = spectral.eigenvalues_sym(A)
     assert spec.values == pytest.approx(sorted(lam), abs=1e-12)
     assert [m for _, m in spec.grouped() if m > 1] == [5]
 
@@ -320,18 +303,3 @@ def test_alpha2_sandwich_brackets_alpha2(name):
     assert sandwich.lower <= alpha2 + 1e-12
     assert alpha2 <= sandwich.upper + 1e-12
     assert sandwich.lower == max(sandwich.lower_cheeger, sandwich.lower_diameter)
-
-
-# ---------------------------------------------------------------------------
-# tolerance knob
-
-
-def test_default_tol_env(monkeypatch):
-    monkeypatch.delenv("QGB_TOL", raising=False)
-    assert spectral.default_tol() == 1e-12
-    monkeypatch.setenv("QGB_TOL", "1e-6")
-    assert spectral.default_tol() == 1e-6
-    monkeypatch.setenv("QGB_TOL", "garbage")
-    assert spectral.default_tol() == 1e-12
-    monkeypatch.setenv("QGB_TOL", "-3")
-    assert spectral.default_tol() == 1e-12
