@@ -26,7 +26,6 @@ from .errors import (
     Disconnected,
     EtaUnavailable,
     LoopPresent,
-    NotDoublyConnected,
     QGraphError,
 )
 from .metric_graph import (
@@ -426,12 +425,6 @@ def classical_bounds(g: MetricGraph, k_max: int = 2) -> list[BoundReport]:
         )
     )
     return reports
-
-
-def require_doubly_connected(g: MetricGraph) -> None:
-    """Raise NotDoublyConnected unless g is 2-edge-connected."""
-    if not is_doubly_connected(g):
-        raise NotDoublyConnected("graph has a bridge")
 
 
 # ---------------------------------------------------------------------------

@@ -127,13 +127,17 @@ def _positive_int(text: str) -> int:
 
 def _parse_mesh(text: str):
     try:
-        return Fraction(text)
+        mesh = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
+        try:
+            return float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a mesh width: {text!r}") from None
     try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a mesh width: {text!r}") from None
+        float(mesh)  # the finite-element route works in floats
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"mesh width overflows a float: {text!r}") from None
+    return mesh
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -347,24 +347,6 @@ def build_cover(g: mg.MetricGraph, strategy: str) -> Cover:
     raise BadSpec(f"unknown cover strategy {strategy!r}")
 
 
-def cyclic_configurations(items: Sequence) -> list:
-    """Distinct cyclic orderings of items up to rotation and reflection.
-
-    (k-1)!/2 orderings for k >= 3; a single ordering for k <= 2."""
-    items = list(items)
-    k = len(items)
-    if k > 9:
-        raise BadSpec(f"{k} items give too many cyclic orders to enumerate")
-    if k <= 2:
-        return [tuple(items)]
-    head, rest = items[0], items[1:]
-    out = []
-    for perm in itertools.permutations(rest):
-        if str(perm[0]) <= str(perm[-1]):  # kill reflections
-            out.append((head,) + perm)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip
 

@@ -110,10 +110,6 @@ class EtaUnavailable(QGraphError):
     pass
 
 
-class NotDoublyConnected(QGraphError):
-    pass
-
-
 # -- oracles ----------------------------------------------------------------
 
 class NotEquilateral(QGraphError):

@@ -5,9 +5,11 @@ Two independent routes:
 
 * an exact transcendental route for equilateral graphs (eigenvalues below
   the first branch threshold correspond one-to-one to discrete normalized
-  Laplacian eigenvalues), extended to rational edge lengths by subdividing
-  every edge at the common length grid, which leaves the metric space and
-  hence the spectrum untouched;
+  Laplacian eigenvalues, von Below 1985), extended to rational edge lengths
+  by cutting every edge into l_e/h steps of a common grid h, which leaves
+  the metric space and hence the spectrum untouched.  No subdivided graph
+  is built: the normalized Laplacian of its vertex graph is assembled
+  straight from the edge list and the integer step counts;
 
 * a finite-element route (piecewise linear, lumped mass) with Richardson
   extrapolation over a halved mesh, for arbitrary lengths and as a genuinely
@@ -42,11 +44,12 @@ from .errors import (
     MeshTooCoarse,
     NoConvergence,
     NotEquilateral,
+    NotSymmetric,
     ThresholdExceeded,
     TooLarge,
     UnknownKind,
 )
-from .spectral import eigenvalues_sym, normalized_laplacian_sym, underlying_weighted
+from .spectral import eigenvalues_sym, normalized_laplacian_indexed
 
 _BRANCH_EPS = 1e-9
 # Largest finite-element matrix solved densely.  One solve on a 2-CPU x86
@@ -117,26 +120,35 @@ def equilateral_length(g: mg.MetricGraph) -> mg.Length:
     return lens.pop()
 
 
-def von_below_spectrum(g: mg.MetricGraph,
-                       count: Optional[int] = None) -> SpectrumResult:
-    """All Laplacian eigenvalues below the first branch threshold of an
-    equilateral graph, via the discrete normalized spectrum.
+def _subdivided_laplacian(g: mg.MetricGraph, steps) -> np.ndarray:
+    """Normalized Laplacian of the vertex graph of g with edge e cut into
+    steps[e] equal segments: the vertices of g first, then each edge's
+    interior points in edge order; parallel segments add weight one each."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
+    segments = []
+    for e, k in zip(g.edges, steps):
+        if k == 1 and e.u == e.v:
+            raise NotSymmetric(f"loop {e.id!r} spans a single grid step")
+        path = [index[e.u], *range(n, n + k - 1), index[e.v]]
+        n += k - 1
+        segments += [(a, b, 1) for a, b in zip(path, path[1:])]
+    return normalized_laplacian_indexed(range(n), segments)
 
-    For common edge length l, every eigenvalue lambda < (pi/l)^2 equals
-    (arccos(1 - alpha) / l)^2 for exactly one normalized eigenvalue alpha
-    of the reduced weighted vertex graph (parallel edges add weight), with
-    matching multiplicities.  Discrete eigenvalues within _BRANCH_EPS of 2
-    map to the threshold itself and are excluded; the subdivision wrapper
-    recovers them on a finer grid.  With count=None returns everything
-    below the threshold, otherwise exactly count values or raises
-    CountExceedsBranch."""
-    if count is not None:
-        _check_count(count)
-    if not mg.is_connected(g):
-        raise Disconnected("spectrum of a disconnected graph")
-    ell = float(equilateral_length(g))
-    wg = underlying_weighted(g)
-    alphas = eigenvalues_sym(normalized_laplacian_sym(wg))
+
+def _below_branch(g: mg.MetricGraph, steps, ell: float, count: Optional[int]):
+    """The eigenvalues of g below the first branch threshold (pi/ell)^2,
+    where edge e is cut into steps[e] segments of length ell, and the meta
+    keys threshold, edge_length and discrete_size.
+
+    Every eigenvalue lambda < (pi/ell)^2 equals (arccos(1 - alpha) / ell)^2
+    for exactly one normalized eigenvalue alpha, with matching
+    multiplicities.  Discrete eigenvalues within _BRANCH_EPS of 2 map to
+    the threshold itself and are excluded.  With count=None returns
+    everything below the threshold, otherwise exactly count values or
+    raises CountExceedsBranch."""
+    L = _subdivided_laplacian(g, steps)
+    alphas = eigenvalues_sym(L)
     threshold = (math.pi / ell) ** 2
     values = []
     for a in alphas.values:
@@ -154,42 +166,38 @@ def von_below_spectrum(g: mg.MetricGraph,
                 f"threshold {threshold:.6g}, need {count}",
                 available=len(values))
         values = values[:count]
-    return SpectrumResult(tuple(values), "von_below",
-                          {"threshold": threshold, "edge_length": ell,
-                           "discrete_size": len(wg.vertices)})
+    return tuple(values), {"threshold": threshold, "edge_length": ell,
+                           "discrete_size": len(L)}
 
 
-def _subdivide(g: mg.MetricGraph, h: Fraction) -> mg.MetricGraph:
-    vertices = list(g.vertices)
-    edges = []
-    for e in g.edges:
-        n = e.length / h
-        assert n.denominator == 1
-        n = int(n)
-        if n == 1:
-            edges.append(e)
-            continue
-        prev = e.u
-        for k in range(1, n):
-            w = f"{e.id}#{k}"
-            vertices.append(w)
-            edges.append(mg.Edge(f"{e.id}#{k}s", prev, w, h))
-            prev = w
-        edges.append(mg.Edge(f"{e.id}#{n}s", prev, e.v, h))
-    return mg.MetricGraph(tuple(vertices), tuple(edges), None)
+def von_below_spectrum(g: mg.MetricGraph,
+                       count: Optional[int] = None) -> SpectrumResult:
+    """All Laplacian eigenvalues below the first branch threshold of an
+    equilateral graph, via the normalized spectrum of its vertex graph
+    (von Below 1985; parallel edges add weight).  Eigenvalues at the
+    threshold are left out; the subdivision route recovers them on a finer
+    grid.  With count=None returns everything below the threshold,
+    otherwise exactly count values or raises CountExceedsBranch."""
+    if count is not None:
+        _check_count(count)
+    if not mg.is_connected(g):
+        raise Disconnected("spectrum of a disconnected graph")
+    ell = float(equilateral_length(g))
+    values, meta = _below_branch(g, [1] * len(g.edges), ell, count)
+    return SpectrumResult(values, "von_below", meta)
 
 
 def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                          h: Optional[Fraction] = None) -> SpectrumResult:
     """Exact spectrum for rational edge lengths.
 
-    Subdivides every edge on a common grid; degree-2 subdivision points do
-    not change the metric space, so the equilateral result applies
-    verbatim.  With no explicit ``h`` the grid starts at the gcd of the
-    edge lengths and is halved until at least count eigenvalues sit
-    strictly below the branch threshold (pi/h)^2.  An explicit ``h`` must
-    divide every edge length and is used as-is; if the threshold then cuts
-    off the requested eigenvalues, ThresholdExceeded asks for a smaller h.
+    Cuts every edge into steps of a common grid h; degree-2 points do not
+    change the metric space, so the equilateral result applies verbatim.
+    With no explicit ``h`` the grid starts at the gcd of the edge lengths
+    and is halved until at least count eigenvalues sit strictly below the
+    branch threshold (pi/h)^2.  An explicit ``h`` must divide every edge
+    length and is used as-is; if the threshold then cuts off the requested
+    eigenvalues, ThresholdExceeded asks for a smaller h.
     """
     _check_count(count)
     if not all(isinstance(e.length, Fraction) for e in g.edges):
@@ -210,15 +218,14 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
         h = mg.rational_gcd([e.length for e in g.edges])
     attempts = 1 if pinned else _MAX_HALVINGS + 1
     for _ in range(attempts):
-        n_vertices = len(g.vertices) + sum(
-            int(e.length / h) - 1 for e in g.edges)
+        steps = [int(e.length / h) for e in g.edges]
+        n_vertices = len(g.vertices) + sum(steps) - len(steps)
         if n_vertices > _MATRIX_CAP:
             raise TooLarge(
                 f"subdivision at grid {h} needs {n_vertices} vertices "
                 f"(cap {_MATRIX_CAP})")
-        fine = _subdivide(g, h)
         try:
-            res = von_below_spectrum(fine, count)
+            values, meta = _below_branch(g, steps, float(h), count)
         except CountExceedsBranch as exc:
             if pinned:
                 raise ThresholdExceeded(
@@ -227,9 +234,8 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                     grid=str(h), **exc.context) from None
             h = h / 2
             continue
-        meta = dict(res.meta)
         meta.update({"grid": str(h), "subdivided_vertices": n_vertices})
-        return SpectrumResult(res.values, "subdivision", meta)
+        return SpectrumResult(values, "subdivision", meta)
     raise CountExceedsBranch(
         f"could not expose {count} eigenvalues within {_MAX_HALVINGS} grid halvings")
 

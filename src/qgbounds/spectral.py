@@ -94,25 +94,30 @@ def underlying_weighted(g) -> WeightedGraph:
     return reduce_multigraph(g.vertices, raw)
 
 
-def adjacency_matrix(wg: WeightedGraph) -> np.ndarray:
-    n = len(wg.vertices)
-    A = np.zeros((n, n))
-    idx = wg.index
-    for u, v, w in wg.edges:
-        A[idx[u], idx[v]] += float(w)
-        A[idx[v], idx[u]] += float(w)
-    return A
-
-
 def normalized_laplacian_sym(wg: WeightedGraph) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}."""
-    deg = wg.degree_vector()
-    for v, d in zip(wg.vertices, deg):
+    idx = wg.index
+    return normalized_laplacian_indexed(
+        wg.vertices, [(idx[u], idx[v], w) for u, v, w in wg.edges])
+
+
+def normalized_laplacian_indexed(vertices: Sequence, edges) -> np.ndarray:
+    """I - D^{-1/2} A D^{-1/2} on the vertices, from (i, j, w) edges that
+    name them by position (i != j).  Edges on the same pair add up.  The
+    degrees are summed exactly, in the weights' own arithmetic (int or
+    Fraction), and rounded to float once."""
+    n = len(vertices)
+    A = np.zeros((n, n))
+    deg = [0] * n
+    for i, j, w in edges:
+        A[i, j] += float(w)
+        A[j, i] += float(w)
+        deg[i] += w
+        deg[j] += w
+    for v, d in zip(vertices, deg):
         if d == 0:
             raise IsolatedVertex(f"vertex {v!r} has weighted degree zero")
-    A = adjacency_matrix(wg)
     dinv = np.array([1.0 / math.sqrt(float(d)) for d in deg])
-    n = len(wg.vertices)
     return np.eye(n) - (dinv[:, None] * A) * dinv[None, :]
 
 

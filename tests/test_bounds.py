@@ -19,7 +19,6 @@ from qgbounds.errors import (
     Disconnected,
     EtaUnavailable,
     LoopPresent,
-    NotDoublyConnected,
     TooLarge,
 )
 
@@ -277,9 +276,6 @@ def test_classical_bounds_drop_band_levy_on_bridges():
     assert {"friedlander", "nicaise", "kennedy_style"} <= methods
     with pytest.raises(BadParameter):
         bounds.classical_bounds(mg.path_graph(1), k_max=1)
-    with pytest.raises(NotDoublyConnected):
-        bounds.require_doubly_connected(mg.path_graph(1))
-    bounds.require_doubly_connected(mg.pumpkin(2))
 
 
 # ---------------------------------------------------------------------------

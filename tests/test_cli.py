@@ -261,6 +261,15 @@ def test_oracle_bad_mesh_is_a_usage_error(tetra_file, capsys):
     assert exc.value.code == 2
 
 
+def test_oracle_mesh_that_overflows_a_float_is_a_usage_error(tetra_file, capsys):
+    # 1e400 is an exact Fraction, but no float: the finite-element route
+    # would raise OverflowError on it
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["oracle", tetra_file, "--mesh", "1e400"])
+    assert exc.value.code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_validate_errors(tmp_path, capsys):
     code, _, err = invoke(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 1

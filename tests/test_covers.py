@@ -204,14 +204,6 @@ def test_build_cover_dispatch():
         covers.build_cover(mg.pumpkin(3), "faces")
 
 
-def test_cyclic_configurations():
-    assert covers.cyclic_configurations(["a", "b"]) == [("a", "b")]
-    assert len(covers.cyclic_configurations(list("abcd"))) == 3
-    assert len(covers.cyclic_configurations(list("abcde"))) == 12
-    with pytest.raises(BadSpec):
-        covers.cyclic_configurations(list(range(10)))
-
-
 # ---------------------------------------------------------------------------
 # validation errors
 

@@ -7,6 +7,7 @@ vs LAPACK), so cross-agreement between them is the main correctness check.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,14 @@ def test_subdivision_size_cap():
     g = mg.pumpkin(2, [Fraction(1), Fraction(6001)])
     with pytest.raises(TooLarge):
         oracle.subdivision_spectrum(g, 2)
+
+
+def test_subdivision_size_cap_is_checked_before_assembly():
+    # ten million vertices: a dense matrix would need 800 TB
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        oracle.subdivision_spectrum(mg.pumpkin(2, [1, 10**7]), 2)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,21 @@ algebraic identity behind the bound must hold to rounding error.  The star
 bound must also be no weaker than the best-of-worsts star factor times
 alpha.  The exact metric diameter must equal the largest vertex distance
 after subdividing every edge at a quarter of the length gcd, where the
-farthest points sit.  Above its dense cutoff, the finite-element route's
-inertia-checked shift-invert solve must agree with dense LAPACK on the same
-matrix, multiple eigenvalues included.  Examples are drawn by the
-derandomised profile registered in conftest.
+farthest points sit.  The exact oracle's Laplacian, assembled from the
+edge list and step counts, must equal bit for bit the normalized Laplacian
+of the subdivided graph built as a metric graph.  Above its dense cutoff,
+the finite-element route's inertia-checked shift-invert solve must agree
+with dense LAPACK on the same matrix, multiple eigenvalues included.
+Examples are drawn by the derandomised profile registered in conftest.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
@@ -26,8 +30,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from qgbounds import bounds, covers, oracle
 from qgbounds import metric_graph as mg
-from qgbounds.errors import EtaUnavailable
-from qgbounds.spectral import normalized_laplacian_sym
+from qgbounds.errors import EtaUnavailable, NotSymmetric
+from qgbounds.spectral import normalized_laplacian_sym, underlying_weighted
 
 LENGTHS = ("1/2", "1", "3/2", "2")
 BOUND_SLACK = 1e-6
@@ -119,6 +123,44 @@ def _subdivided_vertex_diameter(g: mg.MetricGraph) -> float:
 @given(multigraphs())
 def test_metric_diameter_matches_subdivided_vertex_diameter(g):
     assert float(mg.metric_diameter(g)) == _subdivided_vertex_diameter(g)
+
+
+def _subdivided(g: mg.MetricGraph, h) -> mg.MetricGraph:
+    """g with every edge cut into pieces of length h, as a metric graph:
+    the vertices of g first, then each edge's interior points in edge
+    order."""
+    vertices, edges = list(g.vertices), []
+    for e in g.edges:
+        path = [e.u, *((e.id, k) for k in range(1, int(e.length / h))), e.v]
+        vertices += path[1:-1]
+        edges += [mg.Edge((e.id, k, "s"), a, b, h)
+                  for k, (a, b) in enumerate(zip(path, path[1:]))]
+    return mg.MetricGraph(tuple(vertices), tuple(edges))
+
+
+def _assert_assembly_is_subdivided_laplacian(g: mg.MetricGraph, h) -> None:
+    steps = [int(e.length / h) for e in g.edges]
+    want = normalized_laplacian_sym(underlying_weighted(_subdivided(g, h)))
+    assert np.array_equal(oracle._subdivided_laplacian(g, steps), want)
+
+
+@settings(max_examples=100)
+@given(multigraphs(), st.integers(1, 3))
+# parallel edges of one step merge into one weight
+@example(mg.pumpkin(3), 1)
+@example(mg.pumpkin(4, ["1/2", "1/2", "1", "3/2"]), 1)
+@example(mg.pumpkin(4, ["1/2", "1/2", "1", "3/2"]), 2)
+def test_subdivided_laplacian_matches_the_subdivided_graph(g, divisor):
+    h = mg.rational_gcd([e.length for e in g.edges]) / divisor
+    _assert_assembly_is_subdivided_laplacian(g, h)
+
+
+def test_subdivided_laplacian_of_a_loop():
+    g = mg.MetricGraph(("a", "b"), (mg.Edge("e", "a", "b", Fraction(1)),
+                                    mg.Edge("l", "a", "a", Fraction(1))))
+    with pytest.raises(NotSymmetric):  # a loop of one step
+        oracle._subdivided_laplacian(g, [1, 1])
+    _assert_assembly_is_subdivided_laplacian(g, Fraction(1, 2))
 
 
 @st.composite
