@@ -29,7 +29,6 @@ from .errors import (
     BadParameter,
     BadSpec,
     DisconnectedElement,
-    NoRotation,
     NotBridgeless,
     NotUniform,
     ParseError,
@@ -183,8 +182,6 @@ def _face_edge_sets(g: mg.MetricGraph) -> list:
 
 def face_cover(g: mg.MetricGraph) -> Cover:
     """One element per face of the embedding carried by the graph."""
-    if g.rotation is None:
-        raise NoRotation("face cover needs a rotation system")
     sets = _face_edge_sets(g)
     elements = tuple((f"face{k}", eids) for k, eids in enumerate(sets))
     return Cover("faces", elements)
@@ -196,8 +193,6 @@ def face_pair_cover(g: mg.MetricGraph) -> Cover:
     For each pair of faces sharing at least one edge, the element is the
     symmetric difference of their edge sets.  Identical edge sets arising
     from different pairs are kept once."""
-    if g.rotation is None:
-        raise NoRotation("face-pair cover needs a rotation system")
     sets = [frozenset(eids) for eids in _face_edge_sets(g)]
     seen = set()
     for i in range(len(sets)):

@@ -37,7 +37,7 @@ def _plain(v):
 # -- metric graph data ------------------------------------------------------
 
 class NonpositiveLength(QGraphError):
-    pass
+    """A length that is not positive, or whose float is not finite and positive."""
 
 
 class UnknownEndpoint(QGraphError):

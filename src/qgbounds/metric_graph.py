@@ -1,9 +1,16 @@
-"""Metric graphs: data model, validation, metrics and family generators.
+"""Metric graphs: data model, validation and family generators.
 
 A metric graph is a finite connected multigraph whose edges carry strictly
 positive lengths.  Parallel edges are allowed everywhere; loops are split
 eagerly on load (``split_loops``) so that downstream code can assume a
 loopless graph.
+
+A graph is valid by construction, however it is built (in Python, by a
+generator or from JSON).  ``Edge`` refuses a length that is not positive
+or whose float is not finite and positive (``NonpositiveLength``), and
+``MetricGraph`` refuses duplicate vertex or edge ids and an incoherent
+rotation (``BadParameter``) and dangling ends (``UnknownEndpoint``).
+Nothing downstream checks them again.
 
 Edge lengths are stored as exact ``fractions.Fraction`` values whenever they
 were given as integers, fraction strings ("3/2") or short decimals, with a
@@ -82,7 +89,10 @@ def length_from_json(raw) -> Length:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse length {raw!r}") from exc
     if isinstance(raw, float):
-        exact = Fraction(str(raw))
+        try:
+            exact = Fraction(str(raw))
+        except ValueError:  # Infinity and NaN have no exact value
+            raise ParseError(f"length {raw} is not a finite number") from None
         return exact if exact.denominator <= _MAX_DECIMAL_DEN else raw
     raise ParseError(f"cannot interpret {raw!r} as a length")
 
@@ -125,6 +135,18 @@ class Edge:
     v: VertexId
     length: Length
 
+    def __post_init__(self):
+        try:
+            ok = self.length > 0 and 0.0 < float(self.length) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            shown = str(self.length)
+            shown = shown if len(shown) <= 24 else shown[:12] + "..."
+            raise NonpositiveLength(
+                f"edge {self.id!r} has length {shown}; a length must be "
+                f"positive and its float finite and positive", edge=self.id)
+
     @property
     def ends(self) -> tuple:
         return (self.u, self.v)
@@ -146,6 +168,39 @@ class MetricGraph:
     vertices: tuple
     edges: tuple
     rotation: Optional[Mapping] = None  # vertex -> tuple of (edge id, end)
+
+    def __post_init__(self):
+        """Refuse duplicate ids, dangling ends and an incoherent rotation."""
+        seen_v = set()
+        for v in self.vertices:
+            if v in seen_v:
+                raise BadParameter(f"duplicate vertex id {v!r}", vertex=v)
+            seen_v.add(v)
+        seen_e = set()
+        for e in self.edges:
+            if e.id in seen_e:
+                raise BadParameter(f"duplicate edge id {e.id!r}", edge=e.id)
+            seen_e.add(e.id)
+            for w in (e.u, e.v):
+                if w not in seen_v:
+                    raise UnknownEndpoint(
+                        f"edge {e.id!r} references unknown vertex {w!r}",
+                        edge=e.id, vertex=w)
+        if self.rotation is not None:
+            for v in self.rotation:
+                if v not in seen_v:
+                    raise BadParameter(
+                        f"rotation lists unknown vertex {v!r}", vertex=v)
+            expected = {v: [] for v in self.vertices}
+            for e in self.edges:
+                expected[e.u].append((e.id, 0))
+                expected[e.v].append((e.id, 1))
+            for v in self.vertices:
+                listed = list(self.rotation.get(v, ()))
+                if sorted(map(str, listed)) != sorted(map(str, expected[v])):
+                    raise BadParameter(
+                        f"rotation at vertex {v!r} does not list each incident "
+                        f"half-edge exactly once", vertex=v)
 
     @cached_property
     def edge_map(self) -> dict:
@@ -206,46 +261,9 @@ class ValidationReport:
         }
 
 
-def _structural_check(g: MetricGraph) -> None:
-    """Raise on malformed data: bad lengths, dangling ends, incoherent rotation."""
-    seen_v = set()
-    for v in g.vertices:
-        if v in seen_v:
-            raise BadParameter(f"duplicate vertex id {v!r}", vertex=v)
-        seen_v.add(v)
-    seen_e = set()
-    for e in g.edges:
-        if e.id in seen_e:
-            raise BadParameter(f"duplicate edge id {e.id!r}", edge=e.id)
-        seen_e.add(e.id)
-        for w in (e.u, e.v):
-            if w not in seen_v:
-                raise UnknownEndpoint(
-                    f"edge {e.id!r} references unknown vertex {w!r}",
-                    edge=e.id, vertex=w)
-        if not e.length > 0:
-            raise NonpositiveLength(
-                f"edge {e.id!r} has nonpositive length {e.length}", edge=e.id)
-    if g.rotation is not None:
-        for v in g.rotation:
-            if v not in seen_v:
-                raise BadParameter(
-                    f"rotation lists unknown vertex {v!r}", vertex=v)
-        expected = {v: [] for v in g.vertices}
-        for e in g.edges:
-            expected[e.u].append((e.id, 0))
-            expected[e.v].append((e.id, 1))
-        for v in g.vertices:
-            listed = list(g.rotation.get(v, ()))
-            if sorted(map(str, listed)) != sorted(map(str, expected[v])):
-                raise BadParameter(
-                    f"rotation at vertex {v!r} does not list each incident "
-                    f"half-edge exactly once", vertex=v)
-
-
 def validate(g: MetricGraph) -> ValidationReport:
-    """Check structural integrity and report basic facts about g."""
-    _structural_check(g)
+    """Report basic facts about g; its structure was checked when it was
+    built."""
     loops = tuple(e.id for e in g.edges if e.is_loop())
     conn = is_connected(g)
     bridge = tuple(e.id for e in bridge_edges(g))
@@ -453,45 +471,10 @@ def metric_diameter(g: MetricGraph) -> Length:
     return max(itertools.chain(singles, pairs), default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    total_length: Length
-    diameter: Length
-    bridge_total_length: Length
-    vertex_degrees: dict
-    weighted_vertex_degrees: dict
-
-    def to_json(self) -> dict:
-        return {
-            "total_length": length_to_json(self.total_length),
-            "diameter": length_to_json(self.diameter),
-            "bridge_total_length": length_to_json(self.bridge_total_length),
-            "vertex_degrees": {str(v): d for v, d in self.vertex_degrees.items()},
-            "weighted_vertex_degrees": {
-                str(v): length_to_json(d)
-                for v, d in self.weighted_vertex_degrees.items()},
-        }
-
-
-def metrics(g: MetricGraph) -> GraphMetrics:
-    """Total length, metric diameter, bridge length and degree tables."""
-    _structural_check(g)
-    if not is_connected(g):
-        raise Disconnected("metrics require a connected graph")
-    return GraphMetrics(
-        total_length=g.total_length,
-        diameter=metric_diameter(g),
-        bridge_total_length=sum((e.length for e in bridge_edges(g)),
-                                start=Fraction(0)),
-        vertex_degrees={v: g.degree(v) for v in g.vertices},
-        weighted_vertex_degrees={v: g.weighted_degree(v) for v in g.vertices},
-    )
-
-
 def subgraph(g: MetricGraph, edge_ids: Iterable[EdgeId]) -> MetricGraph:
     """Metric subgraph induced by a set of edges (rotation dropped)."""
     wanted = set(edge_ids)
-    missing = wanted - set(g.edge_map)
+    missing = wanted.difference(g.edge_map)
     if missing:
         raise UnknownEndpoint(f"unknown edge ids {sorted(map(str, missing))}")
     edges = tuple(e for e in g.edges if e.id in wanted)
@@ -513,7 +496,6 @@ def faces(g: MetricGraph) -> list:
     V - E + F = 2 identifies the genus-zero case."""
     if g.rotation is None:
         raise NoRotation("graph carries no rotation system")
-    _structural_check(g)
     pos = {}
     for v, lst in g.rotation.items():
         for i, he in enumerate(lst):
@@ -586,8 +568,6 @@ def platonic(name: str, length=1) -> MetricGraph:
     if name not in _PLATONIC_COORDS:
         raise UnknownFamily(f"unknown platonic solid {name!r}")
     ell = as_length(length)
-    if not ell > 0:
-        raise NonpositiveLength(f"edge length must be positive, got {length}")
     coords = sorted(_PLATONIC_COORDS[name],
                     key=lambda p: tuple(round(x, 9) for x in p))
     nv, ne, nf = _PLATONIC_COUNTS[name]
@@ -640,9 +620,6 @@ def pumpkin(m: int, lengths=1) -> MetricGraph:
         ls = [as_length(x) for x in lengths]
     else:
         ls = [as_length(lengths)] * m
-    for l in ls:
-        if not l > 0:
-            raise NonpositiveLength(f"nonpositive edge length {l}")
     edges = tuple(Edge(f"e{j}", "u", "v", ls[j]) for j in range(m))
     return MetricGraph(("u", "v"), edges, None)
 
@@ -678,21 +655,15 @@ def pumpkin_chain(multiplicities: Sequence[int], lengths=1) -> MetricGraph:
         elif len(entry) != m:
             raise BadSpec(f"pumpkin {i} needs {m} lengths")
         for j, x in enumerate(entry, start=1):
-            l = as_length(x)
-            if not l > 0:
-                raise NonpositiveLength(f"nonpositive edge length {l}")
-            edges.append(Edge(f"e{i}_{j}", verts[i - 1], verts[i], l))
+            edges.append(Edge(f"e{i}_{j}", verts[i - 1], verts[i], as_length(x)))
     return MetricGraph(verts, tuple(edges), None)
 
 
 def cycle_graph(total_length=1, segments: int = 2) -> MetricGraph:
     """Cycle of the given total length, realized with `segments` equal edges."""
-    L = as_length(total_length)
-    if not L > 0:
-        raise NonpositiveLength(f"nonpositive total length {total_length}")
     if segments < 2:
         raise BadParameter("a loopless cycle needs at least 2 segments")
-    piece = L / segments
+    piece = as_length(total_length) / segments
     verts = tuple(f"v{i}" for i in range(segments))
     edges = tuple(Edge(f"e{i}", verts[i], verts[(i + 1) % segments], piece)
                   for i in range(segments))
@@ -701,10 +672,8 @@ def cycle_graph(total_length=1, segments: int = 2) -> MetricGraph:
 
 def path_graph(total_length=1) -> MetricGraph:
     """A single interval of the given length."""
-    L = as_length(total_length)
-    if not L > 0:
-        raise NonpositiveLength(f"nonpositive total length {total_length}")
-    return MetricGraph(("a", "b"), (Edge("e0", "a", "b", L),), None)
+    edge = Edge("e0", "a", "b", as_length(total_length))
+    return MetricGraph(("a", "b"), (edge,), None)
 
 
 def star_graph(lengths) -> MetricGraph:
@@ -712,9 +681,6 @@ def star_graph(lengths) -> MetricGraph:
     if not isinstance(lengths, (list, tuple)) or not lengths:
         raise BadParameter("star needs a nonempty list of edge lengths")
     ls = [as_length(x) for x in lengths]
-    for l in ls:
-        if not l > 0:
-            raise NonpositiveLength(f"nonpositive edge length {l}")
     verts = ("c",) + tuple(f"t{i}" for i in range(len(ls)))
     edges = tuple(Edge(f"e{i}", "c", f"t{i}", ls[i]) for i in range(len(ls)))
     return MetricGraph(verts, edges, None)
@@ -819,7 +785,8 @@ def graph_to_json(g: MetricGraph) -> dict:
 
 
 def graph_from_json(data) -> MetricGraph:
-    """Decode and structurally validate a graph; loops are split eagerly."""
+    """Decode a graph; loops are split eagerly.  What the graph types
+    refuse at construction is raised as a ParseError."""
     if not isinstance(data, dict):
         raise ParseError("graph document must be a JSON object")
     try:
@@ -849,7 +816,7 @@ def graph_from_json(data) -> MetricGraph:
             ell = length_from_json(raw_len)
         except ParseError as exc:
             raise ParseError(f"edge {eid!r}: {exc}", edge=eid) from exc
-        edges.append(Edge(eid, ends[0], ends[1], ell))
+        edges.append((eid, ends[0], ends[1], ell))
     rotation = None
     if "rotation" in data and data["rotation"] is not None:
         raw_rot = data["rotation"]
@@ -874,9 +841,8 @@ def graph_from_json(data) -> MetricGraph:
                         vertex=key)
                 hes.append((item["edge"], item["end"]))
             rotation[v] = tuple(hes)
-    g = MetricGraph(vertices, tuple(edges), rotation)
     try:
-        _structural_check(g)
+        return split_loops(MetricGraph(
+            vertices, tuple(Edge(*e) for e in edges), rotation))
     except (BadParameter, UnknownEndpoint, NonpositiveLength) as exc:
         raise ParseError(str(exc), **exc.context) from exc
-    return split_loops(g)

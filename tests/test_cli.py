@@ -284,6 +284,20 @@ def test_validate_errors(tmp_path, capsys):
     assert info["context"]["line"] == 1
 
 
+@pytest.mark.parametrize("raw", ["Infinity", "NaN", "1e400", '"1e400"'])
+def test_lengths_that_are_no_float_are_parse_errors(tmp_path, capsys, raw):
+    # json reads Infinity, NaN and 1e400 as non-finite floats; the string
+    # "1e400" is an exact rational that overflows a float
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": ["a", "b"], "edges": '
+                    '[{"id": "e", "ends": ["a", "b"], "length": %s}]}' % raw)
+    for argv in (["validate"], ["bounds"], ["oracle"]):
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ParseError"
+
+
 def test_repro_cases(capsys):
     code, out, _ = invoke(capsys, "repro", "--case", "icosahedron")
     assert code == 0

@@ -1,8 +1,9 @@
-"""Graph data structures, generators, metrics, and the JSON round trip."""
+"""Graph data structures, generators, the metric diameter, and the JSON round trip."""
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from fractions import Fraction
 
@@ -227,6 +228,44 @@ def test_structural_check_rejects():
              mg.Edge("e", "b", "a", Fraction(1)))))
 
 
+BAD_LENGTHS = {"-1": -1, "0": 0, "nan": math.nan, "inf": math.inf,
+               "10**400": Fraction(10**400), "1/10**400": Fraction(1, 10**400)}
+
+BAD_DATA = {  # vertices, edges, and the error raised on building them
+    **{f"length {k}": (("a", "b"), [("e", "a", "b", ell)], NonpositiveLength)
+       for k, ell in BAD_LENGTHS.items()},
+    "dangling end": (("a",), [("e", "a", "zz", 1)], UnknownEndpoint),
+    "duplicate vertex id": (("a", "a"), [], BadParameter),
+    "duplicate edge id": (("a", "b"), [("e", "a", "b", 1), ("e", "b", "a", 1)],
+                          BadParameter),
+}
+
+GENERATORS = [  # each generator, with one edge (or every edge) of length ell
+    lambda ell: mg.platonic("tetrahedron", ell),
+    lambda ell: mg.pumpkin(3, [1, ell, 1]),
+    lambda ell: mg.pumpkin_chain((2, 1), [1, [ell]]),
+    lambda ell: mg.cycle_graph(ell, segments=3),
+    lambda ell: mg.path_graph(ell),
+    lambda ell: mg.star_graph([1, ell]),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, error", BAD_DATA.values(), ids=BAD_DATA)
+def test_bad_data_never_becomes_a_graph(vertices, edges, error):
+    with pytest.raises(error):
+        mg.MetricGraph(vertices, tuple(mg.Edge(*e) for e in edges))
+    doc = {"vertices": list(vertices),
+           "edges": [{"id": i, "ends": [u, v],
+                      "length": mg.length_to_json(ell) if isinstance(ell, Fraction) else ell}
+                     for i, u, v, ell in edges]}
+    with pytest.raises(ParseError):
+        mg.graph_from_json(doc)
+    if error is NonpositiveLength:
+        for build in GENERATORS:
+            with pytest.raises(NonpositiveLength):
+                build(edges[0][3])
+
+
 def test_disconnected_is_reported_not_raised():
     g = mg.MetricGraph(("a", "b", "c", "d"),
                        (mg.Edge("e0", "a", "b", Fraction(1)),
@@ -309,14 +348,6 @@ def test_metric_diameter_against_sampling(name):
     assert sampled - 1e-9 <= diam <= sampled + grid + 1e-9
 
 
-def test_metrics_summary():
-    m = mg.metrics(corpus_graph("icosahedron"))
-    assert m.total_length == 30
-    assert m.diameter == 3
-    out = m.to_json()
-    assert out["total_length"] == 30
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip
 
@@ -354,6 +385,14 @@ def test_graph_from_json_splits_loops():
     {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"]}]},
     {"vertices": ["a", "b"],
      "edges": [{"id": "e", "ends": ["a", "b"], "length": "x/y"}]},
+] + [
+    # lengths that are no finite positive float: the JSON values Infinity,
+    # NaN and 1e400 (which json decodes to inf), and exact strings whose
+    # float overflows or underflows
+    {"vertices": ["a", "b"],
+     "edges": [{"id": "e", "ends": ["a", "b"], "length": bad}]}
+    for bad in (math.inf, -math.inf, math.nan, json.loads("1e400"),
+                "1e400", "1/1" + "0" * 400)
 ])
 def test_graph_from_json_rejects(data):
     with pytest.raises(ParseError):
