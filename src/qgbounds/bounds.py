@@ -23,15 +23,12 @@ from .covers import Cover, build_cover, star_cover, validate_cover
 from .errors import (
     BadParameter,
     BadSpec,
-    Disconnected,
     EtaUnavailable,
-    LoopPresent,
     QGraphError,
 )
 from .metric_graph import (
     MetricGraph,
     chain_structure,
-    is_connected,
     is_cycle_graph,
     is_doubly_connected,
     is_star_graph,
@@ -80,24 +77,22 @@ def _eta_nicaise(sub: MetricGraph) -> float:
 
 
 def star_gap_bound(sub: MetricGraph) -> float:
-    """Best of three gap bounds for a star-shaped element.
+    """Best of two gap bounds for a star-shaped element.
 
     A star (edges sharing one center, parallel edges allowed) of total
-    length S with longest edge l and diameter D satisfies all of
+    length S with longest edge l satisfies both of
 
         lambda_2 >= pi^2 / (4 l^2)      (quarter wave on the longest edge)
         lambda_2 >= pi^2 / S^2          (total-length bound)
-        lambda_2 >= 1 / (D * S)         (diameter times total length)
 
-    and we may take the maximum.
+    and we may take the maximum.  The diameter bound 1 / (D * S) is left
+    out: D >= l and S >= l put it at most 1 / l^2 < pi^2 / (4 l^2).
     """
     if not is_star_graph(sub):
         raise EtaUnavailable("element is not a star", strategy="star_best")
-    lengths = sorted((float(e.length) for e in sub.edges), reverse=True)
-    l_max = lengths[0]
+    l_max = max(float(e.length) for e in sub.edges)
     total = float(sub.total_length)
-    diam = lengths[0] + lengths[1] if len(lengths) >= 2 else 2.0 * lengths[0]
-    return max(PI2 / (4.0 * l_max**2), PI2 / total**2, 1.0 / (diam * total))
+    return max(PI2 / (4.0 * l_max**2), PI2 / total**2)
 
 
 def _eta_oracle(sub: MetricGraph) -> float:
@@ -253,10 +248,6 @@ def star_bound(g: MetricGraph) -> BoundReport:
 
     where alpha_i is the spectrum of that reduced graph.
     """
-    if any(e.is_loop() for e in g.edges):
-        raise LoopPresent("star bounds need a loopless graph; split loops first")
-    if not is_connected(g):
-        raise Disconnected("star bounds need a connected graph")
     return replace(transfer_bound(g, star_cover(g), "star_best"), method="stars")
 
 
@@ -383,8 +374,6 @@ def classical_bounds(g: MetricGraph, k_max: int = 2) -> list[BoundReport]:
         diameter; the exact constant is a reconstruction, so the entry is
         flagged.
     """
-    if not is_connected(g):
-        raise Disconnected("comparison bounds need a connected graph")
     if k_max < 2:
         raise BadParameter("k_max must be at least 2", k_max=k_max)
     total = float(g.total_length)

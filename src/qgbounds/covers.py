@@ -28,6 +28,7 @@ from . import metric_graph as mg
 from .errors import (
     BadParameter,
     BadSpec,
+    Disconnected,
     DisconnectedElement,
     NotBridgeless,
     NotUniform,
@@ -64,8 +65,9 @@ class CoverReport:
 
 
 def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
-    """Check uniform fold and element connectivity; return the fold, the
-    element subgraphs and the vicinity graph.
+    """Check the fold is uniform and build each element's subgraph, which
+    refuses a disconnected element; return the fold, the element subgraphs
+    and the vicinity graph.
 
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
@@ -96,16 +98,14 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         raise NotUniform(
             f"edges are covered between {min(folds)} and {max(folds)} times",
             examples=under[:5])
-    fold = folds.pop()
-    if fold == 0:
-        raise NotUniform("cover elements cover no edges")
     subgraphs = {}
     for lbl, eids in cover.elements:
-        subgraphs[lbl] = sub = mg.subgraph(g, eids)
-        if not mg.is_connected(sub):
+        try:
+            subgraphs[lbl] = mg.subgraph(g, eids)
+        except Disconnected:
             raise DisconnectedElement(f"element {lbl!r} is disconnected",
-                                      element=lbl)
-    return CoverReport(fold, subgraphs, vicinity_graph(g, cover))
+                                      element=lbl) from None
+    return CoverReport(folds.pop(), subgraphs, vicinity_graph(g, cover))
 
 
 def _element_length(g: mg.MetricGraph, eids: Iterable) -> mg.Length:
@@ -163,12 +163,9 @@ def proof_identity_residual(g: mg.MetricGraph, cover: Cover) -> float:
 
 def star_cover(g: mg.MetricGraph) -> Cover:
     """One element per vertex: its incident edges.  Always 2-fold."""
-    elements = []
-    for v in g.vertices:
-        eids = tuple(dict.fromkeys(e.id for e, _ in g.incident[v]))
-        if eids:
-            elements.append((f"star:{v}", eids))
-    return Cover("stars", tuple(elements))
+    elements = tuple((f"star:{v}", tuple(e.id for e, _ in g.incident[v]))
+                     for v in g.vertices)
+    return Cover("stars", elements)
 
 
 def _face_edge_sets(g: mg.MetricGraph) -> list:

@@ -1,15 +1,19 @@
 """Metric graphs: data model, validation and family generators.
 
-A metric graph is a finite connected multigraph whose edges carry strictly
-positive lengths.  Parallel edges are allowed everywhere; loops are split
-eagerly on load (``split_loops``) so that downstream code can assume a
-loopless graph.
+A metric graph is a finite connected multigraph with at least one edge,
+whose edges carry strictly positive lengths.  Parallel edges are allowed
+everywhere.  A loop of length l is the same metric space as two edges of
+length l/2 joined at a degree-2 vertex, so loops are split when a graph is
+built (``split_loops``, which files go through) and a ``MetricGraph``
+never has one.
 
 A graph is valid by construction, however it is built (in Python, by a
-generator or from JSON).  ``Edge`` refuses a length that is not positive
-or whose float is not finite and positive (``NonpositiveLength``), and
-``MetricGraph`` refuses duplicate vertex or edge ids and an incoherent
-rotation (``BadParameter``) and dangling ends (``UnknownEndpoint``).
+generator or from JSON).  ``Edge`` refuses a length that is not a real
+number (``BadParameter``) or not positive, or whose float is not finite
+and positive (``NonpositiveLength``).  ``MetricGraph`` refuses unhashable
+or duplicate ids and an incoherent rotation (``BadParameter``), dangling
+ends (``UnknownEndpoint``), a loop (``LoopPresent``), no edges
+(``BadParameter``) and more than one component (``Disconnected``).
 Nothing downstream checks them again.
 
 Edge lengths are stored as exact ``fractions.Fraction`` values whenever they
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +50,7 @@ from .errors import (
     BadParameter,
     BadSpec,
     Disconnected,
+    LoopPresent,
     NonpositiveLength,
     NoRotation,
     ParseError,
@@ -136,6 +142,10 @@ class Edge:
     length: Length
 
     def __post_init__(self):
+        if isinstance(self.length, bool) or not isinstance(self.length, numbers.Real):
+            raise BadParameter(
+                f"edge {self.id!r} has length {self.length!r}, which is not a "
+                f"number", edge=self.id)
         try:
             ok = self.length > 0 and 0.0 < float(self.length) < math.inf
         except OverflowError:
@@ -150,9 +160,6 @@ class Edge:
     @property
     def ends(self) -> tuple:
         return (self.u, self.v)
-
-    def other(self, w: VertexId) -> VertexId:
-        return self.v if w == self.u else self.u
 
     def is_loop(self) -> bool:
         return self.u == self.v
@@ -170,22 +177,34 @@ class MetricGraph:
     rotation: Optional[Mapping] = None  # vertex -> tuple of (edge id, end)
 
     def __post_init__(self):
-        """Refuse duplicate ids, dangling ends and an incoherent rotation."""
+        """Refuse unhashable or duplicate ids, dangling ends, loops, no
+        edges, more than one component and an incoherent rotation."""
         seen_v = set()
-        for v in self.vertices:
-            if v in seen_v:
-                raise BadParameter(f"duplicate vertex id {v!r}", vertex=v)
-            seen_v.add(v)
         seen_e = set()
+        try:
+            for v in self.vertices:
+                if v in seen_v:
+                    raise BadParameter(f"duplicate vertex id {v!r}", vertex=v)
+                seen_v.add(v)
+            for e in self.edges:
+                if e.id in seen_e:
+                    raise BadParameter(f"duplicate edge id {e.id!r}", edge=e.id)
+                seen_e.add(e.id)
+                for w in (e.u, e.v):
+                    if w not in seen_v:
+                        raise UnknownEndpoint(
+                            f"edge {e.id!r} references unknown vertex {w!r}",
+                            edge=e.id, vertex=w)
+        except TypeError as exc:  # a list or dict id
+            raise BadParameter(f"vertex and edge ids must be hashable: {exc}") from None
         for e in self.edges:
-            if e.id in seen_e:
-                raise BadParameter(f"duplicate edge id {e.id!r}", edge=e.id)
-            seen_e.add(e.id)
-            for w in (e.u, e.v):
-                if w not in seen_v:
-                    raise UnknownEndpoint(
-                        f"edge {e.id!r} references unknown vertex {w!r}",
-                        edge=e.id, vertex=w)
+            if e.u == e.v:
+                raise LoopPresent(f"edge {e.id!r} is a loop; build the graph "
+                                  f"with split_loops", edge=e.id)
+        if not self.edges:
+            raise BadParameter("a metric graph needs at least one edge")
+        if len(connected_components(self.vertices, (e.ends for e in self.edges))) > 1:
+            raise Disconnected("a metric graph must be connected")
         if self.rotation is not None:
             for v in self.rotation:
                 if v not in seen_v:
@@ -208,14 +227,11 @@ class MetricGraph:
 
     @cached_property
     def incident(self) -> dict:
-        """vertex -> tuple of (Edge, other endpoint); loops appear twice."""
+        """vertex -> tuple of (Edge, other endpoint)."""
         out = {v: [] for v in self.vertices}
         for e in self.edges:
             out[e.u].append((e, e.v))
-            if e.v != e.u:
-                out[e.v].append((e, e.u))
-            else:
-                out[e.u].append((e, e.u))
+            out[e.v].append((e, e.u))
         return {v: tuple(lst) for v, lst in out.items()}
 
     @cached_property
@@ -244,8 +260,6 @@ class ValidationReport:
     vertex_count: int
     edge_count: int
     total_length: Length
-    connected: bool
-    loop_edges: tuple
     bridge_edges: tuple
     bridgeless: bool
 
@@ -254,8 +268,6 @@ class ValidationReport:
             "vertex_count": self.vertex_count,
             "edge_count": self.edge_count,
             "total_length": length_to_json(self.total_length),
-            "connected": self.connected,
-            "loop_edges": list(self.loop_edges),
             "bridge_edges": list(self.bridge_edges),
             "bridgeless": self.bridgeless,
         }
@@ -264,17 +276,13 @@ class ValidationReport:
 def validate(g: MetricGraph) -> ValidationReport:
     """Report basic facts about g; its structure was checked when it was
     built."""
-    loops = tuple(e.id for e in g.edges if e.is_loop())
-    conn = is_connected(g)
     bridge = tuple(e.id for e in bridge_edges(g))
     return ValidationReport(
         vertex_count=len(g.vertices),
         edge_count=len(g.edges),
         total_length=g.total_length,
-        connected=conn,
-        loop_edges=loops,
         bridge_edges=bridge,
-        bridgeless=conn and not bridge,
+        bridgeless=not bridge,
     )
 
 
@@ -300,65 +308,50 @@ def connected_components(vertices: Sequence, pairs: Iterable) -> list:
     return out
 
 
-def components(g: MetricGraph) -> list:
-    """Connected components as lists of vertices (graph order)."""
-    return connected_components(g.vertices, (e.ends for e in g.edges))
-
-
-def is_connected(g: MetricGraph) -> bool:
-    return len(components(g)) <= 1
-
-
 def bridge_edges(g: MetricGraph) -> list:
-    """Bridges of the underlying multigraph (loops are never bridges)."""
-    index: dict = {}
-    low: dict = {}
-    counter = itertools.count()
+    """Bridges of the underlying multigraph, by one depth-first search
+    (g is connected)."""
+    root = g.vertices[0]
+    index = {root: 0}
+    low = {root: 0}
+    counter = itertools.count(1)
     bridges = []
-    for root in g.vertices:
-        if root in index:
+    stack = [(root, None, iter(g.incident[root]))]
+    while stack:
+        v, in_eid, it = stack[-1]
+        nxt = next(it, None)
+        if nxt is None:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] > index[p]:
+                    bridges.append(g.edge_map[in_eid])
+                if low[v] < low[p]:
+                    low[p] = low[v]
             continue
-        index[root] = low[root] = next(counter)
-        stack = [(root, None, iter(g.incident[root]))]
-        while stack:
-            v, in_eid, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] > index[p]:
-                        bridges.append(g.edge_map[in_eid])
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                continue
-            e, w = nxt
-            if w == v or e.id == in_eid:
-                continue
-            if w not in index:
-                index[w] = low[w] = next(counter)
-                stack.append((w, e.id, iter(g.incident[w])))
-            elif index[w] < low[v]:
-                low[v] = index[w]
+        e, w = nxt
+        if e.id == in_eid:
+            continue
+        if w not in index:
+            index[w] = low[w] = next(counter)
+            stack.append((w, e.id, iter(g.incident[w])))
+        elif index[w] < low[v]:
+            low[v] = index[w]
     return bridges
 
 
 def is_doubly_connected(g: MetricGraph) -> bool:
-    """Connected and bridgeless."""
-    return is_connected(g) and not bridge_edges(g)
+    """Bridgeless (g is connected)."""
+    return not bridge_edges(g)
 
 
 def is_cycle_graph(g: MetricGraph) -> bool:
-    """A genuine cycle: connected, every vertex of degree exactly 2."""
-    if len(g.edges) < 2 or not is_connected(g):
-        return False
+    """A genuine cycle: every vertex of degree exactly 2 (g is connected)."""
     return all(g.degree(v) == 2 for v in g.vertices)
 
 
 def is_star_graph(g: MetricGraph) -> bool:
     """All edges share one common vertex (parallel edges count as stars)."""
-    if not g.edges:
-        return False
     common = set(g.edges[0].ends)
     for e in g.edges[1:]:
         common &= set(e.ends)
@@ -371,17 +364,21 @@ def is_star_graph(g: MetricGraph) -> bool:
 # loop splitting
 
 
-def split_loops(g: MetricGraph) -> MetricGraph:
-    """Replace every loop of length l by two edges of length l/2 and a fresh
-    midpoint vertex.  Rotations, if present, are updated in place so the
-    embedding is preserved."""
-    if not any(e.is_loop() for e in g.edges):
-        return g
-    vertices = list(g.vertices)
-    vertex_set = set(vertices)
-    edge_set = {e.id for e in g.edges}
-    edges = []
-    rot = {v: list(hes) for v, hes in g.rotation.items()} if g.rotation else None
+def split_loops(vertices: Sequence, edges: Sequence,
+                rotation: Optional[Mapping] = None) -> MetricGraph:
+    """The metric graph on vertices and edges, with every loop of length l
+    replaced by two edges of length l/2 and a fresh midpoint vertex; the
+    one constructor that accepts loops.  A rotation, if given, is updated
+    so the embedding is preserved."""
+    if not any(e.is_loop() for e in edges):
+        return MetricGraph(tuple(vertices), tuple(edges), rotation)
+    vertices = list(vertices)
+    # fresh names are strings: compare them with every id's string, so an
+    # id of any type is fine here and MetricGraph judges it
+    vertex_names = set(map(str, vertices))
+    edge_names = {str(e.id) for e in edges}
+    split = []
+    rot = {v: list(hes) for v, hes in rotation.items()} if rotation is not None else None
 
     def fresh(base, pool):
         cand = base
@@ -390,18 +387,16 @@ def split_loops(g: MetricGraph) -> MetricGraph:
         pool.add(cand)
         return cand
 
-    for e in g.edges:
+    for e in edges:
         if not e.is_loop():
-            edges.append(e)
+            split.append(e)
             continue
-        w = fresh(f"{e.u}~{e.id}", vertex_set)
+        w = fresh(f"{e.u}~{e.id}", vertex_names)
         vertices.append(w)
         half = e.length / 2
-        ida = fresh(f"{e.id}~a", edge_set)
-        idb = fresh(f"{e.id}~b", edge_set)
-        ea = Edge(ida, e.u, w, half)
-        eb = Edge(idb, w, e.v, half)
-        edges.extend([ea, eb])
+        ida = fresh(f"{e.id}~a", edge_names)
+        idb = fresh(f"{e.id}~b", edge_names)
+        split += [Edge(ida, e.u, w, half), Edge(idb, w, e.v, half)]
         if rot is not None:
             at_v = rot.get(e.u, [])
             for i, he in enumerate(at_v):
@@ -410,8 +405,8 @@ def split_loops(g: MetricGraph) -> MetricGraph:
                 elif he == (e.id, 1):
                     at_v[i] = (idb, 1)
             rot[w] = [(ida, 1), (idb, 0)]
-    rotation = {v: tuple(hes) for v, hes in rot.items()} if rot else None
-    return MetricGraph(tuple(vertices), tuple(edges), rotation)
+    rotation = {v: tuple(hes) for v, hes in rot.items()} if rot is not None else None
+    return MetricGraph(tuple(vertices), tuple(split), rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +456,12 @@ def metric_diameter(g: MetricGraph) -> Length:
     Vertex pairs need no term of their own: in a connected graph with two
     or more edges any two vertices lie on two distinct edges, whose pair
     term bounds their distance, and with one edge its own term does."""
-    if not is_connected(g):
-        raise Disconnected("diameter of a disconnected graph is infinite")
     dist = vertex_distances(g)
     singles = ((dist[e.u][e.v] + e.length) / 2 for e in g.edges)
     pairs = ((e.length + f.length + min(dist[e.u][f.u] + dist[e.v][f.v],
                                          dist[e.u][f.v] + dist[e.v][f.u])) / 2
              for e, f in itertools.combinations(g.edges, 2))
-    return max(itertools.chain(singles, pairs), default=Fraction(0))
+    return max(itertools.chain(singles, pairs))
 
 
 def subgraph(g: MetricGraph, edge_ids: Iterable[EdgeId]) -> MetricGraph:
@@ -732,8 +725,6 @@ def chain_structure(g: MetricGraph) -> list:
     Returns the ordered pumpkins as (left vertex, right vertex, edge ids);
     edge ids keep the graph's edge order within each pumpkin.  Raises
     BadSpec when g is not a chain."""
-    if any(e.is_loop() for e in g.edges):
-        raise BadSpec("chains are loopless; split loops first")
     groups: dict = {}
     for e in g.edges:
         key = frozenset((e.u, e.v))
@@ -743,12 +734,9 @@ def chain_structure(g: MetricGraph) -> list:
         u, v = sorted(key, key=str)
         adj[u].append(v)
         adj[v].append(u)
-    used = [v for v in g.vertices if adj[v]]
-    if len(used) != len(g.vertices) or not used:
-        raise BadSpec("graph has isolated vertices")
-    degs = {v: len(adj[v]) for v in used}
-    ends = [v for v in used if degs[v] == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
+    # g is connected, so two ends and no degree above 2 make a path
+    ends = [v for v in g.vertices if len(adj[v]) == 1]
+    if len(ends) != 2 or any(len(adj[v]) > 2 for v in g.vertices):
         raise BadSpec("underlying simple graph is not a path")
     start = min(ends, key=str)
     order = [start]
@@ -759,8 +747,6 @@ def chain_structure(g: MetricGraph) -> list:
             break
         prev = order[-1]
         order.append(nxts[0])
-    if len(order) != len(used):
-        raise BadSpec("underlying simple graph is not a path")
     out = []
     for a, b in zip(order, order[1:]):
         out.append((a, b, tuple(groups[frozenset((a, b))])))
@@ -785,8 +771,9 @@ def graph_to_json(g: MetricGraph) -> dict:
 
 
 def graph_from_json(data) -> MetricGraph:
-    """Decode a graph; loops are split eagerly.  What the graph types
-    refuse at construction is raised as a ParseError."""
+    """Decode a graph through split_loops, so loops are split.  What the
+    graph types refuse at construction is raised as a ParseError, except
+    Disconnected, which passes through."""
     if not isinstance(data, dict):
         raise ParseError("graph document must be a JSON object")
     try:
@@ -842,7 +829,6 @@ def graph_from_json(data) -> MetricGraph:
                 hes.append((item["edge"], item["end"]))
             rotation[v] = tuple(hes)
     try:
-        return split_loops(MetricGraph(
-            vertices, tuple(Edge(*e) for e in edges), rotation))
+        return split_loops(vertices, [Edge(*e) for e in edges], rotation)
     except (BadParameter, UnknownEndpoint, NonpositiveLength) as exc:
         raise ParseError(str(exc), **exc.context) from exc

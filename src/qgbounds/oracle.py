@@ -39,12 +39,10 @@ from . import metric_graph as mg
 from .errors import (
     BadParameter,
     CountExceedsBranch,
-    Disconnected,
     IncommensurableLengths,
     MeshTooCoarse,
     NoConvergence,
     NotEquilateral,
-    NotSymmetric,
     ThresholdExceeded,
     TooLarge,
     UnknownKind,
@@ -63,9 +61,10 @@ _DENSE_CUTOFF = 250
 # grows like n^3: on a 2-CPU x86 host with one BLAS thread it took 0.15 s at
 # 295 vertices, 0.5 s at 600, 1.8 s at 1000, 3.9 s at 1300, 5.7-7.0 s at 1500
 # and 18 s at 2000, so at 1500 auto falls back to finite elements well
-# within ~10 s.
+# within ~10 s.  It also bounds the grid halvings: after k of them the grid
+# has at least V + (2^k - 1) E vertices, and E >= 1, so by the 11th the cap
+# raises TooLarge.
 _MATRIX_CAP = 1500
-_MAX_HALVINGS = 12
 _FD_NODE_CAP = 250_000
 _FD_RTOL = 1e-3  # relative error estimate a finite-element value must meet
 _FD_SOLVE_ATTEMPTS = 4  # shift-invert solves per mesh before NoConvergence
@@ -128,8 +127,6 @@ def _subdivided_laplacian(g: mg.MetricGraph, steps) -> np.ndarray:
     n = len(index)
     segments = []
     for e, k in zip(g.edges, steps):
-        if k == 1 and e.u == e.v:
-            raise NotSymmetric(f"loop {e.id!r} spans a single grid step")
         path = [index[e.u], *range(n, n + k - 1), index[e.v]]
         n += k - 1
         segments += [(a, b, 1) for a, b in zip(path, path[1:])]
@@ -180,8 +177,6 @@ def von_below_spectrum(g: mg.MetricGraph,
     otherwise exactly count values or raises CountExceedsBranch."""
     if count is not None:
         _check_count(count)
-    if not mg.is_connected(g):
-        raise Disconnected("spectrum of a disconnected graph")
     ell = float(equilateral_length(g))
     values, meta = _below_branch(g, [1] * len(g.edges), ell, count)
     return SpectrumResult(values, "von_below", meta)
@@ -203,8 +198,6 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
     if not all(isinstance(e.length, Fraction) for e in g.edges):
         raise IncommensurableLengths(
             "subdivision needs exact rational edge lengths")
-    if not mg.is_connected(g):
-        raise Disconnected("spectrum of a disconnected graph")
     pinned = h is not None
     if pinned:
         h = Fraction(h)
@@ -216,8 +209,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                     f"grid {h} does not divide edge {e.id} of length {e.length}")
     else:
         h = mg.rational_gcd([e.length for e in g.edges])
-    attempts = 1 if pinned else _MAX_HALVINGS + 1
-    for _ in range(attempts):
+    while True:  # each halving adds vertices until the cap stops it
         steps = [int(e.length / h) for e in g.edges]
         n_vertices = len(g.vertices) + sum(steps) - len(steps)
         if n_vertices > _MATRIX_CAP:
@@ -236,8 +228,6 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
             continue
         meta.update({"grid": str(h), "subdivided_vertices": n_vertices})
         return SpectrumResult(values, "subdivision", meta)
-    raise CountExceedsBranch(
-        f"could not expose {count} eigenvalues within {_MAX_HALVINGS} grid halvings")
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +378,6 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
         mesh = float(mesh)  # the command line pins an exact Fraction
         if not (math.isfinite(mesh) and mesh / 2 > 0):
             raise BadParameter(f"mesh and its half must be finite and positive, got {mesh}")
-    if not mg.is_connected(g):
-        raise Disconnected("spectrum of a disconnected graph")
     min_len = min(float(e.length) for e in g.edges)
     refinements = 0 if mesh is not None else 3
     mesh = min(mesh, min_len / 2) if mesh is not None else min_len / 8

@@ -86,12 +86,7 @@ def reduce_multigraph(vertices: Sequence, raw_edges: Sequence) -> WeightedGraph:
 def underlying_weighted(g) -> WeightedGraph:
     """Weighted graph underlying a metric graph: each edge has weight one,
     so parallel edges merge into their multiplicity."""
-    raw = []
-    for e in g.edges:
-        if e.u == e.v:
-            raise NotSymmetric(f"loop {e.id!r}: split loops before reducing")
-        raw.append((e.u, e.v, Fraction(1)))
-    return reduce_multigraph(g.vertices, raw)
+    return reduce_multigraph(g.vertices, [(e.u, e.v, Fraction(1)) for e in g.edges])
 
 
 def normalized_laplacian_sym(wg: WeightedGraph) -> np.ndarray:

@@ -176,16 +176,15 @@ def test_star_bound_on_icosahedron():
 
 
 def test_star_bound_rejects():
-    loopy = mg.MetricGraph(
-        ("a", "b"),
-        (mg.Edge("e0", "a", "b", 1), mg.Edge("e1", "b", "b", 1)), None)
+    # a loop or a second component is refused when the graph is built, so
+    # star_bound never sees one; the graph with its loop split has a bound
+    loopy = (mg.Edge("e0", "a", "b", 1), mg.Edge("e1", "b", "b", 1))
     with pytest.raises(LoopPresent):
-        bounds.star_bound(loopy)
-    split = mg.MetricGraph(
-        ("a", "b", "c", "d"),
-        (mg.Edge("e0", "a", "b", 1), mg.Edge("e1", "c", "d", 1)), None)
+        mg.MetricGraph(("a", "b"), loopy)
+    assert bounds.star_bound(mg.split_loops(("a", "b"), loopy)).bound(2) > 0
     with pytest.raises(Disconnected):
-        bounds.star_bound(split)
+        mg.MetricGraph(("a", "b", "c", "d"),
+                       (mg.Edge("e0", "a", "b", 1), mg.Edge("e1", "c", "d", 1)))
 
 
 # ---------------------------------------------------------------------------

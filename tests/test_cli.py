@@ -42,7 +42,10 @@ def test_gen_validate_round_trip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "validate", str(path))
     assert code == 0
     report = json.loads(out)
-    assert report["connected"] is True
+    # connected and loopless by construction, so no field reports either
+    assert set(report) == {"vertex_count", "edge_count", "total_length",
+                           "bridge_edges", "bridgeless"}
+    assert report["bridgeless"] is True
     assert report["edge_count"] == 3
     assert report["total_length"] == "9/2"
 
@@ -296,6 +299,22 @@ def test_lengths_that_are_no_float_are_parse_errors(tmp_path, capsys, raw):
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"vertices": ["a"], "edges": []}, "ParseError"),
+    ({"vertices": ["a", "b", "c", "d"],
+      "edges": [{"id": "e0", "ends": ["a", "b"], "length": 1},
+                {"id": "e1", "ends": ["c", "d"], "length": 1}]}, "Disconnected"),
+], ids=["edgeless", "disconnected"])
+def test_a_file_that_is_no_metric_graph_is_refused(tmp_path, capsys, doc, error):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["oracle", str(path), "--method", "fd"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == error
 
 
 def test_repro_cases(capsys):

@@ -13,6 +13,8 @@ from qgbounds import metric_graph as mg
 from qgbounds.errors import (
     BadParameter,
     BadSpec,
+    Disconnected,
+    LoopPresent,
     NonpositiveLength,
     NoRotation,
     ParseError,
@@ -98,7 +100,7 @@ def test_platonic_shape(name):
     assert all(len(w) == size for w in walks)
     assert nv - ne + nf == 2
     rep = mg.validate(g)
-    assert rep.connected and rep.bridgeless and not rep.loop_edges
+    assert rep.bridgeless and rep.bridge_edges == ()
 
 
 def test_platonic_scaled_length():
@@ -191,27 +193,24 @@ def test_predicates():
     assert not mg.is_doubly_connected(mg.path_graph(1))
 
 
-def _loop_graph():
-    return mg.MetricGraph(
-        ("a", "b"),
-        (mg.Edge("e0", "a", "b", Fraction(1)),
-         mg.Edge("loop", "b", "b", Fraction(2))),
-    )
-
-
 def test_split_loops():
-    g = _loop_graph()
-    rep = mg.validate(g)
-    assert rep.loop_edges == ("loop",)
-    split = mg.split_loops(g)
-    assert not any(e.is_loop() for e in split.edges)
-    assert split.total_length == g.total_length
-    assert mg.is_connected(split)
+    vertices = ("a", "b")
+    edges = (mg.Edge("e0", "a", "b", Fraction(1)),
+             mg.Edge("loop", "b", "b", Fraction(2)))
+    with pytest.raises(LoopPresent):
+        mg.MetricGraph(vertices, edges)
+    split = mg.split_loops(vertices, edges)
+    assert [(e.id, e.u, e.v, e.length) for e in split.edges] == [
+        ("e0", "a", "b", 1), ("loop~a", "b", "b~loop", 1),
+        ("loop~b", "b~loop", "b", 1)]
     # the loop becomes a 2-edge cycle hanging off b, so b keeps degree 3
     assert split.degree("b") == 3
-    # idempotent on loopless graphs
-    assert mg.split_loops(split) is split or not any(
-        e.is_loop() for e in mg.split_loops(split).edges)
+    # without loops it is the plain constructor
+    assert mg.split_loops(split.vertices, split.edges) == split
+    # a rotation follows the split: a loop on the sphere bounds two faces
+    lone = mg.split_loops(("a",), (mg.Edge("l", "a", "a", Fraction(1)),),
+                          {"a": (("l", 0), ("l", 1))})
+    assert len(lone.vertices) == 2 and len(mg.faces(lone)) == 2
 
 
 def test_structural_check_rejects():
@@ -238,6 +237,11 @@ BAD_DATA = {  # vertices, edges, and the error raised on building them
     "duplicate vertex id": (("a", "a"), [], BadParameter),
     "duplicate edge id": (("a", "b"), [("e", "a", "b", 1), ("e", "b", "a", 1)],
                           BadParameter),
+    "no edges": (("a",), [], BadParameter),
+    # values of the wrong type
+    "length '1'": (("a", "b"), [("e", "a", "b", "1")], BadParameter),
+    "length True": (("a", "b"), [("e", "a", "b", True)], BadParameter),
+    "list vertex id": ((["a"],), [], BadParameter),
 }
 
 GENERATORS = [  # each generator, with one edge (or every edge) of length ell
@@ -258,21 +262,25 @@ def test_bad_data_never_becomes_a_graph(vertices, edges, error):
            "edges": [{"id": i, "ends": [u, v],
                       "length": mg.length_to_json(ell) if isinstance(ell, Fraction) else ell}
                      for i, u, v, ell in edges]}
-    with pytest.raises(ParseError):
-        mg.graph_from_json(doc)
+    if not any(isinstance(e[3], str) for e in edges):  # "1" is a length in a file
+        with pytest.raises(ParseError):
+            mg.graph_from_json(doc)
     if error is NonpositiveLength:
         for build in GENERATORS:
             with pytest.raises(NonpositiveLength):
                 build(edges[0][3])
 
 
-def test_disconnected_is_reported_not_raised():
-    g = mg.MetricGraph(("a", "b", "c", "d"),
+def test_disconnected_graph_is_refused():
+    with pytest.raises(Disconnected):
+        mg.MetricGraph(("a", "b", "c", "d"),
                        (mg.Edge("e0", "a", "b", Fraction(1)),
                         mg.Edge("e1", "c", "d", Fraction(1))))
-    rep = mg.validate(g)
-    assert not rep.connected
-    assert len(mg.components(g)) == 2
+    # a file says the same, not ParseError: its data are well formed
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"id": "e0", "ends": ["a", "b"], "length": 1}]}
+    with pytest.raises(Disconnected):
+        mg.graph_from_json(doc)
 
 
 def test_faces_need_rotation():

@@ -62,12 +62,11 @@ def test_von_below_branch_budget():
 def test_von_below_rejects():
     with pytest.raises(NotEquilateral):
         oracle.von_below_spectrum(mg.pumpkin(2, [1, 2]))
-    split = mg.MetricGraph(
-        ("a", "b", "c", "d"),
-        (mg.Edge("e0", "a", "b", Fraction(1)),
-         mg.Edge("e1", "c", "d", Fraction(1))), None)
+    # a disconnected graph is refused when built, before any oracle runs
     with pytest.raises(Disconnected):
-        oracle.von_below_spectrum(split)
+        mg.MetricGraph(("a", "b", "c", "d"),
+                       (mg.Edge("e0", "a", "b", Fraction(1)),
+                        mg.Edge("e1", "c", "d", Fraction(1))))
 
 
 def test_scaling_law():
@@ -243,12 +242,26 @@ def test_fd_never_returns_a_list_its_inertia_count_contradicts(monkeypatch):
 
 
 def test_fd_rejects_disconnected():
-    split = mg.MetricGraph(
-        ("a", "b", "c", "d"),
-        (mg.Edge("e0", "a", "b", Fraction(1)),
-         mg.Edge("e1", "c", "d", Fraction(1))), None)
+    # the file is refused as it is read, with the same error as in Python
+    doc = {"vertices": ["a", "b", "c", "d"],
+           "edges": [{"id": "e0", "ends": ["a", "b"], "length": 1.5},
+                     {"id": "e1", "ends": ["c", "d"], "length": 1.5}]}
     with pytest.raises(Disconnected):
-        oracle.fd_spectrum(split, 2)
+        mg.graph_from_json(doc)
+
+
+def test_a_loop_in_a_file_is_split_like_split_loops():
+    # a loop one grid step long: the circle of length 1 hanging off a
+    doc = {"vertices": ["a", "b"],
+           "edges": [{"id": "e", "ends": ["a", "b"], "length": 1},
+                     {"id": "l", "ends": ["a", "a"], "length": 1}]}
+    parts = (("a", "b"), (mg.Edge("e", "a", "b", Fraction(1)),
+                          mg.Edge("l", "a", "a", Fraction(1))))
+    from_file = oracle.spectrum(mg.graph_from_json(doc), 2)
+    assert from_file == oracle.spectrum(mg.split_loops(*parts), 2)
+    assert from_file.method == "subdivision"
+    fd = oracle.fd_spectrum(mg.split_loops(*parts), 2)
+    assert from_file.values[1] == pytest.approx(fd.values[1], rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from qgbounds import bounds, covers, oracle
 from qgbounds import metric_graph as mg
-from qgbounds.errors import EtaUnavailable, NotSymmetric
+from qgbounds.errors import EtaUnavailable
 from qgbounds.spectral import normalized_laplacian_sym, underlying_weighted
 
 LENGTHS = ("1/2", "1", "3/2", "2")
@@ -156,11 +156,13 @@ def test_subdivided_laplacian_matches_the_subdivided_graph(g, divisor):
 
 
 def test_subdivided_laplacian_of_a_loop():
-    g = mg.MetricGraph(("a", "b"), (mg.Edge("e", "a", "b", Fraction(1)),
+    # a loop of one grid step is built as two half-length edges, so the
+    # coarsest grid already has a vertex inside the loop
+    g = mg.split_loops(("a", "b"), (mg.Edge("e", "a", "b", Fraction(1)),
                                     mg.Edge("l", "a", "a", Fraction(1))))
-    with pytest.raises(NotSymmetric):  # a loop of one step
-        oracle._subdivided_laplacian(g, [1, 1])
+    assert [e.length for e in g.edges] == [1, Fraction(1, 2), Fraction(1, 2)]
     _assert_assembly_is_subdivided_laplacian(g, Fraction(1, 2))
+    _assert_assembly_is_subdivided_laplacian(g, Fraction(1, 4))
 
 
 @st.composite
