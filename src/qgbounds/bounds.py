@@ -15,6 +15,7 @@ import csv
 import io
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -374,8 +375,8 @@ def classical_bounds(g: MetricGraph, k_max: int = 2) -> list[BoundReport]:
         diameter; the exact constant is a reconstruction, so the entry is
         flagged.
     """
-    if k_max < 2:
-        raise BadParameter("k_max must be at least 2", k_max=k_max)
+    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 2:
+        raise BadParameter("k_max must be an integer >= 2", k_max=k_max)
     total = float(g.total_length)
     n_edges = len(g.edges)
 

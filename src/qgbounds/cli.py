@@ -75,8 +75,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    length = None if args.length is None else mg.length_from_json(args.length)
-    g = mg.generate(args.family, length=length, segments=args.segments)
+    g = mg.generate(args.family, length=args.length, segments=args.segments)
     payload = json.dumps(mg.graph_to_json(g), indent=2) + "\n"
     _emit(args, payload)
     return 0

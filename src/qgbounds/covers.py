@@ -71,7 +71,8 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
 
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
-    structural nonsense (unknown edges, duplicate labels, empty cover)."""
+    structural nonsense (unknown edges, duplicate labels, empty cover) and
+    on fold 1, where no element overlaps another."""
     if not cover.elements:
         raise BadSpec("cover has no elements")
     seen = set()
@@ -98,6 +99,10 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         raise NotUniform(
             f"edges are covered between {min(folds)} and {max(folds)} times",
             examples=under[:5])
+    fold = folds.pop()
+    if fold < 2:
+        raise BadSpec(f"a cover needs fold >= 2, got {fold}: every edge lies in "
+                      f"one element only, so no element overlaps another")
     subgraphs = {}
     for lbl, eids in cover.elements:
         try:
@@ -105,7 +110,7 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         except Disconnected:
             raise DisconnectedElement(f"element {lbl!r} is disconnected",
                                       element=lbl) from None
-    return CoverReport(folds.pop(), subgraphs, vicinity_graph(g, cover))
+    return CoverReport(fold, subgraphs, vicinity_graph(g, cover))
 
 
 def _element_length(g: mg.MetricGraph, eids: Iterable) -> mg.Length:
@@ -147,10 +152,7 @@ def proof_identity_residual(g: mg.MetricGraph, cover: Cover) -> float:
             J[pos[lbl], eix[eid]] = 1.0
     M = np.diag([float(e.length) for e in g.edges])
     deg = np.array([float(d) for d in wg.degree_vector()])
-    if np.any(deg <= 0):
-        raise DisconnectedElement(
-            "an element shares no length with any other element")
-    dm = 1.0 / np.sqrt(deg)
+    dm = 1.0 / np.sqrt(deg)  # fold >= 2: every element shares its edges
     G = (dm[:, None] * (J @ M @ J.T)) * dm[None, :]
     lhs = fold * np.eye(n) - (fold - 1) * G
     rhs = (fold - 1) * normalized_laplacian_sym(wg)

@@ -116,10 +116,6 @@ class NotEquilateral(QGraphError):
     pass
 
 
-class CountExceedsBranch(QGraphError):
-    pass
-
-
 class IncommensurableLengths(QGraphError):
     pass
 

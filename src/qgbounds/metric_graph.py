@@ -16,11 +16,13 @@ ends (``UnknownEndpoint``), a loop (``LoopPresent``), no edges
 (``BadParameter``) and more than one component (``Disconnected``).
 Nothing downstream checks them again.
 
-Edge lengths are stored as exact ``fractions.Fraction`` values whenever they
-were given as integers, fraction strings ("3/2") or short decimals, with a
-plain float fallback for everything else (e.g. lengths involving sqrt(5)).
-All combinatorial length arithmetic (totals, overlaps, shortest paths) then
-stays exact on rational inputs.
+Every length, whether passed to a generator or read from a file, goes
+through one coercion, ``as_length``: integers, fraction strings ("3/2"),
+Fractions and short decimals (0.5, 1.25) are stored as exact
+``fractions.Fraction`` values, everything else as a plain float (e.g.
+lengths involving sqrt(5)).  So ``pumpkin(3, 0.5)`` and its JSON round
+trip have the same exact edges.  All combinatorial length arithmetic
+(totals, overlaps, shortest paths) then stays exact on rational inputs.
 
 JSON serialization format::
 
@@ -66,41 +68,26 @@ _MAX_DECIMAL_DEN = 10**6
 
 
 def as_length(x) -> Length:
-    """Coerce x to a Length: exact Fraction for int/str/Fraction, float otherwise."""
+    """Coerce a length given in Python or read from JSON: ints, "p/q"
+    strings, Fractions and short decimals (floats whose shortest decimal
+    has a denominator up to 10^6, such as 0.5) become exact Fractions; any
+    other float stays a float, for ``Edge`` to judge."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise BadParameter("boolean is not a length")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParameter(f"cannot parse length {x!r}") from exc
     if isinstance(x, float):
+        if math.isfinite(x):
+            exact = Fraction(str(x))
+            if exact.denominator <= _MAX_DECIMAL_DEN:
+                return exact
         return x
     raise BadParameter(f"cannot interpret {x!r} as a length")
-
-
-def length_from_json(raw) -> Length:
-    """Decode a JSON length: ints and short decimals become exact rationals."""
-    if isinstance(raw, bool):
-        raise ParseError("boolean is not a length")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse length {raw!r}") from exc
-    if isinstance(raw, float):
-        try:
-            exact = Fraction(str(raw))
-        except ValueError:  # Infinity and NaN have no exact value
-            raise ParseError(f"length {raw} is not a finite number") from None
-        return exact if exact.denominator <= _MAX_DECIMAL_DEN else raw
-    raise ParseError(f"cannot interpret {raw!r} as a length")
 
 
 def id_from_json(raw, item: str):
@@ -800,8 +787,8 @@ def graph_from_json(data) -> MetricGraph:
             raise ParseError(f"edge {eid!r}: 'ends' must be a pair")
         ends = [id_from_json(w, f"an end of edge {eid!r}") for w in ends]
         try:
-            ell = length_from_json(raw_len)
-        except ParseError as exc:
+            ell = as_length(raw_len)
+        except BadParameter as exc:
             raise ParseError(f"edge {eid!r}: {exc}", edge=eid) from exc
         edges.append((eid, ends[0], ends[1], ell))
     rotation = None

@@ -3,13 +3,17 @@ graphs.
 
 Two independent routes:
 
-* an exact transcendental route for equilateral graphs (eigenvalues below
-  the first branch threshold correspond one-to-one to discrete normalized
-  Laplacian eigenvalues, von Below 1985), extended to rational edge lengths
-  by cutting every edge into l_e/h steps of a common grid h, which leaves
-  the metric space and hence the spectrum untouched.  No subdivided graph
-  is built: the normalized Laplacian of its vertex graph is assembled
-  straight from the edge list and the integer step counts;
+* one exact route, ``subdivision_spectrum``: every edge is cut into l_e/h
+  steps of a common grid h, which leaves the metric space and hence the
+  spectrum untouched, and below the first branch threshold (pi/h)^2 the
+  eigenvalues correspond one-to-one to the normalized Laplacian
+  eigenvalues of the subdivided vertex graph (von Below 1985).  The grid is
+  the gcd of rational edge lengths, halved until enough eigenvalues lie
+  below the threshold, or pinned by the caller; ``von_below_spectrum`` is
+  the route pinned at the common length of an equilateral graph, rational
+  or float.  No subdivided graph is built: the normalized Laplacian of its
+  vertex graph is assembled straight from the edge list and the integer
+  step counts;
 
 * a finite-element route (piecewise linear, lumped mass) with Richardson
   extrapolation over a halved mesh, for arbitrary lengths and as a genuinely
@@ -28,6 +32,7 @@ agreement between them is meaningful.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +43,6 @@ import numpy as np
 from . import metric_graph as mg
 from .errors import (
     BadParameter,
-    CountExceedsBranch,
     IncommensurableLengths,
     MeshTooCoarse,
     NoConvergence,
@@ -86,7 +90,7 @@ class SpectrumResult:
     def gap(self) -> float:
         """Second eigenvalue (the spectral gap for connected graphs)."""
         if len(self.values) < 2:
-            raise CountExceedsBranch("need at least two eigenvalues for a gap")
+            raise BadParameter("need at least two eigenvalues for a gap")
         return self.values[1]
 
     def __getitem__(self, i: int) -> float:
@@ -103,8 +107,8 @@ class SpectrumResult:
 
 
 def _check_count(count) -> None:
-    if count < 1:
-        raise BadParameter(f"need at least one eigenvalue, got count={count}")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise BadParameter(f"count must be an integer >= 1, got {count!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,101 +137,75 @@ def _subdivided_laplacian(g: mg.MetricGraph, steps) -> np.ndarray:
     return normalized_laplacian_indexed(range(n), segments)
 
 
-def _below_branch(g: mg.MetricGraph, steps, ell: float, count: Optional[int]):
-    """The eigenvalues of g below the first branch threshold (pi/ell)^2,
-    where edge e is cut into steps[e] segments of length ell, and the meta
-    keys threshold, edge_length and discrete_size.
-
-    Every eigenvalue lambda < (pi/ell)^2 equals (arccos(1 - alpha) / ell)^2
-    for exactly one normalized eigenvalue alpha, with matching
-    multiplicities.  Discrete eigenvalues within _BRANCH_EPS of 2 map to
-    the threshold itself and are excluded.  With count=None returns
-    everything below the threshold, otherwise exactly count values or
-    raises CountExceedsBranch."""
-    L = _subdivided_laplacian(g, steps)
-    alphas = eigenvalues_sym(L)
-    threshold = (math.pi / ell) ** 2
-    values = []
-    for a in alphas.values:
-        a = min(max(a, 0.0), 2.0)
-        if a > 2.0 - _BRANCH_EPS:
-            continue
-        values.append((math.acos(1.0 - a) / ell) ** 2)
-    values.sort()
-    if values:
-        values[0] = 0.0  # alpha_1 = 0 exactly on a connected graph
-    if count is not None:
-        if len(values) < count:
-            raise CountExceedsBranch(
-                f"only {len(values)} eigenvalues lie below the branch "
-                f"threshold {threshold:.6g}, need {count}",
-                available=len(values))
-        values = values[:count]
-    return tuple(values), {"threshold": threshold, "edge_length": ell,
-                           "discrete_size": len(L)}
-
-
-def von_below_spectrum(g: mg.MetricGraph,
-                       count: Optional[int] = None) -> SpectrumResult:
-    """All Laplacian eigenvalues below the first branch threshold of an
-    equilateral graph, via the normalized spectrum of its vertex graph
-    (von Below 1985; parallel edges add weight).  Eigenvalues at the
-    threshold are left out; the subdivision route recovers them on a finer
-    grid.  With count=None returns everything below the threshold,
-    otherwise exactly count values or raises CountExceedsBranch."""
-    if count is not None:
-        _check_count(count)
-    ell = float(equilateral_length(g))
-    values, meta = _below_branch(g, [1] * len(g.edges), ell, count)
-    return SpectrumResult(values, "von_below", meta)
-
-
 def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
-                         h: Optional[Fraction] = None) -> SpectrumResult:
-    """Exact spectrum for rational edge lengths.
+                         h: Optional[mg.Length] = None) -> SpectrumResult:
+    """The first count eigenvalues, exactly, by cutting every edge into
+    steps of a common grid h.
 
-    Cuts every edge into steps of a common grid h; degree-2 points do not
-    change the metric space, so the equilateral result applies verbatim.
-    With no explicit ``h`` the grid starts at the gcd of the edge lengths
-    and is halved until at least count eigenvalues sit strictly below the
-    branch threshold (pi/h)^2.  An explicit ``h`` must divide every edge
-    length and is used as-is; if the threshold then cuts off the requested
-    eigenvalues, ThresholdExceeded asks for a smaller h.
+    Degree-2 points do not change the metric space, so von Below's
+    relation applies to the subdivided graph: every eigenvalue
+    lambda < (pi/h)^2 equals (arccos(1 - alpha) / h)^2 for exactly one
+    normalized eigenvalue alpha of its vertex graph, with matching
+    multiplicities.  Discrete eigenvalues within _BRANCH_EPS of 2 map to the
+    threshold itself and are left out.  With no explicit ``h`` the grid
+    starts at the gcd of the (rational) edge lengths and is halved until
+    count eigenvalues sit strictly below the threshold.  An explicit ``h``,
+    rational or float, must divide every edge length exactly and is used
+    as-is; if the threshold then cuts off the requested eigenvalues,
+    ThresholdExceeded asks for a smaller h.
     """
     _check_count(count)
-    if not all(isinstance(e.length, Fraction) for e in g.edges):
-        raise IncommensurableLengths(
-            "subdivision needs exact rational edge lengths")
     pinned = h is not None
     if pinned:
-        h = Fraction(h)
-        if h <= 0:
-            raise BadParameter(f"grid must be positive, got {h}")
+        if not 0 < h < math.inf:
+            raise BadParameter(f"grid must be finite and positive, got {h}")
+        grid = Fraction(h)  # the exact value of a float h
         for e in g.edges:
-            if (e.length / h).denominator != 1:
+            if (Fraction(e.length) / grid).denominator != 1:
                 raise IncommensurableLengths(
                     f"grid {h} does not divide edge {e.id} of length {e.length}")
+    elif all(isinstance(e.length, Fraction) for e in g.edges):
+        h = grid = mg.rational_gcd([e.length for e in g.edges])
     else:
-        h = mg.rational_gcd([e.length for e in g.edges])
+        raise IncommensurableLengths("subdivision needs exact rational edge lengths")
     while True:  # each halving adds vertices until the cap stops it
-        steps = [int(e.length / h) for e in g.edges]
+        # grid divides every length, so a float quotient is exact as well
+        steps = [int(e.length / grid) for e in g.edges]
         n_vertices = len(g.vertices) + sum(steps) - len(steps)
         if n_vertices > _MATRIX_CAP:
             raise TooLarge(
                 f"subdivision at grid {h} needs {n_vertices} vertices "
                 f"(cap {_MATRIX_CAP})")
-        try:
-            values, meta = _below_branch(g, steps, float(h), count)
-        except CountExceedsBranch as exc:
-            if pinned:
-                raise ThresholdExceeded(
-                    f"grid {h} certifies only eigenvalues below (pi/h)^2; "
-                    f"shrink h to expose {count}",
-                    grid=str(h), **exc.context) from None
-            h = h / 2
-            continue
-        meta.update({"grid": str(h), "subdivided_vertices": n_vertices})
-        return SpectrumResult(values, "subdivision", meta)
+        ell = float(grid)
+        values = []
+        for a in eigenvalues_sym(_subdivided_laplacian(g, steps)).values:
+            a = min(max(a, 0.0), 2.0)
+            if a <= 2.0 - _BRANCH_EPS:
+                values.append((math.acos(1.0 - a) / ell) ** 2)
+        values.sort()
+        threshold = (math.pi / ell) ** 2
+        if len(values) >= count:
+            values[0] = 0.0  # alpha_1 = 0 exactly on a connected graph
+            return SpectrumResult(tuple(values[:count]), "subdivision", {
+                "threshold": threshold, "grid": str(h),
+                "subdivided_vertices": n_vertices})
+        if pinned:
+            raise ThresholdExceeded(
+                f"only {len(values)} eigenvalues lie below the branch threshold "
+                f"(pi/h)^2 = {threshold:.6g} at grid {h}; shrink h to expose {count}",
+                available=len(values), grid=str(h))
+        h = grid = grid / 2
+
+
+def von_below_spectrum(g: mg.MetricGraph, count: int = 6) -> SpectrumResult:
+    """The first count eigenvalues of an equilateral graph (von Below 1985):
+    the subdivision route pinned at the common edge length, rational or
+    float, so the normalized spectrum of the graph's own vertex graph
+    (parallel edges add weight) gives them.  Eigenvalues at or past the
+    branch threshold raise ThresholdExceeded; the subdivision route
+    reaches them on a finer grid."""
+    res = subdivision_spectrum(g, count, h=equilateral_length(g))
+    return SpectrumResult(res.values, "von_below", res.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +388,7 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
         if all(isinstance(e.length, Fraction) for e in g.edges):
             if mesh is not None:
                 try:
-                    return subdivision_spectrum(g, count, h=_as_grid(mesh))
+                    return subdivision_spectrum(g, count, h=mg.as_length(mesh))
                 except IncommensurableLengths:
                     return fd_spectrum(g, count, mesh=mesh)
             try:
@@ -421,18 +399,11 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
     if method == "von_below":
         return von_below_spectrum(g, count)
     if method == "subdivision":
-        h = None if mesh is None else _as_grid(mesh)
+        h = None if mesh is None else mg.as_length(mesh)
         return subdivision_spectrum(g, count, h=h)
     if method == "fd":
         return fd_spectrum(g, count, mesh=mesh)
     raise UnknownKind(f"unknown oracle method {method!r}")
-
-
-def _as_grid(mesh) -> Fraction:
-    try:
-        return Fraction(str(mesh)) if isinstance(mesh, float) else Fraction(mesh)
-    except (ValueError, ZeroDivisionError):
-        raise BadParameter(f"cannot use {mesh!r} as a rational grid") from None
 
 
 # ---------------------------------------------------------------------------

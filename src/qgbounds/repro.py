@@ -236,7 +236,7 @@ def _case_chain_342() -> list:
 
 
 def _case_four_pumpkin(a) -> list:
-    exact = a if isinstance(a, Fraction) else None
+    g = mg.four_pumpkin(a)
     a = float(a)
     case = f"four_pumpkin({a:g})"
     fp = bounds.four_pumpkin_bounds(a)
@@ -263,9 +263,6 @@ def _case_four_pumpkin(a) -> list:
                     "PASS" if ok else "FAIL",
                     f"better={fp.better}, crossover at 2+sqrt5"))
 
-    if exact is None and a.is_integer():
-        exact = Fraction(int(a))
-    g = mg.four_pumpkin(exact if exact is not None else a)
     res = oracle.spectrum(g, count=2)
     tol = 1e-6 if res.method == "subdivision" else 1e-3
     rows.append(_check(case, "gap", res.gap, PI2 / (a * a), tol,

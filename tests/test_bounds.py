@@ -273,8 +273,9 @@ def test_classical_bounds_drop_band_levy_on_bridges():
     methods = {r.method for r in bounds.classical_bounds(mg.path_graph(1))}
     assert "band_levy" not in methods
     assert {"friedlander", "nicaise", "kennedy_style"} <= methods
-    with pytest.raises(BadParameter):
-        bounds.classical_bounds(mg.path_graph(1), k_max=1)
+    for k_max in (1, 2.5, True):
+        with pytest.raises(BadParameter):
+            bounds.classical_bounds(mg.path_graph(1), k_max=k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ def test_gen_cycle_segments(tmp_path, capsys):
     (["pumpkin:3", "--segments", "2"], "BadParameter"),
     (["path:3", "--segments", "4"], "BadParameter"),
     (["moebius:3", "--length", "2"], "UnknownFamily"),
+    (["pumpkin:3", "--length", "abc"], "BadParameter"),
 ])
 def test_gen_rejects_options_the_family_does_not_take(capsys, argv, error):
     code, out, err = invoke(capsys, "gen", *argv)
@@ -144,6 +145,13 @@ def test_bounds_cover_from_file(tetra_file, tmp_path, capsys):
     info = json.loads(err)
     assert info["error"] == "ParseError"
     assert info["context"]["line"] == 2
+
+    # each edge in one element only: fold 1
+    cov.write_text(json.dumps({"name": "halves", "elements": {
+        "a": ["e0", "e1", "e2"], "b": ["e3", "e4", "e5"]}}))
+    code, out, err = invoke(capsys, "bounds", tetra_file, "--cover", f"file:{cov}")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BadSpec"
 
 
 def test_bounds_copies_with_oracle_eta(tetra_file, capsys):
@@ -246,8 +254,8 @@ def test_oracle_branch_overflow(tetra_file, capsys):
                           "--method", "von_below")
     assert code == 1
     info = json.loads(err)
-    assert info["error"] == "CountExceedsBranch"
-    assert info["context"]["available"] == 4
+    assert info["error"] == "ThresholdExceeded"
+    assert info["context"] == {"available": 4, "grid": "1"}
 
 
 @pytest.mark.parametrize("method", ["auto", "von_below", "subdivision", "fd"])

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgbounds import covers
+from qgbounds import bounds, covers
 from qgbounds import metric_graph as mg
 from qgbounds.errors import (
     BadParameter,
@@ -300,6 +300,18 @@ def test_proof_identity_residual_validates_the_cover():
         covers.proof_identity_residual(g, split)
 
 
+def test_a_fold_one_cover_is_refused():
+    # every edge of the tetrahedron lies in exactly one of the two halves,
+    # so neither half overlaps the other
+    g = corpus_graph("tetrahedron")
+    halves = covers.Cover("halves", (("a", ("e0", "e1", "e2")),
+                                     ("b", ("e3", "e4", "e5"))))
+    for call in (covers.validate_cover, covers.proof_identity_residual,
+                 bounds.transfer_bound):
+        with pytest.raises(BadSpec, match="fold >= 2"):
+            call(g, halves)
+
+
 def test_vicinity_graph_has_no_self_overlap():
     g = corpus_graph("icosahedron")
     gamma = covers.vicinity_graph(g, covers.face_cover(g))
@@ -307,16 +319,20 @@ def test_vicinity_graph_has_no_self_overlap():
 
 
 def test_vicinity_weights_do_not_depend_on_the_hash_seed():
-    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+    # thirds and ninths are no short decimals, so they stay floats, and
+    # summed in two orders they differ in the last bit
+    a, b, c = 1 / 3, 2 / 3, 1 / 9
+    assert a + b + c != c + b + a
+    assert all(isinstance(e.length, float) for e in mg.pumpkin(3, [a, b, c]).edges)
     code = ("from qgbounds import covers, metric_graph as mg\n"
-            "g = mg.pumpkin(3, [0.1, 0.2, 0.3])\n"
+            f"g = mg.pumpkin(3, {[a, b, c]!r})\n"
             "print(repr(covers.vicinity_graph(g, covers.star_cover(g)).edges[0][2]))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(covers.__file__)))
     for seed in ("0", "3"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == repr(0.1 + 0.2 + 0.3), seed
+        assert out.stdout.strip() == repr(a + b + c), seed
 
 
 # ---------------------------------------------------------------------------

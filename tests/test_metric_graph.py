@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qgbounds import metric_graph as mg
+from qgbounds import oracle
 from qgbounds.errors import (
     BadParameter,
     BadSpec,
@@ -33,8 +34,13 @@ def test_as_length_exact_kinds():
     assert mg.as_length(2) == Fraction(2)
     assert mg.as_length("3/2") == Fraction(3, 2)
     assert mg.as_length(Fraction(7, 3)) == Fraction(7, 3)
-    got = mg.as_length(0.75)
-    assert isinstance(got, float) and got == 0.75
+    # short decimals are exact, any other float stays a float for Edge to judge
+    assert mg.as_length(0.75) == Fraction(3, 4)
+    assert mg.as_length(1e-6) == Fraction(1, 10**6)
+    for x in (1 / 3, 1e-7, math.sqrt(2), math.inf):
+        got = mg.as_length(x)
+        assert isinstance(got, float) and got == x
+    assert math.isnan(mg.as_length(math.nan))
 
 
 @pytest.mark.parametrize("bad", [True, "abc", "1/0", object()])
@@ -46,16 +52,9 @@ def test_as_length_rejects(bad):
 def test_length_json_round_trip():
     assert mg.length_to_json(Fraction(3, 2)) == "3/2"
     assert mg.length_to_json(Fraction(4)) == 4
-    assert mg.length_from_json("3/2") == Fraction(3, 2)
-    assert mg.length_from_json(4) == Fraction(4)
-    # short decimals decode exactly, long ones stay floats
-    assert mg.length_from_json(0.5) == Fraction(1, 2)
-    third = mg.length_from_json(1 / 3)
-    assert isinstance(third, float)
-    with pytest.raises(ParseError):
-        mg.length_from_json(True)
-    with pytest.raises(ParseError):
-        mg.length_from_json("??")
+    for x in (Fraction(3, 2), Fraction(4), Fraction(1, 2), 1 / 3, math.sqrt(2)):
+        back = mg.as_length(json.loads(json.dumps(mg.length_to_json(x))))
+        assert back == x and type(back) is type(x)
 
 
 @pytest.mark.parametrize("values, want", [
@@ -373,6 +372,31 @@ def test_graph_json_round_trip(name):
             assert new.length == pytest.approx(old.length, abs=0, rel=1e-15)
     if g.rotation is not None:
         assert len(mg.faces(back)) == len(mg.faces(g))
+
+
+# one builder per generator family, at a given length
+FAMILY_AT = {
+    "platonic": lambda x: mg.platonic("cube", x),
+    "pumpkin": lambda x: mg.pumpkin(3, x),
+    "four_pumpkin": lambda x: mg.four_pumpkin(1 + x),
+    "pumpkin_chain": lambda x: mg.pumpkin_chain((3, 2, 4), x),
+    "cycle": lambda x: mg.cycle_graph(x, 3),
+    "path": mg.path_graph,
+    "star": lambda x: mg.star_graph([x, 1, x]),
+}
+
+
+@pytest.mark.parametrize("length", [2, 0.5, math.sqrt(2)],
+                         ids=["integer", "short_decimal", "irrational"])
+@pytest.mark.parametrize("family", sorted(FAMILY_AT))
+def test_a_generated_graph_survives_its_json_round_trip(family, length):
+    g = FAMILY_AT[family](length)
+    back = mg.graph_from_json(json.loads(json.dumps(mg.graph_to_json(g))))
+    assert back.edges == g.edges
+    assert [type(e.length) for e in back.edges] == [type(e.length) for e in g.edges]
+    res, res_back = oracle.spectrum(g, 3), oracle.spectrum(back, 3)
+    assert res.method == res_back.method
+    assert res.values == res_back.values
 
 
 def test_graph_from_json_splits_loops():

@@ -16,7 +16,6 @@ from qgbounds import metric_graph as mg
 from qgbounds import oracle
 from qgbounds.errors import (
     BadParameter,
-    CountExceedsBranch,
     Disconnected,
     IncommensurableLengths,
     MeshTooCoarse,
@@ -52,11 +51,12 @@ def test_von_below_gaps_match_closed_forms(name, gap):
 
 def test_von_below_branch_budget():
     g = mg.platonic("icosahedron")
-    full = oracle.von_below_spectrum(g)
+    full = oracle.von_below_spectrum(g, 12)
     assert len(full.values) == 12  # discrete spectrum stays below 2 entirely
-    with pytest.raises(CountExceedsBranch) as exc:
+    with pytest.raises(ThresholdExceeded) as exc:
         oracle.von_below_spectrum(g, 13)
     assert exc.value.context["available"] == 12
+    assert exc.value.context["grid"] == "1"
 
 
 def test_von_below_rejects():
@@ -111,19 +111,21 @@ def test_dummy_vertices_do_not_change_the_spectrum():
 
 
 def test_equilateral_pumpkin_gap():
-    for ell in (Fraction(1), Fraction(1, 2)):
+    # a short decimal such as 0.5 is as exact as Fraction(1, 2)
+    for ell in (Fraction(1), Fraction(1, 2), 0.5):
         g = mg.pumpkin(3, [ell] * 3)
         res = oracle.subdivision_spectrum(g, 2)
         assert res.gap == pytest.approx(
-            oracle.analytic_gap(f"equilateral_pumpkin(3,{ell})"), abs=1e-9)
+            oracle.analytic_gap(f"equilateral_pumpkin(3,{ell})"), abs=1e-12)
 
 
 def test_pinned_grid_must_divide():
     g = mg.platonic("tetrahedron")
     with pytest.raises(IncommensurableLengths):
         oracle.subdivision_spectrum(g, 2, h=Fraction(2, 5))
-    with pytest.raises(BadParameter):
-        oracle.subdivision_spectrum(g, 2, h=Fraction(0))
+    for h in (Fraction(0), math.inf, math.nan):
+        with pytest.raises(BadParameter):
+            oracle.subdivision_spectrum(g, 2, h=h)
     with pytest.raises(IncommensurableLengths):
         oracle.subdivision_spectrum(mg.four_pumpkin(2 + math.sqrt(5)), 2)
 
@@ -297,7 +299,7 @@ def test_explicit_methods_and_unknown():
         oracle.spectrum(mg.pumpkin(2, [1, 2]), 2, method="von_below")
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
 @pytest.mark.parametrize("call", [
     lambda g, n: oracle.spectrum(g, n),
     lambda g, n: oracle.spectrum(g, n, method="fd"),
@@ -336,7 +338,7 @@ def test_result_shape():
     data = res.to_json()
     assert data["method"] == res.method
     assert data["values"] == list(res.values)
-    with pytest.raises(CountExceedsBranch):
+    with pytest.raises(BadParameter):
         oracle.SpectrumResult((0.0,), "stub").gap
 
 

@@ -8,11 +8,17 @@ the notes embedded in the rows), while every other case passes clean.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
-from qgbounds import repro
+from qgbounds import cli, repro
 from qgbounds.errors import BadParameter, UnknownFamily
+
+# `qgb repro --format json` as committed; a change that moves values by
+# design regenerates it with
+#   PYTHONPATH=src python3 -m qgbounds.cli repro --format json -o tests/repro_golden.json
+GOLDEN = Path(__file__).resolve().parent / "repro_golden.json"
 
 EXPECTED_FAILING_ROWS = {
     ("chain_324", "layered.alpha2"),
@@ -31,6 +37,13 @@ def test_run_all_covers_every_case():
     assert {r.status for r in rows} <= {"PASS", "FAIL", "INFO"}
     failing = {(r.case, r.row) for r in rows if r.status == "FAIL"}
     assert failing == EXPECTED_FAILING_ROWS
+
+
+def test_repro_json_is_byte_identical_to_the_golden_file(capsys):
+    code = cli.run(["repro", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1  # the FAIL rows above
+    assert out.encode() == GOLDEN.read_bytes()
 
 
 def test_rounded_figure_that_survives():
