@@ -35,7 +35,7 @@ from .metric_graph import (
     is_star_graph,
     metric_diameter,
 )
-from .spectral import normalized_spectrum
+from .spectral import eigenvalues_sym
 
 _log = logging.getLogger(__name__)
 
@@ -194,8 +194,8 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
     if eta not in ETA_STRATEGIES:
         raise BadParameter("unknown eta strategy", eta=eta, known=sorted(ETA_STRATEGIES))
     analysis = validate_cover(g, cover)
-    fold, gamma = analysis.fold, analysis.vicinity
-    alpha = normalized_spectrum(gamma).values
+    fold = analysis.fold
+    alpha = eigenvalues_sym(analysis.laplacian()).values
 
     strategy = ETA_STRATEGIES[eta]
     eta_per_element = {}
@@ -211,7 +211,7 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
     flags = []
     if eta == "oracle":
         flags.append("numerically_assisted")
-    if not gamma.is_connected():
+    if not analysis.connected:
         flags.append("disconnected_vicinity")
 
     prefactor = (fold - 1) / fold * eta_value

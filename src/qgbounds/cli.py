@@ -198,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "oracle" and args.method == "von_below" and args.mesh is not None:
+        parser.error("--mesh does not apply to --method von_below, whose grid is "
+                     "the common edge length")
     try:
         return args.fn(args)
     except QGraphError as exc:

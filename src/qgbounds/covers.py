@@ -6,6 +6,14 @@ vicinity graph has one vertex per element and connects two elements by the
 total length of the edges they share.  Everything downstream (transference
 bounds) consumes covers only through this module.
 
+A rational graph is analysed on its integer grid (``MetricGraph.grid``):
+with J the 0/1 element x edge incidence and k the edges' step counts,
+the shared lengths are W = (J k) J^T in steps, the element lengths its
+diagonal J k, and the vicinity degrees (m-1) J k.  Each becomes a float
+once, as the correctly rounded w p / q, so no fraction is ever summed.
+On a graph with a float length the shared lengths are summed as
+numbers, in the first element's own edge order.
+
 Cover JSON format::
 
     {"name": "...", "elements": {"label": ["e0", "e3", ...], ...}}
@@ -17,10 +25,10 @@ recomputed from the data, never trusted from a file.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +42,14 @@ from .errors import (
     NotUniform,
     ParseError,
 )
-from .spectral import WeightedGraph, normalized_laplacian_sym, reduce_multigraph
+from .spectral import (
+    WeightedGraph,
+    normalized_laplacian_dense,
+    normalized_laplacian_sym,
+    reduce_multigraph,
+)
+
+_EXACT_FLOAT = 2**53  # integers below it are exact as floats
 
 
 @dataclass(frozen=True)
@@ -56,18 +71,62 @@ class Cover:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """A valid cover's fold, element subgraphs (label -> MetricGraph) and
-    vicinity graph."""
+    """A valid cover's fold, element subgraphs (label -> MetricGraph, in
+    cover order) and overlap matrix: ``overlap[i, j]`` is the length that
+    elements i and j share, and ``overlap[i, i]`` element i's length.  On
+    a rational graph the overlaps are integer steps of ``grid`` (int64, or
+    Python ints where int64 could overflow); otherwise ``grid`` is None
+    and they are the lengths themselves."""
 
     fold: int
     subgraphs: dict
-    vicinity: WeightedGraph
+    overlap: np.ndarray
+    grid: Optional[mg.Grid]
+
+    def floats(self, steps: np.ndarray) -> np.ndarray:
+        """Overlaps, or integer combinations of them, as float lengths: on
+        the grid the correctly rounded steps * p / q of each entry."""
+        if self.grid is None:
+            return steps.astype(float)
+        p, q = self.grid.p, self.grid.q
+        if q < _EXACT_FLOAT and max(int(steps.max()), 1) * p < _EXACT_FLOAT:
+            return steps.astype(float) * p / q  # exact up to the one division
+        return (steps.astype(object) * p / q).astype(float)  # in Python ints
+
+    def laplacian(self) -> np.ndarray:
+        """Symmetric normalized Laplacian of the vicinity graph.  On the
+        grid its weights are the off-diagonal overlaps and its degrees
+        (m-1) times the element lengths; otherwise it is the vicinity
+        graph's own."""
+        if self.grid is None:
+            return normalized_laplacian_sym(self.vicinity)
+        shared = self.overlap.copy()
+        np.fill_diagonal(shared, 0)
+        degrees = (self.fold - 1) * self.overlap.diagonal()
+        return normalized_laplacian_dense(self.floats(shared), self.floats(degrees))
+
+    @property
+    def connected(self) -> bool:
+        """Whether the vicinity graph is connected."""
+        rows, cols = np.nonzero(self.overlap)
+        pairs = zip(rows.tolist(), cols.tolist())
+        return len(mg.connected_components(range(len(self.overlap)), pairs)) <= 1
+
+    @cached_property
+    def vicinity(self) -> WeightedGraph:
+        """The vicinity graph, with exact weights on the grid."""
+        labels = tuple(self.subgraphs)
+        weight = self.grid.length if self.grid is not None else (lambda w: w)
+        w = self.overlap.tolist()  # Python ints on the grid
+        raw = [(labels[i], labels[j], weight(w[i][j]))
+               for i, j in itertools.combinations(range(len(labels)), 2) if w[i][j]]
+        return reduce_multigraph(labels, raw)
 
 
 def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     """Check the fold is uniform and build each element's subgraph, which
     refuses a disconnected element; return the fold, the element subgraphs
-    and the vicinity graph.
+    and the overlaps.
 
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
@@ -75,8 +134,10 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     on fold 1, where no element overlaps another."""
     if not cover.elements:
         raise BadSpec("cover has no elements")
+    index = {e.id: c for c, e in enumerate(g.edges)}
     seen = set()
-    for lbl, eids in cover.elements:
+    rows, cols = [], []
+    for r, (lbl, eids) in enumerate(cover.elements):
         if lbl in seen:
             raise BadSpec(f"duplicate element label {lbl!r}", element=lbl)
         seen.add(lbl)
@@ -85,77 +146,89 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         if len(set(eids)) != len(eids):
             raise BadSpec(f"element {lbl!r} repeats an edge", element=lbl)
         for eid in eids:
-            if eid not in g.edge_map:
+            if eid not in index:
                 raise BadSpec(
                     f"element {lbl!r} references unknown edge {eid!r}",
                     element=lbl, edge=eid)
-    counts = {e.id: 0 for e in g.edges}
-    for _, eids in cover.elements:
-        for eid in eids:
-            counts[eid] += 1
-    folds = set(counts.values())
-    if len(folds) != 1:
-        under = sorted((str(e) for e, c in counts.items() if c == min(folds)))
-        raise NotUniform(
-            f"edges are covered between {min(folds)} and {max(folds)} times",
-            examples=under[:5])
-    fold = folds.pop()
+            rows.append(r)
+            cols.append(index[eid])
+    J = np.zeros((len(cover), len(g.edges)), dtype=np.int64)
+    J[rows, cols] = 1
+    counts = J.sum(axis=0)
+    fold, most = int(counts.min()), int(counts.max())
+    if fold != most:
+        under = sorted(str(e.id) for e, c in zip(g.edges, counts) if c == fold)
+        raise NotUniform(f"edges are covered between {fold} and {most} times",
+                         examples=under[:5])
     if fold < 2:
         raise BadSpec(f"a cover needs fold >= 2, got {fold}: every edge lies in "
                       f"one element only, so no element overlaps another")
+    grid = g.grid
+    if grid is not None:
+        # every entry, and every sum on the way, is at most m times the
+        # total step count
+        small = fold * sum(grid.steps) < 2**63
+        k = np.array(grid.steps, dtype=np.int64 if small else object)
+        overlap = (J * k) @ J.T
+    else:
+        overlap = _shared_lengths(g, cover)
     subgraphs = {}
-    for lbl, eids in cover.elements:
+    for (lbl, eids), size in zip(cover.elements, overlap.diagonal().tolist()):
         try:
-            subgraphs[lbl] = mg.subgraph(g, eids)
+            sub = mg.subgraph(g, eids)
         except Disconnected:
             raise DisconnectedElement(f"element {lbl!r} is disconnected",
                                       element=lbl) from None
-    return CoverReport(fold, subgraphs, vicinity_graph(g, cover))
+        if grid is not None:  # its length is J k: no fraction is summed
+            vars(sub)["total_length"] = grid.length(size)
+        subgraphs[lbl] = sub
+    return CoverReport(fold, subgraphs, overlap, grid)
 
 
-def _element_length(g: mg.MetricGraph, eids: Iterable) -> mg.Length:
-    return sum((g.edge(eid).length for eid in eids), start=Fraction(0))
+def _shared_lengths(g: mg.MetricGraph, cover: Cover) -> np.ndarray:
+    """Shared lengths of a graph with a float length, each added up left to
+    right in the first element's own edge order, never in set order, so
+    that they do not depend on the hash seed."""
+    sets = [cover.edge_sets[lbl] for lbl in cover.labels]
+    out = np.zeros((len(sets), len(sets)), dtype=object)
+    for i, (_, eids) in enumerate(cover.elements):
+        for j in range(i, len(sets)):
+            shared = [g.edge_map[eid].length for eid in eids if eid in sets[j]]
+            if shared:
+                out[i, j] = out[j, i] = reduce(operator.add, shared)
+    return out
 
 
 def vicinity_graph(g: mg.MetricGraph, cover: Cover) -> WeightedGraph:
     """Weighted graph on cover elements; weight = total shared edge length.
 
-    Shared lengths are summed in the first element's own edge order, never
-    in set order, so float weights do not depend on the hash seed."""
-    sets = cover.edge_sets
-    raw = [(a, b, _element_length(g, shared))
-           for (a, ea), (b, _) in itertools.combinations(cover.elements, 2)
-           if (shared := [eid for eid in ea if eid in sets[b]])]
-    return reduce_multigraph(cover.labels, raw)
+    A view of :func:`validate_cover`'s overlaps, so the cover is checked
+    first; weights are exact on rational graphs."""
+    return validate_cover(g, cover).vicinity
 
 
-def proof_identity_residual(g: mg.MetricGraph, cover: Cover) -> float:
+def proof_identity_residual(g: mg.MetricGraph, cover: Cover,
+                            vicinity: WeightedGraph) -> float:
     """Entrywise residual of the algebraic identity behind the transference
-    bound.
+    bound, between the cover's overlaps and a vicinity graph built some
+    other way.
 
     With incidence matrix J (elements x edges), edge-length diagonal M,
-    vicinity degree diagonal D and fold m, the matrix
-    m*I - (m-1) * D^{-1/2} J M J^T D^{-1/2} must equal (m-1) times the
-    symmetric normalized vicinity Laplacian.  Returns the maximum absolute
-    entry of the difference; exact covers land at rounding error.  The
-    cover is validated first, so a malformed cover raises as in
-    :func:`validate_cover`."""
+    the vicinity graph's degree diagonal D and fold m, the matrix
+    m*I - (m-1) * D^{-1/2} J M J^T D^{-1/2} must equal (m-1) times its
+    symmetric normalized Laplacian.  J M J^T is the cover's overlap
+    matrix.  Returns the maximum absolute entry of the difference; exact
+    covers land at rounding error.  The cover is validated first, so a
+    malformed cover raises as in :func:`validate_cover`."""
     rep = validate_cover(g, cover)
-    fold, wg = rep.fold, rep.vicinity
-    pos = {lbl: k for k, lbl in enumerate(wg.vertices)}
-    n = len(wg.vertices)
-    edge_ids = [e.id for e in g.edges]
-    eix = {eid: k for k, eid in enumerate(edge_ids)}
-    J = np.zeros((n, len(edge_ids)))
-    for lbl, eids in cover.elements:
-        for eid in eids:
-            J[pos[lbl], eix[eid]] = 1.0
-    M = np.diag([float(e.length) for e in g.edges])
-    deg = np.array([float(d) for d in wg.degree_vector()])
+    fold = rep.fold
+    pos = [vicinity.index[lbl] for lbl in rep.subgraphs]
+    gram = rep.floats(rep.overlap)
+    deg = np.array([float(d) for d in vicinity.degree_vector])[pos]
     dm = 1.0 / np.sqrt(deg)  # fold >= 2: every element shares its edges
-    G = (dm[:, None] * (J @ M @ J.T)) * dm[None, :]
-    lhs = fold * np.eye(n) - (fold - 1) * G
-    rhs = (fold - 1) * normalized_laplacian_sym(wg)
+    G = (dm[:, None] * gram) * dm[None, :]
+    lhs = fold * np.eye(len(pos)) - (fold - 1) * G
+    rhs = (fold - 1) * normalized_laplacian_sym(vicinity)[np.ix_(pos, pos)]
     return float(np.abs(lhs - rhs).max())
 
 

@@ -16,13 +16,17 @@ ends (``UnknownEndpoint``), a loop (``LoopPresent``), no edges
 (``BadParameter``) and more than one component (``Disconnected``).
 Nothing downstream checks them again.
 
-Every length, whether passed to a generator or read from a file, goes
-through one coercion, ``as_length``: integers, fraction strings ("3/2"),
-Fractions and short decimals (0.5, 1.25) are stored as exact
-``fractions.Fraction`` values, everything else as a plain float (e.g.
-lengths involving sqrt(5)).  So ``pumpkin(3, 0.5)`` and its JSON round
-trip have the same exact edges.  All combinatorial length arithmetic
-(totals, overlaps, shortest paths) then stays exact on rational inputs.
+Every length, whether given to ``Edge`` or a generator or read from a
+file, goes through one coercion, ``as_length``: integers (numpy's
+included), fraction strings ("3/2"), Fractions and short decimals (0.5,
+1.25) are stored as exact ``fractions.Fraction`` values, everything else
+as a plain float (e.g. lengths involving sqrt(5)).  So ``pumpkin(3, 0.5)``
+and its JSON round trip have the same exact edges.  A graph whose lengths
+are all rational has one integer grid (``MetricGraph.grid``): every
+length is a whole number of steps of h = p/q, the gcd of the lengths.
+Totals, shortest paths, the metric diameter, cover overlaps and the
+exact oracle work on those integer steps and scale by h once, so they
+stay exact without fraction arithmetic.
 
 JSON serialization format::
 
@@ -68,20 +72,24 @@ _MAX_DECIMAL_DEN = 10**6
 
 
 def as_length(x) -> Length:
-    """Coerce a length given in Python or read from JSON: ints, "p/q"
-    strings, Fractions and short decimals (floats whose shortest decimal
-    has a denominator up to 10^6, such as 0.5) become exact Fractions; any
-    other float stays a float, for ``Edge`` to judge."""
+    """Coerce a length given in Python or read from JSON: integers (numpy's
+    too), "p/q" strings, Fractions and short decimals (floats, numpy's too,
+    whose shortest decimal has a denominator up to 10^6, such as 0.5)
+    become exact Fractions; any other float stays a float, for ``Edge`` to
+    judge."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise BadParameter("boolean is not a length")
-    if isinstance(x, (int, str)):
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParameter(f"cannot parse length {x!r}") from exc
-    if isinstance(x, float):
+    if isinstance(x, numbers.Real):
+        x = float(x)
         if math.isfinite(x):
             exact = Fraction(str(x))
             if exact.denominator <= _MAX_DECIMAL_DEN:
@@ -109,20 +117,45 @@ def length_to_json(value: Length):
 
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
     """Greatest common divisor of a collection of positive rationals."""
-    num, den = 0, 1
-    for v in values:
-        num = math.gcd(num * v.denominator, v.numerator * den)
-        den = den * v.denominator
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
-    if num == 0:
+    values = list(values)
+    if not values:
         raise BadParameter("gcd of an empty collection")
-    return Fraction(num, den)
+    return Grid.of(values).h
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The integer grid of a graph whose lengths are all rational: edge i
+    is steps[i] steps of length h = p/q, the gcd of the lengths."""
+
+    p: int
+    q: int
+    steps: tuple
+
+    @classmethod
+    def of(cls, lengths: Sequence[Fraction]) -> "Grid":
+        """The grid of positive rational lengths: over their least common
+        denominator d they are integers n_i, whose gcd c gives h = c/d and
+        the steps n_i/c."""
+        den = math.lcm(*(x.denominator for x in lengths))
+        nums = [x.numerator * (den // x.denominator) for x in lengths]
+        top = math.gcd(*nums)
+        h = Fraction(top, den)
+        return cls(h.numerator, h.denominator, tuple(n // top for n in nums))
+
+    @property
+    def h(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    def length(self, k: int) -> Fraction:
+        """The exact length of k steps."""
+        return Fraction(k * self.p, self.q)
 
 
 @dataclass(frozen=True)
 class Edge:
+    """An edge; its length is coerced by ``as_length``."""
+
     id: EdgeId
     u: VertexId
     v: VertexId
@@ -133,6 +166,7 @@ class Edge:
             raise BadParameter(
                 f"edge {self.id!r} has length {self.length!r}, which is not a "
                 f"number", edge=self.id)
+        object.__setattr__(self, "length", as_length(self.length))
         try:
             ok = self.length > 0 and 0.0 < float(self.length) < math.inf
         except OverflowError:
@@ -222,7 +256,18 @@ class MetricGraph:
         return {v: tuple(lst) for v, lst in out.items()}
 
     @cached_property
+    def grid(self) -> Optional[Grid]:
+        """The integer grid when every length is rational, else None."""
+        lengths = [e.length for e in self.edges]
+        if not all(isinstance(x, Fraction) for x in lengths):
+            return None
+        return Grid.of(lengths)
+
+    @cached_property
     def total_length(self) -> Length:
+        grid = self.grid
+        if grid is not None:
+            return grid.length(sum(grid.steps))
         return sum((e.length for e in self.edges), start=Fraction(0))
 
     def edge(self, eid: EdgeId) -> Edge:
@@ -402,8 +447,9 @@ def split_loops(vertices: Sequence, edges: Sequence,
 
 def shortest_distances(vertices: Sequence, arcs: Iterable) -> dict:
     """All-pairs shortest paths (Floyd-Warshall) over undirected (u, v, cost)
-    ``arcs``; unreachable pairs are math.inf, rational costs stay exact."""
-    dist = {u: {v: (Fraction(0) if u == v else math.inf) for v in vertices}
+    ``arcs``; unreachable pairs are math.inf, integer and rational costs
+    stay exact."""
+    dist = {u: {v: (0 if u == v else math.inf) for v in vertices}
             for u in vertices}
     for u, v, c in arcs:
         if u != v and c < dist[u][v]:
@@ -422,9 +468,17 @@ def shortest_distances(vertices: Sequence, arcs: Iterable) -> dict:
     return dist
 
 
+def _edge_costs(g: MetricGraph):
+    """Edge lengths in steps of g's grid (integers), or the lengths
+    themselves when g has no grid."""
+    return g.grid.steps if g.grid is not None else [e.length for e in g.edges]
+
+
 def vertex_distances(g: MetricGraph) -> dict:
-    """All-pairs shortest path distances between vertices of g."""
-    return shortest_distances(g.vertices, ((e.u, e.v, e.length) for e in g.edges))
+    """All-pairs shortest path distances between vertices of g, counted in
+    steps of g's grid (integers) when g has one, else in length."""
+    return shortest_distances(
+        g.vertices, ((e.u, e.v, c) for e, c in zip(g.edges, _edge_costs(g))))
 
 
 def metric_diameter(g: MetricGraph) -> Length:
@@ -442,13 +496,18 @@ def metric_diameter(g: MetricGraph) -> Length:
     attained.  Two points of one edge are at most (d(u,v) + le)/2 apart.
     Vertex pairs need no term of their own: in a connected graph with two
     or more edges any two vertices lie on two distinct edges, whose pair
-    term bounds their distance, and with one edge its own term does."""
+    term bounds their distance, and with one edge its own term does.
+
+    The terms are taken doubled, in the units of ``vertex_distances``, and
+    the largest is halved and scaled by the grid step once."""
     dist = vertex_distances(g)
-    singles = ((dist[e.u][e.v] + e.length) / 2 for e in g.edges)
-    pairs = ((e.length + f.length + min(dist[e.u][f.u] + dist[e.v][f.v],
-                                         dist[e.u][f.v] + dist[e.v][f.u])) / 2
-             for e, f in itertools.combinations(g.edges, 2))
-    return max(itertools.chain(singles, pairs))
+    edges = list(zip(g.edges, _edge_costs(g)))
+    singles = (dist[e.u][e.v] + le for e, le in edges)
+    pairs = (le + lf + min(dist[e.u][f.u] + dist[e.v][f.v],
+                           dist[e.u][f.v] + dist[e.v][f.u])
+             for (e, le), (f, lf) in itertools.combinations(edges, 2))
+    twice = max(itertools.chain(singles, pairs))
+    return g.grid.length(twice) / 2 if g.grid is not None else twice / 2
 
 
 def subgraph(g: MetricGraph, edge_ids: Iterable[EdgeId]) -> MetricGraph:

@@ -8,8 +8,10 @@ Two independent routes:
   spectrum untouched, and below the first branch threshold (pi/h)^2 the
   eigenvalues correspond one-to-one to the normalized Laplacian
   eigenvalues of the subdivided vertex graph (von Below 1985).  The grid is
-  the gcd of rational edge lengths, halved until enough eigenvalues lie
-  below the threshold, or pinned by the caller; ``von_below_spectrum`` is
+  the graph's own integer grid (``MetricGraph.grid``: the gcd of the
+  rational edge lengths and the integer step counts), halved until enough
+  eigenvalues lie below the threshold, or pinned by the caller; a graph
+  has that grid exactly when this route applies.  ``von_below_spectrum`` is
   the route pinned at the common length of an equilateral graph, rational
   or float.  No subdivided graph is built: the normalized Laplacian of its
   vertex graph is assembled straight from the edge list and the integer
@@ -160,17 +162,19 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
         if not 0 < h < math.inf:
             raise BadParameter(f"grid must be finite and positive, got {h}")
         grid = Fraction(h)  # the exact value of a float h
+        steps = []
         for e in g.edges:
-            if (Fraction(e.length) / grid).denominator != 1:
+            k = Fraction(e.length) / grid
+            if k.denominator != 1:
                 raise IncommensurableLengths(
                     f"grid {h} does not divide edge {e.id} of length {e.length}")
-    elif all(isinstance(e.length, Fraction) for e in g.edges):
-        h = grid = mg.rational_gcd([e.length for e in g.edges])
+            steps.append(k.numerator)
+    elif g.grid is not None:
+        h = grid = g.grid.h
+        steps = list(g.grid.steps)
     else:
         raise IncommensurableLengths("subdivision needs exact rational edge lengths")
     while True:  # each halving adds vertices until the cap stops it
-        # grid divides every length, so a float quotient is exact as well
-        steps = [int(e.length / grid) for e in g.edges]
         n_vertices = len(g.vertices) + sum(steps) - len(steps)
         if n_vertices > _MATRIX_CAP:
             raise TooLarge(
@@ -195,6 +199,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                 f"(pi/h)^2 = {threshold:.6g} at grid {h}; shrink h to expose {count}",
                 available=len(values), grid=str(h))
         h = grid = grid / 2
+        steps = [2 * k for k in steps]
 
 
 def von_below_spectrum(g: mg.MetricGraph, count: int = 6) -> SpectrumResult:
@@ -381,11 +386,13 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
     """Best available oracle for the first count eigenvalues.
 
     auto picks the exact route for rational lengths (equilateral graphs
-    included) and falls back to finite elements otherwise.  A pinned mesh
-    is interpreted as the subdivision grid when it divides all (rational)
-    edge lengths, and as the finite-element mesh width otherwise."""
+    included), that is when g has an integer grid, and falls back to finite
+    elements otherwise.  A pinned mesh is interpreted as the subdivision
+    grid when it divides all (rational) edge lengths, and as the
+    finite-element mesh width otherwise.  von_below takes no mesh: its grid
+    is the common edge length."""
     if method == "auto":
-        if all(isinstance(e.length, Fraction) for e in g.edges):
+        if g.grid is not None:
             if mesh is not None:
                 try:
                     return subdivision_spectrum(g, count, h=mg.as_length(mesh))
@@ -397,6 +404,9 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
                 return fd_spectrum(g, count, mesh=mesh)
         return fd_spectrum(g, count, mesh=mesh)
     if method == "von_below":
+        if mesh is not None:
+            raise BadParameter("von_below takes no mesh: its grid is the common "
+                               "edge length", mesh=str(mesh))
         return von_below_spectrum(g, count)
     if method == "subdivision":
         h = None if mesh is None else mg.as_length(mesh)

@@ -56,17 +56,18 @@ class WeightedGraph:
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def degree_vector(self):
+    @cached_property
+    def degree_vector(self) -> tuple:
         deg = [Fraction(0)] * len(self.vertices)
         idx = self.index
         for u, v, w in self.edges:
             deg[idx[u]] += w
             deg[idx[v]] += w
-        return deg
+        return tuple(deg)
 
     @property
     def volume(self):
-        return sum(self.degree_vector(), start=Fraction(0))
+        return sum(self.degree_vector, start=Fraction(0))
 
     def is_connected(self) -> bool:
         pairs = ((u, v) for u, v, _ in self.edges)
@@ -112,8 +113,14 @@ def normalized_laplacian_indexed(vertices: Sequence, edges) -> np.ndarray:
     for v, d in zip(vertices, deg):
         if d == 0:
             raise IsolatedVertex(f"vertex {v!r} has weighted degree zero")
-    dinv = np.array([1.0 / math.sqrt(float(d)) for d in deg])
-    return np.eye(n) - (dinv[:, None] * A) * dinv[None, :]
+    return normalized_laplacian_dense(A, np.array([float(d) for d in deg]))
+
+
+def normalized_laplacian_dense(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """I - D^{-1/2} A D^{-1/2} from a float adjacency matrix A and positive
+    float degrees."""
+    dinv = 1.0 / np.sqrt(deg)
+    return np.eye(len(deg)) - (dinv[:, None] * A) * dinv[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,7 @@ def cheeger_constant(wg: WeightedGraph) -> float:
     if not wg.is_connected():
         raise Disconnected("Cheeger constant of a disconnected graph is zero")
     idx = wg.index
-    deg = np.array([float(d) for d in wg.degree_vector()])
+    deg = np.array([float(d) for d in wg.degree_vector])
     total = deg.sum()
     ids = np.arange(1, 2 ** (n - 1), dtype=np.uint64)
     membership = np.zeros((len(ids), n), dtype=bool)

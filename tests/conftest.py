@@ -1,7 +1,9 @@
-"""Shared fixtures: the graph corpus and a cached spectral oracle."""
+"""Shared fixtures: the graph corpus, a cached spectral oracle and the
+pairwise reference for vicinity graphs."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import settings
 
 from qgbounds import metric_graph as mg
 from qgbounds import oracle
+from qgbounds.spectral import WeightedGraph, reduce_multigraph
 
 # property tests draw the same examples on every run, so tier-1 stays
 # deterministic; no deadline, because example times follow the host's load
@@ -77,3 +80,16 @@ def graph_of():
 @pytest.fixture(scope="session")
 def oracle_of():
     return corpus_oracle
+
+
+def reference_vicinity(g: mg.MetricGraph, cover) -> WeightedGraph:
+    """The vicinity graph built pair by pair: each pair of elements gets
+    the sum of its shared edge lengths, in Fraction arithmetic and in the
+    first element's own edge order.  It shares no code with the library's
+    integer-grid overlaps, so it is the reference they are checked
+    against."""
+    sets = cover.edge_sets
+    raw = [(a, b, sum(shared, start=Fraction(0)))
+           for (a, ea), (b, _) in itertools.combinations(cover.elements, 2)
+           if (shared := [g.edge(eid).length for eid in ea if eid in sets[b]])]
+    return reduce_multigraph(cover.labels, raw)

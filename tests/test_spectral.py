@@ -41,7 +41,8 @@ def test_reduce_multigraph_merges_parallel_edges():
     wg = spectral.reduce_multigraph(
         ("u", "v"), [("u", "v", Fraction(1)), ("v", "u", Fraction(2))])
     assert wg.edges == (("u", "v", Fraction(3)),)
-    assert wg.degree_vector() == [Fraction(3), Fraction(3)]
+    assert wg.degree_vector == (Fraction(3), Fraction(3))
+    assert wg.degree_vector is wg.degree_vector  # computed once
     assert wg.volume == Fraction(6)
 
 
@@ -241,7 +242,7 @@ def test_alpha_range_and_trace(name):
 
 def _cheeger_slow(wg: spectral.WeightedGraph) -> float:
     verts = wg.vertices
-    deg = dict(zip(verts, (float(d) for d in wg.degree_vector())))
+    deg = dict(zip(verts, (float(d) for d in wg.degree_vector)))
     total = sum(deg.values())
     best = math.inf
     for r in range(1, len(verts)):
