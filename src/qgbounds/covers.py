@@ -14,6 +14,12 @@ once, as the correctly rounded w p / q, so no fraction is ever summed.
 On a graph with a float length the shared lengths are summed as
 numbers, in the first element's own edge order.
 
+A cover is analysed once per graph: :func:`validate_cover` keeps each
+``CoverReport`` in the graph's own instance dict, keyed by the cover's
+content (labels and edge ids, not its name), so every bound drawn from
+one cover on one graph shares one read-only report, which lives as long
+as the graph.
+
 Cover JSON format::
 
     {"name": "...", "elements": {"label": ["e0", "e3", ...], ...}}
@@ -28,7 +34,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -76,10 +83,15 @@ class CoverReport:
     elements i and j share, and ``overlap[i, i]`` element i's length.  On
     a rational graph the overlaps are integer steps of ``grid`` (int64, or
     Python ints where int64 could overflow); otherwise ``grid`` is None
-    and they are the lengths themselves."""
+    and they are the lengths themselves.
+
+    One report is shared by every caller that validates the same cover
+    content on the same graph, and lives as long as that graph, so it is
+    read-only: ``subgraphs`` is a read-only mapping and ``overlap`` a
+    read-only array."""
 
     fold: int
-    subgraphs: dict
+    subgraphs: Mapping
     overlap: np.ndarray
     grid: Optional[mg.Grid]
 
@@ -105,7 +117,7 @@ class CoverReport:
         degrees = (self.fold - 1) * self.overlap.diagonal()
         return normalized_laplacian_dense(self.floats(shared), self.floats(degrees))
 
-    @property
+    @cached_property
     def connected(self) -> bool:
         """Whether the vicinity graph is connected."""
         rows, cols = np.nonzero(self.overlap)
@@ -128,10 +140,30 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     refuses a disconnected element; return the fold, the element subgraphs
     and the overlaps.
 
+    The first call for a graph and a cover's content (its labels and edge
+    ids, compared by ``==``; its name plays no part) analyses the cover;
+    later calls return the same read-only report, kept in the graph's own
+    instance dict, so it lives as long as the graph.  A cover that fails
+    is not kept, and raises again on every call.
+
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
     structural nonsense (unknown edges, duplicate labels, empty cover) and
     on fold 1, where no element overlaps another."""
+    reports = vars(g).setdefault("_cover_reports", {})
+    try:
+        key = tuple((lbl, tuple(eids)) for lbl, eids in cover.elements)
+        report = reports.get(key)
+    except (TypeError, ValueError):  # malformed content: raise as the analysis does
+        return _analyse_cover(g, cover)
+    if report is None:
+        report = reports[key] = _analyse_cover(g, cover)
+    return report
+
+
+def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
+    """The analysis behind :func:`validate_cover`, run once per graph and
+    cover content."""
     if not cover.elements:
         raise BadSpec("cover has no elements")
     index = {e.id: c for c, e in enumerate(g.edges)}
@@ -182,7 +214,8 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         if grid is not None:  # its length is J k: no fraction is summed
             vars(sub)["total_length"] = grid.length(size)
         subgraphs[lbl] = sub
-    return CoverReport(fold, subgraphs, overlap, grid)
+    overlap.flags.writeable = False
+    return CoverReport(fold, MappingProxyType(subgraphs), overlap, grid)
 
 
 def _shared_lengths(g: mg.MetricGraph, cover: Cover) -> np.ndarray:

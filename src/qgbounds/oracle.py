@@ -49,6 +49,7 @@ from .errors import (
     MeshTooCoarse,
     NoConvergence,
     NotEquilateral,
+    QGraphError,
     ThresholdExceeded,
     TooLarge,
     UnknownKind,
@@ -390,18 +391,20 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
     elements otherwise.  A pinned mesh is interpreted as the subdivision
     grid when it divides all (rational) edge lengths, and as the
     finite-element mesh width otherwise.  von_below takes no mesh: its grid
-    is the common edge length."""
+    is the common edge length.  When auto falls back to finite elements
+    from the exact route, ``meta["fallback"]`` says why, as the error code
+    and its message."""
     if method == "auto":
         if g.grid is not None:
             if mesh is not None:
                 try:
                     return subdivision_spectrum(g, count, h=mg.as_length(mesh))
-                except IncommensurableLengths:
-                    return fd_spectrum(g, count, mesh=mesh)
+                except IncommensurableLengths as exc:
+                    return _fd_fallback(g, count, mesh, exc)
             try:
                 return subdivision_spectrum(g, count)
-            except TooLarge:
-                return fd_spectrum(g, count, mesh=mesh)
+            except TooLarge as exc:
+                return _fd_fallback(g, count, None, exc)
         return fd_spectrum(g, count, mesh=mesh)
     if method == "von_below":
         if mesh is not None:
@@ -414,6 +417,14 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
     if method == "fd":
         return fd_spectrum(g, count, mesh=mesh)
     raise UnknownKind(f"unknown oracle method {method!r}")
+
+
+def _fd_fallback(g: mg.MetricGraph, count: int, mesh: Optional[float],
+                 exc: QGraphError) -> SpectrumResult:
+    """The finite-element spectrum, recording why the exact route gave way."""
+    res = fd_spectrum(g, count, mesh=mesh)
+    res.meta["fallback"] = f"{exc.code}: {exc}"
+    return res
 
 
 # ---------------------------------------------------------------------------

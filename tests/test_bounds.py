@@ -6,11 +6,13 @@ fold m, element gap eta, and the overlap graph's normalized spectrum.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -139,6 +141,18 @@ def test_disconnected_vicinity_is_flagged_not_fatal():
                                 "exact_cycle")
     assert "disconnected_vicinity" in rep.flags
     assert rep.bound(2) == 0.0
+
+
+def test_a_graph_and_its_cover_reports_die_together():
+    # the cover analyses live in the graph, not in a module-level cache
+    g = mg.platonic("cube")
+    faces = covers.face_cover(g)
+    bounds.transfer_bound(g, faces, "exact_cycle")
+    graph, report = weakref.ref(g), weakref.ref(covers.validate_cover(g, faces))
+    del g
+    gc.collect()
+    assert graph() is None
+    assert report() is None
 
 
 # ---------------------------------------------------------------------------

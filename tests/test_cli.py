@@ -216,6 +216,7 @@ def test_oracle_subcommand(tetra_file, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["method"] == "subdivision"
+    assert "fallback" not in data
     assert data["values"][0] == 0.0
     assert data["values"][1] == pytest.approx(math.acos(-1 / 3) ** 2, abs=1e-9)
 
@@ -223,6 +224,15 @@ def test_oracle_subcommand(tetra_file, capsys):
                           "--mesh", "1/2")
     assert code == 0
     assert json.loads(out)["grid"] == "1/2"
+
+    # a mesh that does not divide the edges: the fall back is printed
+    code, out, _ = invoke(capsys, "oracle", tetra_file, "--count", "4",
+                          "--mesh", "0.07")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "fd"
+    assert data["fallback"] == ("IncommensurableLengths: grid 7/100 does not "
+                                "divide edge e0 of length 1")
 
     code, out, _ = invoke(capsys, "oracle", tetra_file, "--count", "4",
                           "--method", "fd")

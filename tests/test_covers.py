@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -332,11 +333,16 @@ _BAD_COVERS = {
 
 @pytest.mark.parametrize("elements, error, message, context", _BAD_COVERS.values(),
                          ids=_BAD_COVERS)
-def test_validate_cover_errors_and_their_context(elements, error, message, context):
-    with pytest.raises(error) as exc:
-        covers.validate_cover(corpus_graph("tetrahedron"), covers.Cover("x", elements))
-    assert str(exc.value) == message
-    assert exc.value.context == context
+def test_validate_cover_errors_and_their_context(elements, error, message, context,
+                                                analyses):
+    # a failed analysis is not kept: every call raises the same error again
+    g = mg.platonic("tetrahedron")
+    for call in range(1, 3):
+        with pytest.raises(error) as exc:
+            covers.validate_cover(g, covers.Cover("x", elements))
+        assert str(exc.value) == message
+        assert exc.value.context == context
+        assert len(analyses) == call
 
 
 def test_a_fold_one_cover_is_refused():
@@ -402,3 +408,98 @@ def test_cover_from_json_rejects_array_and_object_edge_ids(eid, kind):
     data = {"elements": {"a": ["e1", eid]}}
     with pytest.raises(ParseError, match=f"an edge of element 'a' is {kind}"):
         covers.cover_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# one analysis per graph and cover content
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+_SWEEP_GRAPHS = {
+    "chain": lambda: mg.pumpkin_chain((3, 2, 4), [Fraction(1, 2), 1, Fraction(3, 2)]),
+    "platonic": lambda: mg.platonic("cube"),
+    "four_pumpkin": lambda: mg.four_pumpkin(2 + math.sqrt(5)),
+}
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """Every cover content the analysis runs on, in call order."""
+    seen = []
+    analyse = covers._analyse_cover
+
+    def counted(g, cover):
+        seen.append(cover.elements)
+        return analyse(g, cover)
+
+    monkeypatch.setattr(covers, "_analyse_cover", counted)
+    return seen
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return value
+
+
+def _fingerprint(rep):
+    """Everything a report carries, floats in float.hex."""
+    return (rep.fold, rep.grid, list(rep.subgraphs),
+            [(sub.vertices, sub.edges, _hex(sub.total_length))
+             for sub in rep.subgraphs.values()],
+            _hex(rep.overlap.tolist()), _hex(rep.laplacian().tolist()),
+            rep.connected, _hex(rep.vicinity.edges))
+
+
+@pytest.mark.parametrize("family", _SWEEP_GRAPHS)
+def test_a_bounds_sweep_analyses_each_cover_once(family, analyses, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import APPLICABLE
+
+    g = _SWEEP_GRAPHS[family]()
+    used = [covers.build_cover(g, name) for name, _ in APPLICABLE[family]]
+    for cover, (_, eta) in zip(used, APPLICABLE[family]):
+        bounds.transfer_bound(g, cover, eta)
+    bounds.star_bound(g)
+    distinct = {cover.elements for cover in used + [covers.star_cover(g)]}
+    assert sorted(analyses) == sorted(distinct)
+    fresh = mg.graph_from_json(mg.graph_to_json(g))
+    for cover in used:
+        assert _fingerprint(covers.validate_cover(g, cover)) == _fingerprint(
+            covers.validate_cover(fresh, cover))
+
+
+def test_a_cover_is_keyed_by_content_not_name(analyses):
+    g = mg.platonic("tetrahedron")
+    elements = covers.star_cover(g).elements
+    rep = covers.validate_cover(g, covers.Cover("a", elements))
+    assert covers.validate_cover(g, covers.Cover("b", elements)) is rep
+    assert len(analyses) == 1
+    # element lists analyse like tuples, and share their report
+    listed = covers.Cover("c", tuple((lbl, list(eids)) for lbl, eids in elements))
+    assert covers.validate_cover(g, listed) is rep
+    assert rep.fold == 2
+    assert len(analyses) == 1
+    # content that makes no key is analysed as it stands, and refused
+    with pytest.raises(BadSpec, match="element 'a' is empty"):
+        covers.validate_cover(g, covers.Cover("d", (("a", None),)))
+
+
+def test_a_report_is_read_only():
+    g = mg.platonic("tetrahedron")
+    rep = covers.validate_cover(g, covers.face_cover(g))
+    with pytest.raises(ValueError):
+        rep.overlap[0, 0] = 0
+    with pytest.raises(TypeError):
+        rep.subgraphs["face0"] = g
+
+
+def test_two_graphs_never_share_a_report(analyses):
+    g, h = mg.platonic("cube"), mg.platonic("cube")
+    assert g == h
+    rep = covers.validate_cover(g, covers.face_cover(g))
+    assert covers.validate_cover(h, covers.face_cover(h)) is not rep
+    assert covers.validate_cover(g, covers.face_cover(g)) is rep
+    assert len(analyses) == 2

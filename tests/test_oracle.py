@@ -283,10 +283,31 @@ def test_auto_dispatch_pinned_mesh():
     exact = oracle.spectrum(g, 4, mesh=Fraction(1, 4))
     assert exact.method == "subdivision"
     assert exact.meta["grid"] == "1/4"
+    assert "fallback" not in exact.meta
     # a grid that does not divide the unit edges falls back to elements
     blurred = oracle.spectrum(g, 4, mesh=0.03)
     assert blurred.method == "fd"
     assert blurred.gap == pytest.approx(PI2 / 9, rel=1e-4)
+    assert blurred.meta["fallback"] == (
+        "IncommensurableLengths: grid 3/100 does not divide edge e1_1 of length 1")
+    assert blurred.to_json()["fallback"] == blurred.meta["fallback"]
+    # the fall back is the finite-element result plus its reason
+    assert oracle.spectrum(g, 4, mesh=0.03, method="fd").meta == {
+        k: v for k, v in blurred.meta.items() if k != "fallback"}
+
+
+def test_auto_dispatch_records_a_too_large_fallback(monkeypatch):
+    # a cap below the graph's own vertex count stands for a huge subdivision
+    monkeypatch.setattr(oracle, "_MATRIX_CAP", 3)
+    g = mg.pumpkin_chain((2, 2, 2))
+    res = oracle.spectrum(g, 4)
+    assert res.method == "fd"
+    assert res.meta["fallback"] == (
+        "TooLarge: subdivision at grid 1 needs 4 vertices (cap 3)")
+    assert res.to_json()["fallback"] == res.meta["fallback"]
+    assert res.values == oracle.spectrum(g, 4, method="fd").values
+    # an irrational graph never had the exact route to fall back from
+    assert "fallback" not in oracle.spectrum(mg.four_pumpkin(2 + math.sqrt(5)), 2).meta
 
 
 def test_explicit_methods_and_unknown():
