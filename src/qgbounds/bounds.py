@@ -195,7 +195,8 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
         raise BadParameter("unknown eta strategy", eta=eta, known=sorted(ETA_STRATEGIES))
     analysis = validate_cover(g, cover)
     fold = analysis.fold
-    alpha = eigenvalues_sym(analysis.laplacian()).values
+    spectrum = eigenvalues_sym(analysis.laplacian())
+    alpha = spectrum.values
 
     strategy = ETA_STRATEGIES[eta]
     eta_per_element = {}
@@ -226,6 +227,7 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
             "eta_strategy": eta,
             "eta_per_element": eta_per_element,
             "alpha": list(alpha),
+            "alpha_residual": spectrum.achieved,
             "cover": cover.name,
             "element_count": len(cover),
         },
@@ -436,7 +438,11 @@ class CompareRow:
 
 @dataclass(frozen=True)
 class CompareTable:
+    """Comparison rows; ``oracle_note`` says why the oracle column is empty
+    (``"<code>: <message>"``), and is None when it is filled."""
+
     rows: tuple[CompareRow, ...]
+    oracle_note: str | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -448,7 +454,7 @@ class CompareTable:
         return buf.getvalue()
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "rows": [
                 {
                     "method": r.method,
@@ -461,6 +467,9 @@ class CompareTable:
                 for r in self.rows
             ]
         }
+        if self.oracle_note is not None:
+            out["oracle_note"] = self.oracle_note
+        return out
 
 
 def _fmt(x: float | None) -> str:
@@ -485,18 +494,19 @@ def tabulate(
     """Turn reports into (method, index) rows with oracle column and ratio.
 
     When the oracle raises a QGraphError (too large, threshold, mesh) the
-    oracle and ratio columns stay empty and the reason is logged at DEBUG;
-    any other exception is a bug and propagates."""
+    oracle and ratio columns stay empty, and the table's ``oracle_note``
+    and a DEBUG log say why; any other exception is a bug and propagates."""
     needed = max((max(r.indices, default=1) for r in reports), default=2)
     oracle_values: Sequence[float] | None = None
+    note = None
     if with_oracle:
         from . import oracle
 
         try:
             oracle_values = oracle.spectrum(g, count=min(needed, 40)).values
         except QGraphError as exc:
-            _log.debug("oracle column left empty: %s: %s", exc.code, exc)
-            oracle_values = None
+            note = f"{exc.code}: {exc}"
+            _log.debug("oracle column left empty: %s", note)
 
     rows = []
     for rep in reports:
@@ -508,7 +518,7 @@ def tabulate(
             ratio = bnd / orc if orc is not None and orc > 1e-14 else None
             rows.append(CompareRow(rep.method, idx, bnd, orc, ratio, summary))
     rows.sort(key=lambda r: (r.method, r.index))
-    return CompareTable(tuple(rows))
+    return CompareTable(tuple(rows), note)
 
 
 def compare_report(

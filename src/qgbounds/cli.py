@@ -96,6 +96,8 @@ def _cmd_bounds(args) -> int:
         payload = json.dumps(report.to_json(), indent=2) + "\n"
     else:
         table = bounds.tabulate(g, [report], with_oracle=not args.no_oracle)
+        if table.oracle_note is not None:
+            sys.stderr.write(f"oracle column empty: {table.oracle_note}\n")
         payload = table.to_csv()
     _emit(args, payload)
     return 0

@@ -6,13 +6,14 @@ vicinity graph has one vertex per element and connects two elements by the
 total length of the edges they share.  Everything downstream (transference
 bounds) consumes covers only through this module.
 
-A rational graph is analysed on its integer grid (``MetricGraph.grid``):
-with J the 0/1 element x edge incidence and k the edges' step counts,
-the shared lengths are W = (J k) J^T in steps, the element lengths its
-diagonal J k, and the vicinity degrees (m-1) J k.  Each becomes a float
-once, as the correctly rounded w p / q, so no fraction is ever summed.
-On a graph with a float length the shared lengths are summed as
-numbers, in the first element's own edge order.
+With J the 0/1 element x edge incidence and k the edges' lengths, the
+shared lengths are W = (J k) J^T, the element lengths its diagonal J k,
+and the vicinity degrees (m-1) J k.  A rational graph is analysed on its
+integer grid (``MetricGraph.grid``): k holds the edges' step counts, and
+each entry becomes a float once, as the correctly rounded w p / q, so no
+fraction is ever summed.  On a graph with a float length k holds the
+lengths themselves, so the same product sums each entry as Python
+numbers in graph edge order, whatever the hash seed.
 
 A cover is analysed once per graph: :func:`validate_cover` keeps each
 ``CoverReport`` in the graph's own instance dict, keyed by the cover's
@@ -31,9 +32,8 @@ recomputed from the data, never trusted from a file.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -80,10 +80,11 @@ class Cover:
 class CoverReport:
     """A valid cover's fold, element subgraphs (label -> MetricGraph, in
     cover order) and overlap matrix: ``overlap[i, j]`` is the length that
-    elements i and j share, and ``overlap[i, i]`` element i's length.  On
-    a rational graph the overlaps are integer steps of ``grid`` (int64, or
-    Python ints where int64 could overflow); otherwise ``grid`` is None
-    and they are the lengths themselves.
+    elements i and j share, and ``overlap[i, i]`` element i's length, both
+    from the one product (J k) J^T.  On a rational graph the overlaps are
+    integer steps of ``grid`` (int64, or Python ints where int64 could
+    overflow); otherwise ``grid`` is None and they are the lengths
+    themselves, each summed in graph edge order.
 
     One report is shared by every caller that validates the same cover
     content on the same graph, and lives as long as that graph, so it is
@@ -106,12 +107,9 @@ class CoverReport:
         return (steps.astype(object) * p / q).astype(float)  # in Python ints
 
     def laplacian(self) -> np.ndarray:
-        """Symmetric normalized Laplacian of the vicinity graph.  On the
-        grid its weights are the off-diagonal overlaps and its degrees
-        (m-1) times the element lengths; otherwise it is the vicinity
-        graph's own."""
-        if self.grid is None:
-            return normalized_laplacian_sym(self.vicinity)
+        """Symmetric normalized Laplacian of the vicinity graph: its weights
+        are the off-diagonal overlaps and its degrees (m-1) times the
+        element lengths."""
         shared = self.overlap.copy()
         np.fill_diagonal(shared, 0)
         degrees = (self.fold - 1) * self.overlap.diagonal()
@@ -201,9 +199,9 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         # total step count
         small = fold * sum(grid.steps) < 2**63
         k = np.array(grid.steps, dtype=np.int64 if small else object)
-        overlap = (J * k) @ J.T
-    else:
-        overlap = _shared_lengths(g, cover)
+    else:  # each overlap a Python sum in graph edge order, whatever the hash seed
+        k = np.array([e.length for e in g.edges], dtype=object)
+    overlap = (J * k) @ J.T
     subgraphs = {}
     for (lbl, eids), size in zip(cover.elements, overlap.diagonal().tolist()):
         try:
@@ -216,20 +214,6 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         subgraphs[lbl] = sub
     overlap.flags.writeable = False
     return CoverReport(fold, MappingProxyType(subgraphs), overlap, grid)
-
-
-def _shared_lengths(g: mg.MetricGraph, cover: Cover) -> np.ndarray:
-    """Shared lengths of a graph with a float length, each added up left to
-    right in the first element's own edge order, never in set order, so
-    that they do not depend on the hash seed."""
-    sets = [cover.edge_sets[lbl] for lbl in cover.labels]
-    out = np.zeros((len(sets), len(sets)), dtype=object)
-    for i, (_, eids) in enumerate(cover.elements):
-        for j in range(i, len(sets)):
-            shared = [g.edge_map[eid].length for eid in eids if eid in sets[j]]
-            if shared:
-                out[i, j] = out[j, i] = reduce(operator.add, shared)
-    return out
 
 
 def vicinity_graph(g: mg.MetricGraph, cover: Cover) -> WeightedGraph:

@@ -25,10 +25,12 @@ Two independent routes:
   when a SuperLU inertia count (Sylvester's law) confirms that ARPACK
   skipped none, as it can on a multiple eigenvalue.
 
-The transcendental route diagonalizes with this package's own Householder
-and implicit-QL solver (``spectral.eigenvalues_sym``); the finite-element
-route uses LAPACK, ARPACK and SuperLU.  They share no eigensolver, so
-agreement between them is meaningful.
+Both routes cut edge e into n_e segments and number the nodes one way,
+in ``_segments``: the vertices first, then each edge's interior points,
+edge by edge.  The exact route diagonalizes with this package's own
+Householder and implicit-QL solver (``spectral.eigenvalues_sym``); the
+finite-element route uses LAPACK, ARPACK and SuperLU.  They share no
+eigensolver, so agreement between them is meaningful.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import (
     TooLarge,
     UnknownKind,
 )
-from .spectral import eigenvalues_sym, normalized_laplacian_indexed
+from .spectral import eigenvalues_sym, normalized_laplacian_dense
 
 _BRANCH_EPS = 1e-9
 # Largest finite-element matrix solved densely.  One solve on a 2-CPU x86
@@ -126,18 +128,31 @@ def equilateral_length(g: mg.MetricGraph) -> mg.Length:
     return lens.pop()
 
 
+def _segments(g: mg.MetricGraph, n):
+    """The two ends of each segment, edge by edge, and the node count, with
+    edge e of g cut into n[e] equal segments: the vertices of g come first,
+    then each edge's interior points, edge by edge."""
+    n = np.asarray(n, dtype=np.int64)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    u, v = np.array([(index[e.u], index[e.v]) for e in g.edges], dtype=np.int64).T
+    fresh = len(g.vertices) + np.cumsum(n - 1) - (n - 1)  # first interior node
+    edge = np.repeat(np.arange(len(n)), n)  # the edge of each segment
+    k = np.arange(edge.size) - (np.cumsum(n) - n)[edge]  # its place on the edge
+    left = np.where(k == 0, u[edge], fresh[edge] + k - 1)
+    right = np.where(k == n[edge] - 1, v[edge], fresh[edge] + k)
+    return left, right, len(g.vertices) + int(np.sum(n - 1))
+
+
 def _subdivided_laplacian(g: mg.MetricGraph, steps) -> np.ndarray:
     """Normalized Laplacian of the vertex graph of g with edge e cut into
-    steps[e] equal segments: the vertices of g first, then each edge's
-    interior points in edge order; parallel segments add weight one each."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    n = len(index)
-    segments = []
-    for e, k in zip(g.edges, steps):
-        path = [index[e.u], *range(n, n + k - 1), index[e.v]]
-        n += k - 1
-        segments += [(a, b, 1) for a, b in zip(path, path[1:])]
-    return normalized_laplacian_indexed(range(n), segments)
+    steps[e] equal segments, numbered as in :func:`_segments`; parallel
+    segments add weight one each."""
+    left, right, N = _segments(g, steps)
+    A = np.zeros((N, N))
+    np.add.at(A, (left, right), 1.0)
+    np.add.at(A, (right, left), 1.0)
+    degrees = np.bincount(np.concatenate((left, right)), minlength=N)
+    return normalized_laplacian_dense(A, degrees.astype(float))
 
 
 def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
@@ -220,9 +235,8 @@ def von_below_spectrum(g: mg.MetricGraph, count: int = 6) -> SpectrumResult:
 
 def _fd_matrix(g: mg.MetricGraph, h_target: float):
     """Lumped P1 stiffness over mass on a per-edge uniform mesh, as the
-    symmetric M^-1/2 K M^-1/2.  Interior nodes are numbered after the
-    vertices, edge by edge.  The node count is checked against _FD_NODE_CAP
-    before anything is assembled."""
+    symmetric M^-1/2 K M^-1/2, on the nodes of :func:`_segments`.  The node
+    count is checked against _FD_NODE_CAP before anything is assembled."""
     lengths = np.array([float(e.length) for e in g.edges])
     # float, so that a tiny mesh cannot wrap a fixed-width integer
     segments = np.maximum(2.0, np.rint(lengths / h_target))
@@ -231,16 +245,9 @@ def _fd_matrix(g: mg.MetricGraph, h_target: float):
         raise TooLarge(f"mesh {float(h_target):g} needs {N:.3g} nodes (cap {_FD_NODE_CAP})")
     import scipy.sparse as sparse  # only this route needs scipy (~30 MiB)
 
-    N = int(N)
     n = segments.astype(np.int64)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    u, v = np.array([(index[e.u], index[e.v]) for e in g.edges], dtype=np.int64).T
-    fresh = len(g.vertices) + np.cumsum(n - 1) - (n - 1)  # first interior node
-    edge = np.repeat(np.arange(len(n)), n)  # the edge of each segment
-    k = np.arange(edge.size) - (np.cumsum(n) - n)[edge]  # its place on the edge
-    left = np.where(k == 0, u[edge], fresh[edge] + k - 1)
-    right = np.where(k == n[edge] - 1, v[edge], fresh[edge] + k)
-    s = (lengths / n)[edge]
+    left, right, N = _segments(g, n)
+    s = np.repeat(lengths / n, n)
     ends = np.concatenate((left, right))
     dinv = 1.0 / np.sqrt(np.bincount(ends, np.concatenate((s, s)) / 2, N))
     stiff = np.bincount(ends, np.concatenate((1.0 / s, 1.0 / s)), N)

@@ -91,26 +91,18 @@ def underlying_weighted(g) -> WeightedGraph:
 
 
 def normalized_laplacian_sym(wg: WeightedGraph) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}."""
+    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.  The degrees
+    are summed exactly, in the weights' own arithmetic (int or Fraction),
+    and rounded to float once."""
     idx = wg.index
-    return normalized_laplacian_indexed(
-        wg.vertices, [(idx[u], idx[v], w) for u, v, w in wg.edges])
-
-
-def normalized_laplacian_indexed(vertices: Sequence, edges) -> np.ndarray:
-    """I - D^{-1/2} A D^{-1/2} on the vertices, from (i, j, w) edges that
-    name them by position (i != j).  Edges on the same pair add up.  The
-    degrees are summed exactly, in the weights' own arithmetic (int or
-    Fraction), and rounded to float once."""
-    n = len(vertices)
+    n = len(wg.vertices)
     A = np.zeros((n, n))
-    deg = [0] * n
-    for i, j, w in edges:
+    for u, v, w in wg.edges:
+        i, j = idx[u], idx[v]
         A[i, j] += float(w)
         A[j, i] += float(w)
-        deg[i] += w
-        deg[j] += w
-    for v, d in zip(vertices, deg):
+    deg = wg.degree_vector
+    for v, d in zip(wg.vertices, deg):
         if d == 0:
             raise IsolatedVertex(f"vertex {v!r} has weighted degree zero")
     return normalized_laplacian_dense(A, np.array([float(d) for d in deg]))

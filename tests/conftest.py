@@ -41,6 +41,19 @@ CORPUS = {
     "four_pumpkin_10": lambda: mg.four_pumpkin(10),
 }
 
+# no two of them commensurable, and no short decimals, so a graph with
+# these lengths has no integer grid
+FLOAT_LENGTHS = (1 / 3, math.sqrt(2), math.pi / 2)
+
+
+def float_cube() -> mg.MetricGraph:
+    """The cube with edge lengths FLOAT_LENGTHS in turn, in edge order."""
+    g = mg.platonic("cube")
+    edges = tuple(mg.Edge(e.id, e.u, e.v, FLOAT_LENGTHS[i % 3])
+                  for i, e in enumerate(g.edges))
+    return mg.MetricGraph(g.vertices, edges, g.rotation)
+
+
 CHAIN_NAMES = tuple(n for n in CORPUS if n.startswith("chain_"))
 PUMPKIN_NAMES = tuple(n for n in CORPUS if n.startswith("four_pumpkin"))
 

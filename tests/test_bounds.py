@@ -323,6 +323,7 @@ def test_compare_report_table():
             assert row.ratio <= 1 + 1e-9  # all these bounds are sound
     data = table.to_json()
     assert len(data["rows"]) == len(table.rows)
+    assert table.oracle_note is None and "oracle_note" not in data
 
 
 def test_compare_report_custom_cover_and_no_oracle():
@@ -349,6 +350,20 @@ def test_tabulate_csv_has_plain_floats_on_irrational_lengths():
     assert "np.float64" not in table.to_csv()
 
 
+@pytest.mark.parametrize("name, cover", [
+    ("tetrahedron", "faces"), ("cube", "face_pairs"), ("icosahedron", "faces"),
+    ("dodecahedron", "stars"), ("chain_324", "layered"),
+    ("chain_432_mixed", "concatenated"), ("four_pumpkin_golden", "pumpkin_cycles"),
+])
+def test_transfer_bound_keeps_the_alpha_residual(name, cover):
+    g = corpus_graph(name)
+    rep = bounds.transfer_bound(g, covers.build_cover(g, cover), "nicaise")
+    residual = rep.ingredients["alpha_residual"]
+    assert math.isfinite(residual) and residual >= 0
+    # the CSV ingredient summary leaves it out
+    assert "alpha_residual" not in bounds.tabulate(g, [rep], with_oracle=False).to_csv()
+
+
 def test_tabulate_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the oracle")
@@ -369,6 +384,8 @@ def test_tabulate_leaves_oracle_empty_on_library_errors(monkeypatch, caplog):
         table = bounds.tabulate(g, [bounds.star_bound(g)])
     assert all(r.oracle is None and r.ratio is None for r in table.rows)
     assert any("TooLarge" in rec.getMessage() for rec in caplog.records)
+    assert table.oracle_note == "TooLarge: subdivision needs too many vertices"
+    assert table.to_json()["oracle_note"] == table.oracle_note
 
 
 def test_rational_bounds_never_import_scipy():

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from qgbounds import cli, covers
+from qgbounds import cli, covers, oracle
 from qgbounds import metric_graph as mg
+from qgbounds.errors import TooLarge
 
 PI2 = math.pi ** 2
 
@@ -109,6 +110,20 @@ def test_bounds_csv_table(tetra_file, capsys):
     assert float(second["bound"]) == pytest.approx(8 * PI2 / 27, abs=1e-9)
     assert float(second["oracle"]) == pytest.approx(
         math.acos(-1 / 3) ** 2, abs=1e-9)
+
+
+def test_bounds_csv_says_why_the_oracle_column_is_empty(tetra_file, capsys,
+                                                       monkeypatch):
+    def too_large(*args, **kwargs):
+        raise TooLarge("subdivision needs too many vertices")
+
+    code, want, _ = invoke(capsys, "bounds", tetra_file, "--no-oracle")
+    assert code == 0
+    monkeypatch.setattr(oracle, "spectrum", too_large)
+    code, out, err = invoke(capsys, "bounds", tetra_file)
+    assert code == 0
+    assert out == want
+    assert err == "oracle column empty: TooLarge: subdivision needs too many vertices\n"
 
 
 def test_bounds_json_and_k(tetra_file, capsys):

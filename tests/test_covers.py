@@ -4,7 +4,10 @@ Two identities hold for every uniform m-fold cover and are checked in exact
 rational arithmetic on the pairwise reference vicinity graph: each
 element's vicinity degree is (m-1) times its length, and the vicinity
 volume is m(m-1) times the graph's total length.  The library's vicinity
-graph, a view of its integer-grid overlaps, must equal that reference.
+graph, a view of its integer-grid overlaps, must equal that reference.  On
+graphs with float lengths the same overlap product sums in graph edge
+order, so its vicinity Laplacian must match the reference's to rounding
+and must not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgbounds import bounds, covers
@@ -29,9 +33,15 @@ from qgbounds.errors import (
     NotUniform,
     ParseError,
 )
-from qgbounds.spectral import normalized_spectrum
+from qgbounds.spectral import normalized_laplacian_sym, normalized_spectrum
 
-from conftest import CHAIN_NAMES, PLATONIC_NAMES, corpus_graph, reference_vicinity
+from conftest import (
+    CHAIN_NAMES,
+    PLATONIC_NAMES,
+    corpus_graph,
+    float_cube,
+    reference_vicinity,
+)
 
 
 def expand(groups):
@@ -369,15 +379,47 @@ def test_vicinity_weights_do_not_depend_on_the_hash_seed():
     a, b, c = 1 / 3, 2 / 3, 1 / 9
     assert a + b + c != c + b + a
     assert all(isinstance(e.length, float) for e in mg.pumpkin(3, [a, b, c]).edges)
+    assert float_cube().grid is None
+    # the weights and the Laplacian of the pumpkin's stars and the cube's faces
     code = ("from qgbounds import covers, metric_graph as mg\n"
-            f"g = mg.pumpkin(3, {[a, b, c]!r})\n"
-            "print(repr(covers.vicinity_graph(g, covers.star_cover(g)).edges[0][2]))\n")
+            "from conftest import float_cube\n"
+            f"for g, name in ((mg.pumpkin(3, {[a, b, c]!r}), 'stars'),\n"
+            "                 (float_cube(), 'faces')):\n"
+            "    rep = covers.validate_cover(g, covers.build_cover(g, name))\n"
+            "    print(repr([w for *_, w in rep.vicinity.edges]))\n"
+            "    print(repr(rep.laplacian().tolist()))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(covers.__file__)))
+    path = os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__))))
+    outputs = set()
     for seed in ("0", "3"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == repr(a + b + c), seed
+        assert out.stdout.splitlines()[0] == repr([a + b + c]), seed
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+
+
+def _float_covers():
+    cube = float_cube()
+    out = [(f"cube:{name}", cube, covers.build_cover(cube, name))
+           for name in ("faces", "face_pairs", "stars")]
+    fp = corpus_graph("four_pumpkin_golden")
+    return out + [("four_pumpkin_golden:pumpkin_cycles", fp, covers.pumpkin_cycle_cover(fp))]
+
+
+_FLOAT_COVERS = _float_covers()
+
+
+@pytest.mark.parametrize("label, g, cover", _FLOAT_COVERS,
+                         ids=[t[0] for t in _FLOAT_COVERS])
+def test_float_overlaps_give_the_pairwise_laplacian(label, g, cover):
+    # float overlaps are summed in graph edge order, the reference's in each
+    # element's own order, so the two agree to rounding
+    rep = covers.validate_cover(g, cover)
+    assert rep.grid is None
+    want = normalized_laplacian_sym(reference_vicinity(g, cover))
+    np.testing.assert_allclose(rep.laplacian(), want, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,23 @@ def test_subdivision_size_cap_is_checked_before_assembly():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("g", [
+    mg.pumpkin_chain((4, 3, 2), [2, Fraction(2, 3), Fraction(5, 4)]),
+    mg.pumpkin(3, [Fraction(1, 2), Fraction(1, 2), 1]),
+    mg.platonic("cube"),
+])
+def test_both_routes_number_the_segments_alike(g):
+    # at half the grid every edge has at least two segments, the fewest a
+    # finite-element edge has, so both routes cut every edge alike
+    h = g.grid.h / 2
+    steps = [2 * k for k in g.grid.steps]
+    A, N = oracle._fd_matrix(g, float(h))
+    L = oracle._subdivided_laplacian(g, steps)
+    assert L.shape == (N, N)
+    off = ~np.eye(N, dtype=bool)
+    np.testing.assert_array_equal((A.toarray() != 0) & off, (L != 0) & off)
+
+
 # ---------------------------------------------------------------------------
 # finite element route
 
