@@ -35,7 +35,7 @@ from .metric_graph import (
     is_star_graph,
     metric_diameter,
 )
-from .spectral import eigenvalues_sym
+from .spectral import eigenvalues_lapack
 
 _log = logging.getLogger(__name__)
 
@@ -195,7 +195,7 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
         raise BadParameter("unknown eta strategy", eta=eta, known=sorted(ETA_STRATEGIES))
     analysis = validate_cover(g, cover)
     fold = analysis.fold
-    spectrum = eigenvalues_sym(analysis.laplacian())
+    spectrum = eigenvalues_lapack(analysis.laplacian())
     alpha = spectrum.values
 
     strategy = ETA_STRATEGIES[eta]

@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="reference spectrum of a graph file")
     o.add_argument("graph")
-    o.add_argument("--count", type=int, default=6)
+    o.add_argument("--count", type=_positive_int, default=6,
+                   help="how many eigenvalues, from the first (COUNT >= 1)")
     o.add_argument("--mesh", type=_parse_mesh,
                    help="subdivision grid (rational graphs) or FE mesh width")
     o.add_argument("--method", choices=("auto", "von_below", "subdivision", "fd"),

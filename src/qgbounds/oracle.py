@@ -190,6 +190,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
         steps = list(g.grid.steps)
     else:
         raise IncommensurableLengths("subdivision needs exact rational edge lengths")
+    halvings = 0
     while True:  # each halving adds vertices until the cap stops it
         n_vertices = len(g.vertices) + sum(steps) - len(steps)
         if n_vertices > _MATRIX_CAP:
@@ -208,7 +209,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
             values[0] = 0.0  # alpha_1 = 0 exactly on a connected graph
             return SpectrumResult(tuple(values[:count]), "subdivision", {
                 "threshold": threshold, "grid": str(h),
-                "subdivided_vertices": n_vertices})
+                "subdivided_vertices": n_vertices, "halvings": halvings})
         if pinned:
             raise ThresholdExceeded(
                 f"only {len(values)} eigenvalues lie below the branch threshold "
@@ -216,6 +217,7 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                 available=len(values), grid=str(h))
         h = grid = grid / 2
         steps = [2 * k for k in steps]
+        halvings += 1
 
 
 def von_below_spectrum(g: mg.MetricGraph, count: int = 6) -> SpectrumResult:
@@ -288,9 +290,9 @@ def _count_below(A, mu: float) -> Optional[int]:
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _fd_eigs(A, N: int, want: int) -> np.ndarray:
+def _fd_eigs(A, N: int, want: int):
     """The want smallest eigenvalues of the symmetric positive semidefinite
-    A, ascending.
+    A, ascending, and the number of ARPACK solves made (0 for a dense one).
 
     Dense LAPACK up to _DENSE_CUTOFF nodes.  Above it, ARPACK in
     shift-invert mode, whose values are returned only when an inertia count
@@ -300,7 +302,7 @@ def _fd_eigs(A, N: int, want: int) -> np.ndarray:
     eigenvalue.  A short count asks for as many more values as were missed,
     plus a margin."""
     if N <= _DENSE_CUTOFF:
-        return np.linalg.eigvalsh(A.toarray())[:want]
+        return np.linalg.eigvalsh(A.toarray())[:want], 0
     import scipy.sparse.linalg as sparse_linalg
 
     # seeded, so the result repeats; random, because a constant start stays
@@ -311,7 +313,7 @@ def _fd_eigs(A, N: int, want: int) -> np.ndarray:
     inverse = sparse_linalg.LinearOperator((N, N), _shifted_lu(A, shift).solve,
                                            dtype=A.dtype)
     k = want + 2  # two spare values, so a gap after the last wanted is in view
-    for _ in range(_FD_SOLVE_ATTEMPTS):
+    for attempt in range(1, _FD_SOLVE_ATTEMPTS + 1):
         k = min(k, N - 1)
         vals = np.sort(sparse_linalg.eigsh(A, k=k, sigma=shift, which="LM", v0=v0,
                                            OPinv=inverse, return_eigenvectors=False))
@@ -320,7 +322,7 @@ def _fd_eigs(A, N: int, want: int) -> np.ndarray:
         j = want + int(gaps[0]) if gaps.size else k  # certify vals[:j]
         below = _count_below(A, vals[j - 1] + tol[j - 1])
         if below == j:
-            return vals[:want]
+            return vals[:want], attempt
         k += max(below or 0, j) - j + 8
     raise NoConvergence(
         f"shift-invert Lanczos did not match its inertia count on {N} nodes "
@@ -328,13 +330,15 @@ def _fd_eigs(A, N: int, want: int) -> np.ndarray:
 
 
 def _fd_values(g: mg.MetricGraph, h: float, count: int):
-    """The first count eigenvalues (fewer on a mesh with few nodes) and the
-    node count of the mesh of width ~h."""
+    """The first count eigenvalues (fewer on a mesh with few nodes), the
+    node count of the mesh of width ~h, and the ARPACK solves made."""
     A, N = _fd_matrix(g, h)
-    return _fd_eigs(A, N, min(count, N - 1)), N
+    values, attempts = _fd_eigs(A, N, min(count, N - 1))
+    return values, N, attempts
 
 
-def _extrapolate(coarse, fine, mesh: float, nodes: int) -> SpectrumResult:
+def _extrapolate(coarse, fine, mesh: float, nodes: int, refinements: int,
+                 sparse_attempts: int) -> SpectrumResult:
     ext, errs = [], []
     for lc, lf in zip(coarse.tolist(), fine.tolist()):
         e = (lf - lc) / 3
@@ -347,8 +351,9 @@ def _extrapolate(coarse, fine, mesh: float, nodes: int) -> SpectrumResult:
         raise MeshTooCoarse(
             f"error estimate exceeds rtol={_FD_RTOL:g} at indices {bad}",
             estimates=[errs[i] for i in bad], mesh=mesh)
-    return SpectrumResult(tuple(ext), "fd",
-                          {"mesh": mesh, "nodes": nodes, "error_estimates": errs})
+    return SpectrumResult(tuple(ext), "fd", {
+        "mesh": mesh, "nodes": nodes, "error_estimates": errs,
+        "refinements": refinements, "sparse_attempts": sparse_attempts})
 
 
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
@@ -363,7 +368,9 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     value; when no mesh was pinned explicitly the mesh is halved a few
     times first, each refinement reusing the previous fine mesh as its
     coarse one.  A pinned mesh must be finite and positive, and so must
-    its half, the width of the finer mesh."""
+    its half, the width of the finer mesh.  The meta records the halvings
+    made (``refinements``) and the ARPACK solves on the two meshes
+    extrapolated (``sparse_attempts``, 0 when both were dense)."""
     _check_count(count)
     if mesh is not None:
         mesh = float(mesh)  # the command line pins an exact Fraction
@@ -372,17 +379,20 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     min_len = min(float(e.length) for e in g.edges)
     refinements = 0 if mesh is not None else 3
     mesh = min(mesh, min_len / 2) if mesh is not None else min_len / 8
-    fine, nodes = _fd_values(g, mesh / 2, count)  # the finer mesh first: it hits the cap
-    coarse, _ = _fd_values(g, mesh, count)
-    for _ in range(refinements):
+    # the finer mesh first: it hits the cap
+    fine, nodes, fine_attempts = _fd_values(g, mesh / 2, count)
+    coarse, _, coarse_attempts = _fd_values(g, mesh, count)
+    for done in range(refinements):
         try:
-            return _extrapolate(coarse, fine, mesh, nodes)
+            return _extrapolate(coarse, fine, mesh, nodes, done,
+                                coarse_attempts + fine_attempts)
         except MeshTooCoarse:
             # mesh/2 rounds to the same segments, so its solve carries over
             mesh /= 2
-            coarse = fine
-            fine, nodes = _fd_values(g, mesh / 2, count)
-    return _extrapolate(coarse, fine, mesh, nodes)
+            coarse, coarse_attempts = fine, fine_attempts
+            fine, nodes, fine_attempts = _fd_values(g, mesh / 2, count)
+    return _extrapolate(coarse, fine, mesh, nodes, refinements,
+                        coarse_attempts + fine_attempts)
 
 
 # ---------------------------------------------------------------------------

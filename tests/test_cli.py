@@ -285,10 +285,16 @@ def test_oracle_branch_overflow(tetra_file, capsys):
 
 @pytest.mark.parametrize("method", ["auto", "von_below", "subdivision", "fd"])
 def test_oracle_rejects_a_count_below_one(tetra_file, capsys, method):
-    code, out, err = invoke(capsys, "oracle", tetra_file, "--count", "-3",
-                            "--method", method)
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "BadParameter"
+    # a usage error, exit 2, like bounds --k 0
+    for count in ("0", "-2", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["oracle", tetra_file, "--count", count, "--method", method])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+    code, out, _ = invoke(capsys, "oracle", tetra_file, "--count", "3",
+                          "--method", method)
+    assert code == 0
+    assert len(json.loads(out)["values"]) == 3
 
 
 def test_oracle_bad_mesh_is_a_usage_error(tetra_file, capsys):

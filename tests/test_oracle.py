@@ -327,6 +327,23 @@ def test_auto_dispatch_records_a_too_large_fallback(monkeypatch):
     assert "fallback" not in oracle.spectrum(mg.four_pumpkin(2 + math.sqrt(5)), 2).meta
 
 
+def test_meta_records_halvings_refinements_and_sparse_attempts():
+    # the unit tetrahedron has 4 eigenvalues below (pi/1)^2: a fifth needs
+    # exactly one halving of its grid
+    exact = oracle.spectrum(mg.platonic("tetrahedron"), 5)
+    assert exact.meta == {"threshold": (2 * math.pi) ** 2, "grid": "1/2",
+                          "subdivided_vertices": 10, "halvings": 1}
+    assert exact.to_json()["halvings"] == 1
+    # from the start mesh sqrt(2)/8, one refinement: a dense coarse mesh
+    # and one ARPACK solve on the fine mesh past the dense cutoff
+    res = oracle.spectrum(mg.platonic("cube", length=math.sqrt(2)), 6)
+    meta = {k: v for k, v in res.to_json().items() if k not in ("values", "error_estimates")}
+    assert meta == {"method": "fd", "mesh": math.sqrt(2) / 16, "nodes": 380,
+                    "refinements": 1, "sparse_attempts": 1}
+    dense = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
+    assert (dense.meta["refinements"], dense.meta["sparse_attempts"]) == (0, 0)
+
+
 def test_explicit_methods_and_unknown():
     g = mg.platonic("tetrahedron")
     assert oracle.spectrum(g, 4, method="von_below").method == "von_below"

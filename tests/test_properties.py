@@ -9,7 +9,9 @@ bound must also be no weaker than the best-of-worsts star factor times
 alpha.  On random rational graphs and covers, the vicinity Laplacian built
 on the integer grid, and the bounds from it, must equal bit for bit those
 from the pairwise Fraction reference, and every vicinity degree must be
-(m-1) times its element's length.  The exact metric diameter must equal the largest vertex distance
+(m-1) times its element's length.  On random symmetric matrices and
+vicinity Laplacians, the LAPACK solver and the package's own must agree
+within both their error bounds, and LAPACK's bound must be small.  The exact metric diameter must equal the largest vertex distance
 after subdividing every edge at a quarter of the length gcd, where the
 farthest points sit.  The exact oracle's Laplacian, assembled from the
 edge list and step counts, must equal bit for bit the normalized Laplacian
@@ -28,13 +30,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from qgbounds import bounds, covers, oracle
 from qgbounds import metric_graph as mg
 from qgbounds.errors import EtaUnavailable
-from qgbounds.spectral import eigenvalues_sym, normalized_laplacian_sym, underlying_weighted
+from qgbounds.spectral import (
+    eigenvalues_lapack,
+    eigenvalues_sym,
+    normalized_laplacian_sym,
+    underlying_weighted,
+)
 
 from conftest import reference_vicinity
 
@@ -138,7 +146,7 @@ def _assert_grid_analysis_is_the_reference(g: mg.MetricGraph, cover: covers.Cove
         length = sum((g.edge(eid).length for eid in eids), start=Fraction(0))
         assert rep.subgraphs[lbl].total_length == length
         assert degrees[lbl] == (rep.fold - 1) * length
-    alpha = eigenvalues_sym(laplacian).values
+    alpha = eigenvalues_lapack(laplacian).values
     for eta in sorted(bounds.RIGOROUS_ETA):
         try:
             got = bounds.transfer_bound(g, cover, eta)
@@ -166,6 +174,29 @@ def test_grid_analysis_past_float_and_int64_precision(strategy):
     cover = covers.build_cover(g, strategy)
     assert ((len(cover) - 1) * sum(g.grid.steps) >= 2**63) == (strategy == "copies:6")
     _assert_grid_analysis_is_the_reference(g, cover)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A random symmetric matrix of order 1-30, or the normalized vicinity
+    Laplacian of a random rational cover."""
+    if draw(st.booleans()):
+        return covers.validate_cover(*draw(rational_covers())).laplacian()
+    n = draw(st.integers(1, 30))
+    B = draw(arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3)))
+    return (B + B.T) / 2
+
+
+@settings(max_examples=100)
+@given(symmetric_matrices())
+def test_both_eigensolvers_agree_within_their_error_bounds(A):
+    lapack, own = eigenvalues_lapack(A), eigenvalues_sym(A)
+    n = len(A)
+    norm = max(1.0, float(np.linalg.norm(A)))
+    slack = lapack.achieved + own.achieved + 8 * n * np.finfo(float).eps * norm
+    assert len(lapack.values) == len(own.values) == n
+    assert all(abs(a - b) <= slack for a, b in zip(lapack.values, own.values))
+    assert 0.0 <= lapack.achieved <= 1e-12 * norm
 
 
 def _subdivided_vertex_diameter(g: mg.MetricGraph) -> float:
@@ -260,4 +291,4 @@ def test_fd_sparse_solve_matches_dense(g, want, nodes):
     # absolute floor: both solvers round at about eps * ||A|| (the zero
     # eigenvalue comes out near 1e-10 on fine meshes)
     floor = 10 * np.finfo(float).eps * abs(A).sum(axis=1).max()
-    np.testing.assert_allclose(oracle._fd_eigs(A, N, want), dense, rtol=1e-9, atol=floor)
+    np.testing.assert_allclose(oracle._fd_eigs(A, N, want)[0], dense, rtol=1e-9, atol=floor)

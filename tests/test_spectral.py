@@ -1,8 +1,9 @@
-"""Weighted graphs, the Householder/QL eigensolver, and the alpha_2 sandwich.
+"""Weighted graphs, the two eigensolvers, and the alpha_2 sandwich.
 
-The eigensolver is checked against numpy's LAPACK route on random
-symmetric matrices; the two implementations share no code, so agreement is
-meaningful.  The Cheeger constant gets a second, plain-Python brute force.
+The Householder/QL eigensolver is checked against numpy's LAPACK route on
+random symmetric matrices; the two implementations share no code, so
+agreement is meaningful.  Both solvers refuse the same bad input.  The
+Cheeger constant gets a second, plain-Python brute force.
 """
 
 from __future__ import annotations
@@ -79,19 +80,24 @@ def test_jacobi_small_and_exact_cases():
     assert vals == (1.0, 2.0, 3.0)
 
 
+SOLVERS = (spectral.eigenvalues_sym, spectral.eigenvalues_lapack)
+
+
 def test_jacobi_rejects_bad_matrices():
-    with pytest.raises(NotSymmetric):
-        spectral.eigenvalues_sym(np.zeros((2, 3)))
-    with pytest.raises(NotSymmetric):
-        spectral.eigenvalues_sym([[0.0, 1.0], [2.0, 0.0]])
+    for solve in SOLVERS:
+        with pytest.raises(NotSymmetric):
+            solve(np.zeros((2, 3)))
+        with pytest.raises(NotSymmetric):
+            solve([[0.0, 1.0], [2.0, 0.0]])
 
 
 def test_small_asymmetry_is_rejected():
     # 1e-6 is far above the 1e-10 * max|A| allowance
-    with pytest.raises(NotSymmetric):
-        spectral.eigenvalues_sym([[1.0, 1.0], [1.0 + 1e-6, 1.0]])
-    with pytest.raises(NotSymmetric):
-        spectral.eigenvalues_sym([[1.0, math.nan], [math.nan, 1.0]])
+    for solve in SOLVERS:
+        with pytest.raises(NotSymmetric):
+            solve([[1.0, 1.0], [1.0 + 1e-6, 1.0]])
+        with pytest.raises(NotSymmetric):
+            solve([[1.0, math.nan], [math.nan, 1.0]])
 
 
 def _complete_graph(n):
@@ -167,6 +173,11 @@ def test_no_convergence_is_reported(monkeypatch):
     monkeypatch.setattr(spectral, "_QL_MAX_STEPS", 0)
     with pytest.raises(NoConvergence):
         spectral.eigenvalues_sym([[1.0, 1.0], [1.0, 2.0]])
+    # eigenvectors that are far from orthonormal void the residual bound
+    monkeypatch.setattr(spectral.np.linalg, "eigh",
+                        lambda A: (np.array([0.0, 3.0]), np.array([[1.0, 0.9], [0.0, 0.5]])))
+    with pytest.raises(NoConvergence):
+        spectral.eigenvalues_lapack([[1.0, 1.0], [1.0, 2.0]])
 
 
 def test_spectrum_grouped():
