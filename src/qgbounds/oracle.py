@@ -19,17 +19,20 @@ Two independent routes:
 
 * a finite-element route (piecewise linear, lumped mass) with Richardson
   extrapolation over a halved mesh, for arbitrary lengths and as a genuinely
-  separate cross-check of the first route.  Up to _DENSE_CUTOFF mesh nodes
-  it diagonalizes densely with LAPACK.  Above it, ARPACK in shift-invert
-  mode computes only the eigenvalues asked for, and they are returned only
-  when a SuperLU inertia count (Sylvester's law) confirms that ARPACK
-  skipped none, as it can on a multiple eigenvalue.
+  separate cross-check of the first route.  Every interior mesh node has
+  degree 2, so the pencil reduces exactly onto the graph's vertices
+  (Wittrick & Williams 1971): the number of eigenvalues below lam is the
+  chains' Dirichlet count plus the negative inertia of a V x V Schur
+  complement S(lam), known in closed form (``_Chains``).  Counts place
+  every wanted index; Newton's method on the eigenvalue of S that crosses
+  0 then finds it, for every mesh size alike, with numpy alone.
 
-Both routes cut edge e into n_e segments and number the nodes one way,
-in ``_segments``: the vertices first, then each edge's interior points,
-edge by edge.  The exact route diagonalizes with this package's own
+The exact route cuts edge e into n_e segments and numbers the nodes in
+``_segments``: the vertices first, then each edge's interior points, edge by
+edge; the finite-element route cuts its edges alike but never numbers the
+interior points.  The exact route diagonalizes with this package's own
 Householder and implicit-QL solver (``spectral.eigenvalues_sym``); the
-finite-element route uses LAPACK, ARPACK and SuperLU.  They share no
+finite-element route uses LAPACK on V x V matrices.  They share no
 eigensolver, so agreement between them is meaningful.
 """
 
@@ -59,13 +62,6 @@ from .errors import (
 from .spectral import eigenvalues_sym, normalized_laplacian_dense
 
 _BRANCH_EPS = 1e-9
-# Largest finite-element matrix solved densely.  One solve on a 2-CPU x86
-# host with one BLAS thread, best of 15, dense eigvalsh against the
-# inertia-checked shift-invert route, on solids with random float lengths
-# and a four-pumpkin, for 6-30 values: 1.0 against 3-6 ms at ~130 nodes,
-# 1.9 against 4-6 ms at ~180, 4 against 4-7 ms at ~230, 6 against 4-8 ms
-# at ~280 and 9.5 against 3.5-9 ms at ~350.
-_DENSE_CUTOFF = 250
 # Largest subdivided graph the exact route diagonalises.  The dense solve
 # grows like n^3: on a 2-CPU x86 host with one BLAS thread it took 0.15 s at
 # 295 vertices, 0.5 s at 600, 1.8 s at 1000, 3.9 s at 1300, 5.7-7.0 s at 1500
@@ -76,11 +72,15 @@ _DENSE_CUTOFF = 250
 _MATRIX_CAP = 1500
 _FD_NODE_CAP = 250_000
 _FD_RTOL = 1e-3  # relative error estimate a finite-element value must meet
-_FD_SOLVE_ATTEMPTS = 4  # shift-invert solves per mesh before NoConvergence
-# The inertia count is taken this far (relative) above an ARPACK value.  Next
-# to 12- and 18-fold eigenvalues of pumpkins (590-3,584 nodes) the count was
-# wrong at 1e-9 and 1e-8 and right from 1e-7 on; ARPACK's own error is ~1e-12.
-_FD_COUNT_GAP = 1e-5
+# The finite-element count is taken this far (relative) on either side of a
+# chain's Dirichlet value, where the vertex matrix has a pole, and an
+# eigenvalue in between is reported at the Dirichlet value.
+_FD_WINDOW = 1e-10
+_FD_NEWTON_STOP = 1e-12  # a Newton step this small (relative) is the last
+_FD_NEWTON_ROUNDS = 60  # per mesh, before NoConvergence
+# A chain mode whose coefficient (times s_e) exceeds this, next to a pole,
+# is bordered rather than added into the vertex matrix.
+_FD_BORDER = 100
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,13 @@ class SpectrumResult:
         return len(self.values)
 
     def to_json(self) -> dict:
-        out = {"method": self.method, "values": list(self.values)}
-        out.update({k: v for k, v in self.meta.items()
-                    if isinstance(v, (int, float, str, list))})
+        meta = {k: v for k, v in self.meta.items()
+                if isinstance(v, (int, float, str, list))}
+        out = {"method": self.method}
+        if "requested" in meta:
+            out["requested"] = meta.pop("requested")
+        out["values"] = list(self.values)
+        out.update(meta)
         return out
 
 
@@ -131,7 +135,8 @@ def equilateral_length(g: mg.MetricGraph) -> mg.Length:
 def _segments(g: mg.MetricGraph, n):
     """The two ends of each segment, edge by edge, and the node count, with
     edge e of g cut into n[e] equal segments: the vertices of g come first,
-    then each edge's interior points, edge by edge."""
+    then each edge's interior points, edge by edge.  The exact route's
+    numbering; the tests assemble the finite-element matrix on it too."""
     n = np.asarray(n, dtype=np.int64)
     index = {v: i for i, v in enumerate(g.vertices)}
     u, v = np.array([(index[e.u], index[e.v]) for e in g.edges], dtype=np.int64).T
@@ -235,110 +240,239 @@ def von_below_spectrum(g: mg.MetricGraph, count: int = 6) -> SpectrumResult:
 # finite element route
 
 
-def _fd_matrix(g: mg.MetricGraph, h_target: float):
-    """Lumped P1 stiffness over mass on a per-edge uniform mesh, as the
-    symmetric M^-1/2 K M^-1/2, on the nodes of :func:`_segments`.  The node
-    count is checked against _FD_NODE_CAP before anything is assembled."""
-    lengths = np.array([float(e.length) for e in g.edges])
-    # float, so that a tiny mesh cannot wrap a fixed-width integer
-    segments = np.maximum(2.0, np.rint(lengths / h_target))
-    N = len(g.vertices) + float(np.sum(segments - 1))
-    if N > _FD_NODE_CAP:
-        raise TooLarge(f"mesh {float(h_target):g} needs {N:.3g} nodes (cap {_FD_NODE_CAP})")
-    import scipy.sparse as sparse  # only this route needs scipy (~30 MiB)
+class _Chains:
+    """The lumped P1 pencil K - lam M on a per-edge uniform mesh of width ~h,
+    reduced exactly onto the vertices of g.
 
-    n = segments.astype(np.int64)
-    left, right, N = _segments(g, n)
-    s = np.repeat(lengths / n, n)
-    ends = np.concatenate((left, right))
-    dinv = 1.0 / np.sqrt(np.bincount(ends, np.concatenate((s, s)) / 2, N))
-    stiff = np.bincount(ends, np.concatenate((1.0 / s, 1.0 / s)), N)
-    off = -dinv[left] * dinv[right] / s
-    diag = np.arange(N)
-    A = sparse.csr_matrix(
-        (np.concatenate((off, off, stiff * dinv * dinv)),
-         (np.concatenate((ends, diag)), np.concatenate((right, left, diag)))),
-        shape=(N, N))
-    return A, N
+    Edge e is cut into n_e = max(2, rint(l_e/h)) segments of width s_e.
+    Its n_e - 1 interior nodes all have degree 2, so they form a chain
+    whose Dirichlet eigenvalues are (4/s_e^2) sin^2(j pi/(2 n_e)),
+    j = 1..n_e-1 (``dirichlet``: every chain's, sorted).  Away from them
+    the chains can be eliminated, which leaves a V x V Schur complement
+    S(lam), and by Haynsworth's inertia additivity the pencil has
+    #(dirichlet < lam) + #(negative eigenvalues of S(lam)) eigenvalues below
+    lam (Wittrick & Williams 1971).  With theta_e = 2 asin(s_e sqrt(lam)/2),
+    edge e = uv adds (p_e a a^T + q_e b b^T)/s_e to S, a = e_u + e_v and
+    b = e_u - e_v, with p_e = -(sin theta_e/2) tan(n_e theta_e/2) and
+    q_e = (sin theta_e/2) cot(n_e theta_e/2): its symmetric and antisymmetric
+    modes.  Past the top of a chain's spectrum (s_e^2 lam > 4) theta_e is
+    pi + i phi_e, and the two continue as -(sinh phi_e/2) tanh(n_e phi_e/2)
+    and -(sinh phi_e/2) coth(n_e phi_e/2), swapped for odd n_e.
+    S decreases with lam, strictly, between Dirichlet values."""
+
+    def __init__(self, g: mg.MetricGraph, h: float):
+        lengths = np.array([float(e.length) for e in g.edges])
+        # float, so that a tiny mesh cannot wrap a fixed-width integer
+        segments = np.maximum(2.0, np.rint(lengths / h))
+        nodes = len(g.vertices) + float(np.sum(segments - 1))
+        if nodes > _FD_NODE_CAP:
+            raise TooLarge(f"mesh {float(h):g} needs {nodes:.3g} nodes (cap {_FD_NODE_CAP})")
+        self.n = segments.astype(np.int64)
+        self.s = lengths / self.n
+        self.nodes = int(nodes)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        self.u, self.v = np.array([(index[e.u], index[e.v]) for e in g.edges],
+                                  dtype=np.int64).T
+        V = self.V = len(g.vertices)
+        # where each edge's two coefficients land in a flattened S
+        self.slots = np.concatenate((self.u * (V + 1), self.v * (V + 1),
+                                     self.u * V + self.v, self.v * V + self.u))
+        j = np.concatenate([np.arange(1, n) / (2 * n) for n in self.n.tolist()])
+        self.dirichlet = np.sort(np.repeat(4 / self.s**2, self.n - 1)
+                                 * np.sin(np.pi * j) ** 2)
+        self.evaluations = 0
+
+    def modes(self, lam: np.ndarray, slopes: bool = False):
+        """p_e and q_e of every edge at every lam, and with slopes also
+        their derivatives in lam."""
+        x = self.s * np.sqrt(lam)[:, None] / 2
+        n = self.n
+        q4 = self.s**2 / 4
+        inside = x <= 1
+        # harmless where the other branch holds; at x = 1 both branches are
+        # 0/0, and the coefficients are smooth there
+        xi = np.minimum(np.where(inside, x, 0.5), np.nextafter(1.0, 0.0))
+        sin = 2 * xi * np.sqrt(1 - xi * xi)  # sin theta
+        t = np.tan(n * np.arcsin(xi))  # tan(n theta/2)
+        p, q = -sin / 2 * t, sin / 2 / t
+        if slopes:
+            cot = (1 - 2 * xi * xi) / sin
+            dp = -q4 * (cot * t + n / 2 * (1 + t * t))
+            dq = q4 * (cot / t - n / 2 * (1 + 1 / (t * t)))
+        if not inside.all():
+            xo = np.where(inside, 2.0, x)
+            sinh = 2 * xo * np.sqrt(xo * xo - 1)  # sinh phi
+            tau = np.tanh(n * np.arccosh(xo))  # tanh(n phi/2)
+            odd = n % 2 == 1
+            tanh_mode, coth_mode = -sinh / 2 * tau, -sinh / 2 / tau
+            p = np.where(inside, p, np.where(odd, coth_mode, tanh_mode))
+            q = np.where(inside, q, np.where(odd, tanh_mode, coth_mode))
+            if slopes:
+                coth = (2 * xo * xo - 1) / sinh
+                d_tanh = -q4 * (coth * tau + n / 2 * (1 - tau * tau))
+                d_coth = -q4 * (coth / tau - n / 2 * (1 / (tau * tau) - 1))
+                dp = np.where(inside, dp, np.where(odd, d_coth, d_tanh))
+                dq = np.where(inside, dq, np.where(odd, d_tanh, d_coth))
+        return (p, q, dp, dq) if slopes else (p, q)
+
+    def matrix(self, lam: np.ndarray, slopes: bool = False):
+        """S at every lam, stacked, each mode whose |c| > _FD_BORDER
+        bordered, and the negative eigenvalues the bordering added to each.
+
+        Next to a Dirichlet value a mode's coefficient c grows without bound,
+        and rounding in S would hide the sign of its small eigenvalues.  Such
+        a mode enters as a row and column of its own instead, w/s_e off the
+        diagonal and gamma = -1/(c s_e) on it (w = a or b; an unused row
+        holds an eigenvalue above all others), whose elimination adds
+        c w w^T/s_e back.  By Haynsworth the bordered matrix has one more
+        negative eigenvalue than S for each such c > 0, no entry larger than
+        _FD_BORDER/min(s_e), and it is singular where S is.  With slopes,
+        also the derivatives in lam of the modes kept in S and of the
+        gammas."""
+        P, V = lam.size, self.V
+        modes = self.modes(lam, slopes)
+        c = np.stack(modes[:2], axis=2)
+        big = np.abs(c) > _FD_BORDER
+        kept = np.where(big, 0.0, c) / self.s[:, None]
+        diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
+        at = (np.arange(P) * (V * V))[:, None] + self.slots
+        w = np.concatenate((diag, diag, off, off), axis=1)
+        T = np.bincount(at.ravel(), w.ravel(), P * V * V).reshape(P, V, V)
+        self.evaluations += P
+        rows, edges, kinds = np.nonzero(big)
+        slot = V + np.arange(rows.size) - np.searchsorted(rows, rows)
+        s = self.s[edges]
+        if rows.size:
+            width = int(slot.max()) + 1
+            T = np.pad(T, ((0, 0), (0, width - V), (0, width - V)))
+            for ends, w in ((self.u[edges], 1 / s), (self.v[edges], (1 - 2 * kinds) / s)):
+                T[rows, ends, slot] = T[rows, slot, ends] = w
+            T[rows, slot, slot] = -1 / (c[big] * s)
+            unused = np.ones((P, width - V), dtype=bool)
+            unused[rows, slot - V] = False
+            top = 1 + np.abs(T).sum(axis=2).max()  # Gershgorin: above all of S
+            T[:, np.arange(V, width), np.arange(V, width)] += top * unused
+        extra = np.count_nonzero(big & (c > 0), axis=(1, 2))
+        if not slopes:
+            return T, extra
+        dc = np.stack(modes[2:], axis=2)
+        dgamma = np.zeros((P, T.shape[1] - V))
+        dgamma[rows, slot - V] = dc[big] / (c[big] ** 2 * s)
+        return T, extra, np.where(big, 0.0, dc) / self.s[:, None], dgamma
+
+    def count(self, lam: np.ndarray) -> np.ndarray:
+        """How many eigenvalues of the pencil lie below each lam; no lam may
+        be a Dirichlet value."""
+        T, extra = self.matrix(lam)
+        negative = np.count_nonzero(np.linalg.eigvalsh(T) < 0, axis=1) - extra
+        return np.searchsorted(self.dirichlet, lam) + negative
+
+    def newton(self, lam: np.ndarray, k: np.ndarray):
+        """The eigenvalue of the bordered S that has k of S's below it, at
+        each lam with its own k, and its derivative z^T T'(lam) z / z^T z.
+        Its eigenvector z is one step of inverse iteration, shifted just
+        below it, from a fixed start."""
+        T, extra, dkept, dgamma = self.matrix(lam, slopes=True)
+        rows, k = np.arange(lam.size), k + extra
+        mu = np.linalg.eigvalsh(T)[rows, k]
+        width = T.shape[1]
+        # just below mu, on a scale that stays when S vanishes (at a root
+        # where every eigenvalue of S crosses 0 at once)
+        shift = mu - 1e-13 * (np.abs(T).max(axis=(1, 2)) + 1 / self.s.min())
+        T[:, np.arange(width), np.arange(width)] -= shift[:, None]
+        start = np.broadcast_to(np.cos(np.arange(width)), (lam.size, width))
+        z = np.linalg.solve(T, start[..., None])[..., 0]
+        zu, zv = z[:, self.u], z[:, self.v]
+        slope = (np.sum(dkept[..., 0] * (zu + zv) ** 2 + dkept[..., 1] * (zu - zv) ** 2, axis=1)
+                 + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)) / np.sum(z * z, axis=1)
+        return mu, slope
+
+    def values(self, count: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
+        """The count smallest eigenvalues of the pencil (fewer on a mesh
+        with few nodes), ascending.
+
+        First, one count at both edges of every window of Dirichlet values
+        (a cluster, widened by _FD_WINDOW relative), up to the window of
+        the count-th Dirichlet value, places each index in a window or
+        between two.  A window settles its eigenvalues at its centre.
+        Between two windows S is smooth and decreasing, so the count rises
+        by one exactly where an eigenvalue of S crosses 0: index i is the
+        root of mu_k, the k-th eigenvalue of S from below, k = i -
+        #(dirichlet below).  Newton's method, with its bracket as a
+        safeguard, finds it from ``guess`` (when inside the bracket) or the
+        middle of the bracket.  Multiple eigenvalues
+        are roots of as many mu_k, and neither they nor eigenvalues on a
+        Dirichlet value need more than that."""
+        want = min(count, self.nodes - 1)
+        values = np.zeros(want)  # lam_0 = 0 on a connected graph, exactly
+        d = self.dirichlet
+        centre = np.unique(d)
+        # one window per cluster, so that the probes below ascend strictly
+        cut = np.flatnonzero(centre[1:] * (1 - _FD_WINDOW) > centre[:-1] * (1 + _FD_WINDOW)) + 1
+        first, last = centre[np.r_[0, cut]], centre[np.r_[cut, centre.size] - 1]
+        if d.size >= want:
+            first = first[:np.searchsorted(first, d[want - 1], "right")]
+            last = last[:first.size]
+        probes = np.empty(2 * first.size)
+        probes[0::2] = first * (1 - _FD_WINDOW)
+        probes[1::2] = last * (1 + _FD_WINDOW)
+        if d.size < want:  # past every eigenvalue: 4/min(s_e)^2 bounds them
+            probes = np.append(probes, 4.04 / self.s.min() ** 2)
+        counts = self.count(probes)
+        if np.any(np.diff(counts) < 0) or counts[-1] < want:
+            raise NoConvergence(f"inconsistent eigenvalue counts on {self.nodes} nodes",
+                                nodes=self.nodes, want=want)
+        index = np.arange(1, want)
+        above = np.searchsorted(counts, index, "right")  # first probe counting i
+        window = above % 2 == 1
+        values[index[window]] = (first[above[window] // 2] + last[above[window] // 2]) / 2
+        index, above = index[~window], above[~window]
+        k = index - np.searchsorted(d, probes[above])
+        lo, hi = np.where(above > 0, probes[above - 1], 0.0), probes[above]
+        x = (lo + hi) / 2
+        if guess is not None:
+            guess = np.append(guess, np.full(max(0, want - guess.size), np.nan))[index]
+            x = np.where((guess > lo) & (guess < hi), guess, x)
+        last_step = last_slope = np.full(x.size, np.nan)
+        move = hi - lo  # x's last move, bisections included
+        for _ in range(_FD_NEWTON_ROUNDS):
+            if not index.size:
+                return np.sort(values)
+            mu, slope = self.newton(x, k)
+            lo, hi = np.where(mu < 0, lo, x), np.where(mu < 0, x, hi)
+            with np.errstate(divide="ignore"):  # a zero slope bisects
+                step = -mu / slope
+            # two small Newton steps on one smooth curve (slopes agreeing to
+            # 1%) that shrink quadratically leave an error of about
+            # step^3 / last_step^2 after the second
+            quadratic = ((np.abs(step) <= 1e-9 * x) & (np.abs(last_step) <= 1e-4 * x)
+                         & (np.abs(slope - last_slope) <= 1e-2 * np.abs(slope))
+                         & (np.abs(step) ** 3 <= _FD_NEWTON_STOP * x * last_step ** 2))
+            done = ((np.abs(step) <= _FD_NEWTON_STOP * x) | (hi - lo <= _FD_NEWTON_STOP * x)
+                    | quadratic)
+            # Newton's step when it stays in the bracket, and goes on in the
+            # last move's direction or at least halves it (so that it cannot
+            # cycle); else bisection
+            newton = done | ((x + step > lo) & (x + step < hi)
+                             & ((step * move > 0) | (2 * np.abs(step) <= np.abs(move))))
+            move = np.where(newton, np.clip(x + step, lo, hi), (lo + hi) / 2) - x
+            x = x + move
+            last_step, last_slope = np.where(newton, step, np.nan), slope
+            values[index[done]] = x[done]
+            index, k, x, lo, hi, last_step, last_slope, move = (
+                a[~done] for a in (index, k, x, lo, hi, last_step, last_slope, move))
+        raise NoConvergence(f"Newton's method did not settle {index.size} eigenvalues "
+                            f"on {self.nodes} nodes", nodes=self.nodes, want=want)
 
 
-def _shifted_lu(A, mu: float):
-    """SuperLU of A - mu I in symmetric mode: a minimum-degree ordering of
-    A + A^T, applied to rows and columns alike, and no threshold pivoting, so
-    every pivot stays on the diagonal unless one is exactly zero."""
-    import scipy.sparse as sparse
-    import scipy.sparse.linalg as sparse_linalg
-
-    shifted = (A - mu * sparse.identity(A.shape[0], format="csr")).tocsc()
-    return sparse_linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0, options={"SymmetricMode": True})
-
-
-def _count_below(A, mu: float) -> Optional[int]:
-    """How many eigenvalues of the symmetric A lie below mu.
-
-    By Sylvester's law of inertia, A - mu I = P^T L D L^T P has as many
-    negative eigenvalues as D has negative entries, and with every pivot on
-    the diagonal (perm_r equal to perm_c) U's diagonal is D.  None when
-    SuperLU had to pivot off the diagonal, or A - mu I is singular."""
-    try:
-        lu = _shifted_lu(A, mu)
-    except RuntimeError:  # exactly singular
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
-
-
-def _fd_eigs(A, N: int, want: int):
-    """The want smallest eigenvalues of the symmetric positive semidefinite
-    A, ascending, and the number of ARPACK solves made (0 for a dense one).
-
-    Dense LAPACK up to _DENSE_CUTOFF nodes.  Above it, ARPACK in
-    shift-invert mode, whose values are returned only when an inertia count
-    confirms them: at the first gap after the values wanted (or just above
-    the largest value returned) the count of eigenvalues below must equal
-    the count returned below, because ARPACK can miss copies of a multiple
-    eigenvalue.  A short count asks for as many more values as were missed,
-    plus a margin."""
-    if N <= _DENSE_CUTOFF:
-        return np.linalg.eigvalsh(A.toarray())[:want], 0
-    import scipy.sparse.linalg as sparse_linalg
-
-    # seeded, so the result repeats; random, because a constant start stays
-    # in an invariant subspace of a symmetric graph and misses eigenvalues
-    v0 = np.random.default_rng(0).standard_normal(N)
-    # A - shift I is positive definite: one factorisation serves every attempt
-    shift = -1e-2
-    inverse = sparse_linalg.LinearOperator((N, N), _shifted_lu(A, shift).solve,
-                                           dtype=A.dtype)
-    k = want + 2  # two spare values, so a gap after the last wanted is in view
-    for attempt in range(1, _FD_SOLVE_ATTEMPTS + 1):
-        k = min(k, N - 1)
-        vals = np.sort(sparse_linalg.eigsh(A, k=k, sigma=shift, which="LM", v0=v0,
-                                           OPinv=inverse, return_eigenvectors=False))
-        tol = _FD_COUNT_GAP * np.maximum(vals, 1.0)
-        gaps = np.flatnonzero(vals[want:] - vals[want - 1:-1] > 2 * tol[want - 1:-1])
-        j = want + int(gaps[0]) if gaps.size else k  # certify vals[:j]
-        below = _count_below(A, vals[j - 1] + tol[j - 1])
-        if below == j:
-            return vals[:want], attempt
-        k += max(below or 0, j) - j + 8
-    raise NoConvergence(
-        f"shift-invert Lanczos did not match its inertia count on {N} nodes "
-        f"after {_FD_SOLVE_ATTEMPTS} attempts", nodes=N, want=want)
-
-
-def _fd_values(g: mg.MetricGraph, h: float, count: int):
-    """The first count eigenvalues (fewer on a mesh with few nodes), the
-    node count of the mesh of width ~h, and the ARPACK solves made."""
-    A, N = _fd_matrix(g, h)
-    values, attempts = _fd_eigs(A, N, min(count, N - 1))
-    return values, N, attempts
+def _finer(values: np.ndarray, h: float, h_new: float) -> np.ndarray:
+    """Guesses for the eigenvalues on mesh h_new from those on mesh h, by the
+    leading error term of the lumped scheme, lam_h ~ lam (1 - lam h^2/12)."""
+    return values * (1 + values * (h * h - h_new * h_new) / 12)
 
 
 def _extrapolate(coarse, fine, mesh: float, nodes: int, refinements: int,
-                 sparse_attempts: int) -> SpectrumResult:
+                 count_evaluations: int) -> SpectrumResult:
     ext, errs = [], []
     for lc, lf in zip(coarse.tolist(), fine.tolist()):
         e = (lf - lc) / 3
@@ -353,7 +487,7 @@ def _extrapolate(coarse, fine, mesh: float, nodes: int, refinements: int,
             estimates=[errs[i] for i in bad], mesh=mesh)
     return SpectrumResult(tuple(ext), "fd", {
         "mesh": mesh, "nodes": nodes, "error_estimates": errs,
-        "refinements": refinements, "sparse_attempts": sparse_attempts})
+        "refinements": refinements, "count_evaluations": count_evaluations})
 
 
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
@@ -368,9 +502,10 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     value; when no mesh was pinned explicitly the mesh is halved a few
     times first, each refinement reusing the previous fine mesh as its
     coarse one.  A pinned mesh must be finite and positive, and so must
-    its half, the width of the finer mesh.  The meta records the halvings
-    made (``refinements``) and the ARPACK solves on the two meshes
-    extrapolated (``sparse_attempts``, 0 when both were dense)."""
+    its half, the width of the finer mesh.  Each solve starts Newton's
+    method from the previous mesh's values.  The meta records the halvings
+    made (``refinements``) and the lam points counted on the two meshes
+    extrapolated (``count_evaluations``)."""
     _check_count(count)
     if mesh is not None:
         mesh = float(mesh)  # the command line pins an exact Fraction
@@ -379,20 +514,22 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     min_len = min(float(e.length) for e in g.edges)
     refinements = 0 if mesh is not None else 3
     mesh = min(mesh, min_len / 2) if mesh is not None else min_len / 8
-    # the finer mesh first: it hits the cap
-    fine, nodes, fine_attempts = _fd_values(g, mesh / 2, count)
-    coarse, _, coarse_attempts = _fd_values(g, mesh, count)
+    fine = _Chains(g, mesh / 2)  # the finer mesh first: it hits the cap
+    coarse = _Chains(g, mesh)
+    coarse_values = coarse.values(count)
+    fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
     for done in range(refinements):
         try:
-            return _extrapolate(coarse, fine, mesh, nodes, done,
-                                coarse_attempts + fine_attempts)
+            return _extrapolate(coarse_values, fine_values, mesh, fine.nodes, done,
+                                coarse.evaluations + fine.evaluations)
         except MeshTooCoarse:
             # mesh/2 rounds to the same segments, so its solve carries over
             mesh /= 2
-            coarse, coarse_attempts = fine, fine_attempts
-            fine, nodes, fine_attempts = _fd_values(g, mesh / 2, count)
-    return _extrapolate(coarse, fine, mesh, nodes, refinements,
-                        coarse_attempts + fine_attempts)
+            coarse, coarse_values = fine, fine_values
+            fine = _Chains(g, mesh / 2)
+            fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
+    return _extrapolate(coarse_values, fine_values, mesh, fine.nodes, refinements,
+                        coarse.evaluations + fine.evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +547,15 @@ def spectrum(g: mg.MetricGraph, count: int = 6, method: str = "auto",
     finite-element mesh width otherwise.  von_below takes no mesh: its grid
     is the common edge length.  When auto falls back to finite elements
     from the exact route, ``meta["fallback"]`` says why, as the error code
-    and its message."""
+    and its message.  ``meta["requested"]`` is the method asked for, next to
+    the one that ran (``method``)."""
+    res = _route(g, count, method, mesh)
+    res.meta["requested"] = method
+    return res
+
+
+def _route(g: mg.MetricGraph, count: int, method: str,
+           mesh: Optional[float]) -> SpectrumResult:
     if method == "auto":
         if g.grid is not None:
             if mesh is not None:

@@ -1,5 +1,6 @@
-"""Shared fixtures: the graph corpus, a cached spectral oracle and the
-pairwise reference for vicinity graphs."""
+"""Shared fixtures: the graph corpus, a cached spectral oracle, the
+pairwise reference for vicinity graphs and the dense finite-element
+matrix."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -106,3 +108,19 @@ def reference_vicinity(g: mg.MetricGraph, cover) -> WeightedGraph:
            for (a, ea), (b, _) in itertools.combinations(cover.elements, 2)
            if (shared := [g.edge(eid).length for eid in ea if eid in sets[b]])]
     return reduce_multigraph(cover.labels, raw)
+
+
+def lumped_matrix(g: mg.MetricGraph, n) -> np.ndarray:
+    """The lumped P1 stiffness over mass, M^-1/2 K M^-1/2, dense, with edge e
+    cut into n[e] equal segments and the nodes numbered by oracle._segments:
+    the matrix the finite-element route reduces onto the vertices."""
+    left, right, N = oracle._segments(g, n)
+    s = np.repeat([float(e.length) / k for e, k in zip(g.edges, n)], n)
+    K = np.zeros((N, N))
+    np.add.at(K, (left, left), 1 / s)
+    np.add.at(K, (right, right), 1 / s)
+    np.add.at(K, (left, right), -1 / s)
+    np.add.at(K, (right, left), -1 / s)
+    scale = 1 / np.sqrt(np.bincount(np.concatenate((left, right)),
+                                    np.concatenate((s, s)) / 2, N))
+    return scale[:, None] * K * scale[None, :]

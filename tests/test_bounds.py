@@ -388,17 +388,22 @@ def test_tabulate_leaves_oracle_empty_on_library_errors(monkeypatch, caplog):
     assert table.to_json()["oracle_note"] == table.oracle_note
 
 
-def test_rational_bounds_never_import_scipy():
-    # scipy is the finite-element route's alone; importing it would cost
-    # every bound computation about 0.25 s and 20 MiB
+def test_rational_bounds_never_import_scipy(tmp_path):
+    # scipy serves only the tests: importing it would cost every bound
+    # computation about 0.25 s and 20 MiB, and the finite-element route
+    # (Python and `qgb oracle --method fd`) runs on numpy alone
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps(mg.graph_to_json(mg.four_pumpkin(2 + math.sqrt(5)))))
     code = ("import sys\n"
             "import qgbounds.cli\n"
-            "from qgbounds import bounds, covers, metric_graph as mg\n"
+            "from qgbounds import bounds, covers, oracle, metric_graph as mg\n"
             "g = mg.pumpkin_chain((2, 3), ['1/2', 3])\n"
             "bounds.transfer_bound(g, covers.build_cover(g, 'layered'), 'nicaise')\n"
             "bounds.classical_bounds(g, k_max=4)\n"
+            "assert oracle.spectrum(mg.platonic('cube', length=2 ** 0.5), 6).method == 'fd'\n"
+            f"assert qgbounds.cli.run(['oracle', {str(path)!r}, '--method', 'fd']) == 0\n"
             "print('scipy' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip().splitlines()[-1] == "False"

@@ -27,6 +27,8 @@ from qgbounds.errors import (
     UnknownKind,
 )
 
+from conftest import lumped_matrix
+
 PI2 = math.pi ** 2
 
 PLATONIC_GAP = {
@@ -161,14 +163,18 @@ def test_subdivision_size_cap_is_checked_before_assembly():
 ])
 def test_both_routes_number_the_segments_alike(g):
     # at half the grid every edge has at least two segments, the fewest a
-    # finite-element edge has, so both routes cut every edge alike
+    # finite-element edge has, so both routes cut every edge alike, and the
+    # lumped matrix on the exact route's numbering has the subdivided
+    # graph's edges
     h = g.grid.h / 2
     steps = [2 * k for k in g.grid.steps]
-    A, N = oracle._fd_matrix(g, float(h))
+    chains = oracle._Chains(g, float(h))
+    assert chains.n.tolist() == steps
+    A = lumped_matrix(g, chains.n)
     L = oracle._subdivided_laplacian(g, steps)
-    assert L.shape == (N, N)
-    off = ~np.eye(N, dtype=bool)
-    np.testing.assert_array_equal((A.toarray() != 0) & off, (L != 0) & off)
+    assert L.shape == A.shape == (chains.nodes, chains.nodes)
+    off = ~np.eye(chains.nodes, dtype=bool)
+    np.testing.assert_array_equal((A != 0) & off, (L != 0) & off)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +246,11 @@ def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
 def test_fd_sparse_route_repeats_bit_for_bit():
     g = mg.platonic("cube", length=math.sqrt(2))
     first = oracle.fd_spectrum(g, 4, mesh=0.02)
-    assert first.meta["nodes"] > oracle._DENSE_CUTOFF
-    assert oracle.fd_spectrum(g, 4, mesh=0.02).values == first.values
+    assert first.meta["nodes"] > 1000
+    assert list(first.values) == sorted(first.values)
+    # no state survives a call: another graph in between changes nothing
+    oracle.fd_spectrum(mg.four_pumpkin(2 + math.sqrt(5)), 8, mesh=0.05)
+    assert oracle.fd_spectrum(g, 4, mesh=0.02) == first
 
 
 @pytest.mark.parametrize("count, mesh", [(32, 1 / 30), (30, None)])
@@ -251,14 +260,43 @@ def test_fd_finds_every_copy_of_multiple_eigenvalues(count, mesh):
     # Richardson check on 2,532 nodes and raise MeshTooCoarse unpinned
     exact = oracle.subdivision_spectrum(mg.platonic("icosahedron"), count).values
     res = oracle.spectrum(mg.platonic("icosahedron", length=math.sqrt(2)), count, mesh=mesh)
-    assert res.method == "fd" and res.meta["nodes"] > oracle._DENSE_CUTOFF
+    assert res.method == "fd" and res.meta["nodes"] > 900
     assert res.values == pytest.approx([x / 2 for x in exact], rel=1e-4, abs=1e-12)
 
 
 def test_fd_never_returns_a_list_its_inertia_count_contradicts(monkeypatch):
-    monkeypatch.setattr(oracle, "_count_below", lambda A, mu: None)
-    with pytest.raises(NoConvergence):
-        oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 4, mesh=0.02)
+    matrix = oracle._Chains.matrix
+
+    def falling(self, lam, slopes=False):
+        # the count at the top probe drops by 100, as no spectrum's count can
+        T, extra = matrix(self, lam)
+        return T, extra + 100 * (lam == lam.max())
+
+    g = mg.platonic("cube", length=math.sqrt(2))
+    monkeypatch.setattr(oracle._Chains, "matrix", falling)
+    with pytest.raises(NoConvergence, match="inconsistent eigenvalue counts"):
+        oracle.fd_spectrum(g, 4, mesh=0.02)
+    monkeypatch.undo()
+    # Newton's method that runs out of rounds
+    monkeypatch.setattr(oracle, "_FD_NEWTON_ROUNDS", 1)
+    with pytest.raises(NoConvergence, match="did not settle"):
+        oracle.fd_spectrum(g, 4, mesh=0.02)
+
+
+def test_fd_vertex_count_continues_past_the_top_of_a_chain():
+    # on few nodes the top value lies past 4/s_e^2, the top of the 1- and
+    # 1.5-edges' own chains (2 and 3 segments), where theta_e = pi + i phi_e
+    # and tan, cot continue as tanh, coth: for even and odd counts alike
+    g = mg.pumpkin(3, [1.0, 1.5, 3.3])
+    chains = oracle._Chains(g, 0.5)
+    assert chains.n.tolist() == [2, 3, 7]
+    values = chains.values(chains.nodes)
+    assert values.size == chains.nodes - 1
+    assert (values[-1] * chains.s**2 > 4).tolist() == [True, True, False]
+    dense = np.linalg.eigvalsh(lumped_matrix(g, chains.n))
+    np.testing.assert_allclose(values, dense[:-1], rtol=1e-12, atol=1e-12)
+    # past 4/min(s_e)^2 every eigenvalue lies below
+    assert chains.count(np.array([4.04 / chains.s.min() ** 2])).tolist() == [chains.nodes]
 
 
 def test_fd_rejects_disconnected():
@@ -308,9 +346,13 @@ def test_auto_dispatch_pinned_mesh():
     assert blurred.meta["fallback"] == (
         "IncommensurableLengths: grid 3/100 does not divide edge e1_1 of length 1")
     assert blurred.to_json()["fallback"] == blurred.meta["fallback"]
-    # the fall back is the finite-element result plus its reason
-    assert oracle.spectrum(g, 4, mesh=0.03, method="fd").meta == {
-        k: v for k, v in blurred.meta.items() if k != "fallback"}
+    # the fall back is the finite-element result plus its reason, and the
+    # route asked for
+    assert blurred.meta["requested"] == "auto"
+    fd = oracle.spectrum(g, 4, mesh=0.03, method="fd")
+    assert fd.meta["requested"] == "fd"
+    assert fd.meta == {**{k: v for k, v in blurred.meta.items() if k != "fallback"},
+                       "requested": "fd"}
 
 
 def test_auto_dispatch_records_a_too_large_fallback(monkeypatch):
@@ -332,16 +374,27 @@ def test_meta_records_halvings_refinements_and_sparse_attempts():
     # exactly one halving of its grid
     exact = oracle.spectrum(mg.platonic("tetrahedron"), 5)
     assert exact.meta == {"threshold": (2 * math.pi) ** 2, "grid": "1/2",
-                          "subdivided_vertices": 10, "halvings": 1}
+                          "subdivided_vertices": 10, "halvings": 1,
+                          "requested": "auto"}
     assert exact.to_json()["halvings"] == 1
-    # from the start mesh sqrt(2)/8, one refinement: a dense coarse mesh
-    # and one ARPACK solve on the fine mesh past the dense cutoff
-    res = oracle.spectrum(mg.platonic("cube", length=math.sqrt(2)), 6)
-    meta = {k: v for k, v in res.to_json().items() if k not in ("values", "error_estimates")}
-    assert meta == {"method": "fd", "mesh": math.sqrt(2) / 16, "nodes": 380,
-                    "refinements": 1, "sparse_attempts": 1}
-    dense = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
-    assert (dense.meta["refinements"], dense.meta["sparse_attempts"]) == (0, 0)
+    # from the start mesh sqrt(2)/8, one refinement; the lam points counted
+    # are those of the two meshes extrapolated
+    g = mg.platonic("cube", length=math.sqrt(2))
+    res = oracle.spectrum(g, 6)
+    meta = {k: v for k, v in res.to_json().items()
+            if k not in ("values", "error_estimates", "count_evaluations")}
+    assert meta == {"method": "fd", "requested": "auto", "mesh": math.sqrt(2) / 16,
+                    "nodes": 380, "refinements": 1}
+    assert list(res.to_json())[:3] == ["method", "requested", "values"]
+    h = [math.sqrt(2) / 8, math.sqrt(2) / 16, math.sqrt(2) / 32]
+    meshes = [oracle._Chains(g, x) for x in h]
+    values = meshes[0].values(6)
+    for i in (1, 2):  # each solve starts from the one before
+        values = meshes[i].values(6, oracle._finer(values, h[i - 1], h[i]))
+    assert res.meta["count_evaluations"] == meshes[1].evaluations + meshes[2].evaluations
+    pinned = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
+    assert pinned.meta["refinements"] == 0 and pinned.meta["count_evaluations"] > 0
+    assert "requested" not in pinned.meta
 
 
 def test_explicit_methods_and_unknown():
@@ -385,7 +438,7 @@ def test_every_route_rejects_a_count_below_one(call, count, monkeypatch):
         raise AssertionError("solved before checking the count")
 
     monkeypatch.setattr(oracle, "eigenvalues_sym", no_solve)
-    monkeypatch.setattr(oracle, "_fd_eigs", no_solve)
+    monkeypatch.setattr(oracle, "_Chains", no_solve)
     with pytest.raises(BadParameter):
         call(mg.platonic("tetrahedron"), count)
 

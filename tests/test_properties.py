@@ -15,9 +15,10 @@ within both their error bounds, and LAPACK's bound must be small.  The exact met
 after subdividing every edge at a quarter of the length gcd, where the
 farthest points sit.  The exact oracle's Laplacian, assembled from the
 edge list and step counts, must equal bit for bit the normalized Laplacian
-of the subdivided graph built as a metric graph.  Above its dense cutoff,
-the finite-element route's inertia-checked shift-invert solve must agree
-with dense LAPACK on the same matrix, multiple eigenvalues included.
+of the subdivided graph built as a metric graph.  The finite-element
+route's vertex solve must return, sorted, what dense LAPACK finds on the
+full lumped matrix, multiple eigenvalues included, and its count must
+bracket every value it returned.
 Examples are drawn by the derandomised profile registered in conftest.
 """
 
@@ -44,7 +45,7 @@ from qgbounds.spectral import (
     underlying_weighted,
 )
 
-from conftest import reference_vicinity
+from conftest import lumped_matrix, reference_vicinity
 
 LENGTHS = ("1/2", "1", "3/2", "2")
 BOUND_SLACK = 1e-6
@@ -280,15 +281,34 @@ def fd_graphs(draw):
 
 @settings(max_examples=40)
 @given(fd_graphs(), st.integers(1, 30), st.integers(300, 900))
-# copies an unchecked shift-invert solve misses
+# multiple eigenvalues, many of them on a chain's Dirichlet value
 @example(mg.platonic("icosahedron"), 30, 500)
 @example(mg.platonic("dodecahedron", length=math.sqrt(2)), 30, 300)
 @example(mg.pumpkin(18, 1.0), 8, 900)
+# a double root where the whole vertex matrix vanishes
+@example(mg.pumpkin(2, [0.5, 1.5]), 23, 900)
+# Newton's method cycles between two points unless it is made to halve
+@example(mg.MetricGraph(tuple(f"v{i}" for i in range(6)), tuple(
+    mg.Edge(f"e{i}", f"v{a}", f"v{b}", length) for i, (a, b, length) in enumerate(
+        [(0, 1, 1.0), (1, 2, math.sqrt(2)), (0, 3, math.sqrt(2)), (1, 4, 0.5),
+         (1, 5, 1.5), (2, 5, 0.75)]))), 32, 100)
 def test_fd_sparse_solve_matches_dense(g, want, nodes):
-    A, N = oracle._fd_matrix(g, sum(float(e.length) for e in g.edges) / nodes)
-    assert N > oracle._DENSE_CUTOFF
-    dense = np.linalg.eigvalsh(A.toarray())[:want]
-    # absolute floor: both solvers round at about eps * ||A|| (the zero
+    chains = oracle._Chains(g, sum(float(e.length) for e in g.edges) / nodes)
+    A = lumped_matrix(g, chains.n)
+    dense = np.linalg.eigvalsh(A)[:want]
+    seen = []  # every lam at which the vertex matrix was formed
+    matrix = chains.matrix
+    chains.matrix = lambda lam, slopes=False: seen.append(lam) or matrix(lam, slopes)
+    values = chains.values(want)
+    # never on a Dirichlet value, where the vertex matrix has a pole
+    assert not np.isin(np.concatenate(seen), chains.dirichlet).any()
+    assert np.all(np.diff(values) >= 0)
+    # absolute floor: LAPACK rounds at about eps * ||A|| (the zero
     # eigenvalue comes out near 1e-10 on fine meshes)
     floor = 10 * np.finfo(float).eps * abs(A).sum(axis=1).max()
-    np.testing.assert_allclose(oracle._fd_eigs(A, N, want)[0], dense, rtol=1e-9, atol=floor)
+    np.testing.assert_allclose(values, dense, rtol=1e-9, atol=floor)
+    # the vertex count brackets every value it returned: i - 1 values lie
+    # below the i-th, and at least i just above it
+    i = np.arange(2, values.size + 1)
+    assert np.all(chains.count(values[1:] * (1 - 1e-9)) < i)
+    assert np.all(i <= chains.count(values[1:] * (1 + 1e-9)))
