@@ -25,7 +25,9 @@ Two independent routes:
   chains' Dirichlet count plus the negative inertia of a V x V Schur
   complement S(lam), known in closed form (``_Chains``).  Counts place
   every wanted index; Newton's method on the eigenvalue of S that crosses
-  0 then finds it, for every mesh size alike, with numpy alone.
+  0 then finds it, with numpy alone.  The cost grows with the number of
+  vertices V (a dense V x V eigensolve per lam) rather than with the mesh,
+  and graphs past _FD_VERTEX_CAP vertices raise TooLarge.
 
 The exact route cuts edge e into n_e segments and numbers the nodes in
 ``_segments``: the vertices first, then each edge's interior points, edge by
@@ -71,12 +73,19 @@ _BRANCH_EPS = 1e-9
 # raises TooLarge.
 _MATRIX_CAP = 1500
 _FD_NODE_CAP = 250_000
+# Most vertices the finite-element route takes.  Every lam it evaluates
+# costs a dense V x V eigensolve, whatever the mesh: on a 2-CPU x86 host with
+# one BLAS thread, 40 values of a pumpkin chain with irrational lengths took
+# 0.4 s at 100 vertices, 1.5 s at 200, 5.6 s at 400 and 10 s at 500 (6
+# values: 0.07, 0.23, 0.8 and 1.6 s).
+_FD_VERTEX_CAP = 500
+_FD_STACK = 1 << 20  # most entries in one stack of vertex matrices
 _FD_RTOL = 1e-3  # relative error estimate a finite-element value must meet
 # The finite-element count is taken this far (relative) on either side of a
 # chain's Dirichlet value, where the vertex matrix has a pole, and an
 # eigenvalue in between is reported at the Dirichlet value.
 _FD_WINDOW = 1e-10
-_FD_NEWTON_STOP = 1e-12  # a Newton step this small (relative) is the last
+_FD_NEWTON_STOP = 1e-12  # Newton's method stops on a bracket this narrow (relative)
 _FD_NEWTON_ROUNDS = 60  # per mesh, before NoConvergence
 # A chain mode whose coefficient (times s_e) exceeds this, next to a pole,
 # is bordered rather than added into the vertex matrix.
@@ -261,6 +270,9 @@ class _Chains:
     S decreases with lam, strictly, between Dirichlet values."""
 
     def __init__(self, g: mg.MetricGraph, h: float):
+        if len(g.vertices) > _FD_VERTEX_CAP:
+            raise TooLarge(f"finite elements on {len(g.vertices)} vertices "
+                           f"(cap {_FD_VERTEX_CAP})")
         lengths = np.array([float(e.length) for e in g.edges])
         # float, so that a tiny mesh cannot wrap a fixed-width integer
         segments = np.maximum(2.0, np.rint(lengths / h))
@@ -273,10 +285,7 @@ class _Chains:
         index = {v: i for i, v in enumerate(g.vertices)}
         self.u, self.v = np.array([(index[e.u], index[e.v]) for e in g.edges],
                                   dtype=np.int64).T
-        V = self.V = len(g.vertices)
-        # where each edge's two coefficients land in a flattened S
-        self.slots = np.concatenate((self.u * (V + 1), self.v * (V + 1),
-                                     self.u * V + self.v, self.v * V + self.u))
+        self.V = len(g.vertices)
         j = np.concatenate([np.arange(1, n) / (2 * n) for n in self.n.tolist()])
         self.dirichlet = np.sort(np.repeat(4 / self.s**2, self.n - 1)
                                  * np.sin(np.pi * j) ** 2)
@@ -315,56 +324,61 @@ class _Chains:
                 dq = np.where(inside, dq, np.where(odd, d_tanh, d_coth))
         return (p, q, dp, dq) if slopes else (p, q)
 
-    def matrix(self, lam: np.ndarray, slopes: bool = False):
-        """S at every lam, stacked, each mode whose |c| > _FD_BORDER
-        bordered, and the negative eigenvalues the bordering added to each.
+    def stacks(self, lam: np.ndarray, slopes: bool = False):
+        """S at every lam, each mode whose |c| > _FD_BORDER bordered, in
+        stacks of one width and at most _FD_STACK entries: yields the places
+        in lam of a stack, the stack, and the negative eigenvalues the
+        bordering added to each matrix; with slopes, also the derivatives in
+        lam of the modes kept in S and of the gammas.  Each matrix depends
+        on its lam alone.
 
         Next to a Dirichlet value a mode's coefficient c grows without bound,
         and rounding in S would hide the sign of its small eigenvalues.  Such
         a mode enters as a row and column of its own instead, w/s_e off the
-        diagonal and gamma = -1/(c s_e) on it (w = a or b; an unused row
-        holds an eigenvalue above all others), whose elimination adds
-        c w w^T/s_e back.  By Haynsworth the bordered matrix has one more
-        negative eigenvalue than S for each such c > 0, no entry larger than
-        _FD_BORDER/min(s_e), and it is singular where S is.  With slopes,
-        also the derivatives in lam of the modes kept in S and of the
-        gammas."""
-        P, V = lam.size, self.V
+        diagonal and gamma = -1/(c s_e) on it (w = a or b), whose elimination
+        adds c w w^T/s_e back.  By Haynsworth the bordered matrix has one
+        more negative eigenvalue than S for each such c > 0, no entry larger
+        than _FD_BORDER/min(s_e), and it is singular where S is."""
         modes = self.modes(lam, slopes)
         c = np.stack(modes[:2], axis=2)
         big = np.abs(c) > _FD_BORDER
-        kept = np.where(big, 0.0, c) / self.s[:, None]
-        diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
-        at = (np.arange(P) * (V * V))[:, None] + self.slots
-        w = np.concatenate((diag, diag, off, off), axis=1)
-        T = np.bincount(at.ravel(), w.ravel(), P * V * V).reshape(P, V, V)
-        self.evaluations += P
-        rows, edges, kinds = np.nonzero(big)
-        slot = V + np.arange(rows.size) - np.searchsorted(rows, rows)
-        s = self.s[edges]
-        if rows.size:
-            width = int(slot.max()) + 1
-            T = np.pad(T, ((0, 0), (0, width - V), (0, width - V)))
-            for ends, w in ((self.u[edges], 1 / s), (self.v[edges], (1 - 2 * kinds) / s)):
-                T[rows, ends, slot] = T[rows, slot, ends] = w
-            T[rows, slot, slot] = -1 / (c[big] * s)
-            unused = np.ones((P, width - V), dtype=bool)
-            unused[rows, slot - V] = False
-            top = 1 + np.abs(T).sum(axis=2).max()  # Gershgorin: above all of S
-            T[:, np.arange(V, width), np.arange(V, width)] += top * unused
-        extra = np.count_nonzero(big & (c > 0), axis=(1, 2))
-        if not slopes:
-            return T, extra
-        dc = np.stack(modes[2:], axis=2)
-        dgamma = np.zeros((P, T.shape[1] - V))
-        dgamma[rows, slot - V] = dc[big] / (c[big] ** 2 * s)
-        return T, extra, np.where(big, 0.0, dc) / self.s[:, None], dgamma
+        self.evaluations += lam.size
+        borders = np.count_nonzero(big, axis=(1, 2))
+        V = self.V
+        for b in np.unique(borders).tolist():
+            width = V + b
+            group = np.flatnonzero(borders == b)
+            size = max(1, _FD_STACK // width**2)
+            for at in range(0, group.size, size):
+                rows = group[at:at + size]
+                cs, bigs = c[rows], big[rows]
+                kept = np.where(bigs, 0.0, cs) / self.s[:, None]
+                diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
+                slots = np.concatenate((self.u * (width + 1), self.v * (width + 1),
+                                        self.u * width + self.v, self.v * width + self.u))
+                w = np.concatenate((diag, diag, off, off), axis=1)
+                T = np.bincount((np.arange(rows.size)[:, None] * width**2 + slots).ravel(),
+                                w.ravel(), rows.size * width**2).reshape(rows.size, width, width)
+                mats, edges, kinds = np.nonzero(bigs)
+                slot = V + np.tile(np.arange(b), rows.size)
+                s = self.s[edges]
+                for ends, w in ((self.u[edges], 1 / s), (self.v[edges], (1 - 2 * kinds) / s)):
+                    T[mats, ends, slot] = T[mats, slot, ends] = w
+                T[mats, slot, slot] = -1 / (cs[bigs] * s)
+                extra = np.count_nonzero(bigs & (cs > 0), axis=(1, 2))
+                if not slopes:
+                    yield rows, T, extra
+                    continue
+                dc = np.stack(modes[2:], axis=2)[rows]
+                yield (rows, T, extra, np.where(bigs, 0.0, dc) / self.s[:, None],
+                       (dc[bigs] / (cs[bigs] ** 2 * s)).reshape(rows.size, b))
 
     def count(self, lam: np.ndarray) -> np.ndarray:
         """How many eigenvalues of the pencil lie below each lam; no lam may
         be a Dirichlet value."""
-        T, extra = self.matrix(lam)
-        negative = np.count_nonzero(np.linalg.eigvalsh(T) < 0, axis=1) - extra
+        negative = np.empty(lam.size, dtype=np.int64)
+        for rows, T, extra in self.stacks(lam):
+            negative[rows] = np.count_nonzero(np.linalg.eigvalsh(T) < 0, axis=1) - extra
         return np.searchsorted(self.dirichlet, lam) + negative
 
     def newton(self, lam: np.ndarray, k: np.ndarray):
@@ -372,19 +386,21 @@ class _Chains:
         each lam with its own k, and its derivative z^T T'(lam) z / z^T z.
         Its eigenvector z is one step of inverse iteration, shifted just
         below it, from a fixed start."""
-        T, extra, dkept, dgamma = self.matrix(lam, slopes=True)
-        rows, k = np.arange(lam.size), k + extra
-        mu = np.linalg.eigvalsh(T)[rows, k]
-        width = T.shape[1]
-        # just below mu, on a scale that stays when S vanishes (at a root
-        # where every eigenvalue of S crosses 0 at once)
-        shift = mu - 1e-13 * (np.abs(T).max(axis=(1, 2)) + 1 / self.s.min())
-        T[:, np.arange(width), np.arange(width)] -= shift[:, None]
-        start = np.broadcast_to(np.cos(np.arange(width)), (lam.size, width))
-        z = np.linalg.solve(T, start[..., None])[..., 0]
-        zu, zv = z[:, self.u], z[:, self.v]
-        slope = (np.sum(dkept[..., 0] * (zu + zv) ** 2 + dkept[..., 1] * (zu - zv) ** 2, axis=1)
-                 + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)) / np.sum(z * z, axis=1)
+        mu, slope = np.empty(lam.size), np.empty(lam.size)
+        for rows, T, extra, dkept, dgamma in self.stacks(lam, slopes=True):
+            width = T.shape[1]
+            m = np.linalg.eigvalsh(T)[np.arange(rows.size), k[rows] + extra]
+            # just below mu, on a scale that stays when S vanishes (at a root
+            # where every eigenvalue of S crosses 0 at once)
+            shift = m - 1e-13 * (np.abs(T).max(axis=(1, 2)) + 1 / self.s.min())
+            T[:, np.arange(width), np.arange(width)] -= shift[:, None]
+            start = np.broadcast_to(np.cos(np.arange(width)), (rows.size, width))
+            z = np.linalg.solve(T, start[..., None])[..., 0]
+            zu, zv = z[:, self.u], z[:, self.v]
+            mu[rows] = m
+            slope[rows] = (np.sum(dkept[..., 0] * (zu + zv) ** 2
+                                  + dkept[..., 1] * (zu - zv) ** 2, axis=1)
+                           + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)) / np.sum(z * z, axis=1)
         return mu, slope
 
     def values(self, count: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
@@ -400,9 +416,12 @@ class _Chains:
         root of mu_k, the k-th eigenvalue of S from below, k = i -
         #(dirichlet below).  Newton's method, with its bracket as a
         safeguard, finds it from ``guess`` (when inside the bracket) or the
-        middle of the bracket.  Multiple eigenvalues
+        middle of the bracket, and stops once the signs of mu_k have closed
+        the bracket to _FD_NEWTON_STOP relative.  Multiple eigenvalues
         are roots of as many mu_k, and neither they nor eigenvalues on a
-        Dirichlet value need more than that."""
+        Dirichlet value need more than that.  Each lam's matrix depends on
+        lam alone, so a call repeats bit for bit; another count probes other
+        windows, and may move the last bits."""
         want = min(count, self.nodes - 1)
         values = np.zeros(want)  # lam_0 = 0 on a connected graph, exactly
         d = self.dirichlet
@@ -433,34 +452,30 @@ class _Chains:
         if guess is not None:
             guess = np.append(guess, np.full(max(0, want - guess.size), np.nan))[index]
             x = np.where((guess > lo) & (guess < hi), guess, x)
-        last_step = last_slope = np.full(x.size, np.nan)
         move = hi - lo  # x's last move, bisections included
         for _ in range(_FD_NEWTON_ROUNDS):
             if not index.size:
                 return np.sort(values)
             mu, slope = self.newton(x, k)
             lo, hi = np.where(mu < 0, lo, x), np.where(mu < 0, x, hi)
-            with np.errstate(divide="ignore"):  # a zero slope bisects
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
                 step = -mu / slope
-            # two small Newton steps on one smooth curve (slopes agreeing to
-            # 1%) that shrink quadratically leave an error of about
-            # step^3 / last_step^2 after the second
-            quadratic = ((np.abs(step) <= 1e-9 * x) & (np.abs(last_step) <= 1e-4 * x)
-                         & (np.abs(slope - last_slope) <= 1e-2 * np.abs(slope))
-                         & (np.abs(step) ** 3 <= _FD_NEWTON_STOP * x * last_step ** 2))
-            done = ((np.abs(step) <= _FD_NEWTON_STOP * x) | (hi - lo <= _FD_NEWTON_STOP * x)
-                    | quadratic)
+            tol = _FD_NEWTON_STOP * x
+            done = hi - lo <= tol
+            values[index[done]] = np.clip(x + np.nan_to_num(step), lo, hi)[done]
+            # a step shorter than the tolerance goes on past the root, to
+            # within the tolerance of x, so that the next sign closes the
+            # bracket: a small step alone can mislead where a steep
+            # eigencurve of S meets a shallow one
+            step = np.where(np.abs(step) < tol, np.copysign(tol + np.abs(step), step) / 2, step)
             # Newton's step when it stays in the bracket, and goes on in the
             # last move's direction or at least halves it (so that it cannot
             # cycle); else bisection
-            newton = done | ((x + step > lo) & (x + step < hi)
-                             & ((step * move > 0) | (2 * np.abs(step) <= np.abs(move))))
-            move = np.where(newton, np.clip(x + step, lo, hi), (lo + hi) / 2) - x
+            newton = ((x + step > lo) & (x + step < hi)
+                      & ((step * move > 0) | (2 * np.abs(step) <= np.abs(move))))
+            move = np.where(newton, x + step, (lo + hi) / 2) - x
             x = x + move
-            last_step, last_slope = np.where(newton, step, np.nan), slope
-            values[index[done]] = x[done]
-            index, k, x, lo, hi, last_step, last_slope, move = (
-                a[~done] for a in (index, k, x, lo, hi, last_step, last_slope, move))
+            index, k, x, lo, hi, move = (a[~done] for a in (index, k, x, lo, hi, move))
         raise NoConvergence(f"Newton's method did not settle {index.size} eigenvalues "
                             f"on {self.nodes} nodes", nodes=self.nodes, want=want)
 

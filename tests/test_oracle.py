@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qgbounds import metric_graph as mg
-from qgbounds import oracle
+from qgbounds import bounds, oracle
 from qgbounds.errors import (
     BadParameter,
     Disconnected,
@@ -228,6 +228,43 @@ def test_fd_node_cap_is_checked_before_assembly():
             oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=mesh)
 
 
+def test_fd_vertex_cap_is_checked_before_assembly(monkeypatch):
+    # every lam costs a dense eigensolve of the vertex matrix, so a graph past
+    # the cap raises TooLarge, through auto's fall back too, before anything
+    # the size of that matrix is built
+    g = mg.pumpkin_chain([2] * oracle._FD_VERTEX_CAP, math.sqrt(2))
+    assert len(g.vertices) == oracle._FD_VERTEX_CAP + 1
+    monkeypatch.setattr(oracle._Chains, "modes", None)
+    rational = mg.pumpkin_chain([2] * oracle._FD_VERTEX_CAP)
+    monkeypatch.setattr(oracle, "_MATRIX_CAP", 10)  # the exact route gives way
+    for solve in (lambda: oracle.fd_spectrum(g, 4), lambda: oracle.spectrum(g, 40),
+                  lambda: oracle.spectrum(rational, 40)):
+        with pytest.raises(TooLarge, match=f"finite elements on 501 vertices "
+                                           f"\\(cap {oracle._FD_VERTEX_CAP}\\)"):
+            solve()
+    # the comparison table leaves its oracle column empty
+    assert bounds.tabulate(g, []).oracle_note.startswith("TooLarge: finite elements")
+
+
+def test_fd_vertex_matrices_depend_on_their_own_lam_alone(monkeypatch):
+    # stacks of one width and bounded size: a lam solved alone, in a batch
+    # with lams that border other modes, or in stacks of one matrix, gives
+    # the same bits
+    g = mg.four_pumpkin(2 + math.sqrt(5))
+    chains = oracle._Chains(g, 0.05)
+    d = chains.dirichlet
+    # the first two next to a pole: both unit edges border a mode there
+    lam = np.array([d[3] * (1 + 1e-6), d[5] * (1 - 1e-7), d[0] * 1.5, (d[7] + d[8]) / 2])
+    k = np.array([0, 1, 0, 1])
+    assert len({T.shape for _, T, _ in chains.stacks(lam)}) > 1
+    together = chains.newton(lam, k)
+    monkeypatch.setattr(oracle, "_FD_STACK", 1)
+    for i in range(lam.size):
+        alone = chains.newton(lam[i:i + 1], k[i:i + 1])
+        assert (alone[0][0], alone[1][0]) == (together[0][i], together[1][i])
+    assert chains.count(lam).tolist() == [chains.count(lam[i:i + 1])[0] for i in range(4)]
+
+
 def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
     def triangle(third):
         return mg.graph_from_json({
@@ -265,15 +302,15 @@ def test_fd_finds_every_copy_of_multiple_eigenvalues(count, mesh):
 
 
 def test_fd_never_returns_a_list_its_inertia_count_contradicts(monkeypatch):
-    matrix = oracle._Chains.matrix
+    stacks = oracle._Chains.stacks
 
     def falling(self, lam, slopes=False):
         # the count at the top probe drops by 100, as no spectrum's count can
-        T, extra = matrix(self, lam)
-        return T, extra + 100 * (lam == lam.max())
+        for rows, T, extra, *rest in stacks(self, lam, slopes):
+            yield (rows, T, extra + 100 * (lam[rows] == lam.max()), *rest)
 
     g = mg.platonic("cube", length=math.sqrt(2))
-    monkeypatch.setattr(oracle._Chains, "matrix", falling)
+    monkeypatch.setattr(oracle._Chains, "stacks", falling)
     with pytest.raises(NoConvergence, match="inconsistent eigenvalue counts"):
         oracle.fd_spectrum(g, 4, mesh=0.02)
     monkeypatch.undo()
