@@ -23,7 +23,6 @@ from .covers import (
     cover_from_json,
     cover_to_json,
     validate_cover,
-    vicinity_graph,
 )
 from .errors import QGraphError
 from .metric_graph import (
@@ -37,7 +36,6 @@ from .metric_graph import (
 from .oracle import analytic_gap, spectrum
 from .repro import run_all as run_repro
 from .repro import run_case as run_repro_case
-from .spectral import normalized_spectrum
 
 __all__ = [
     "BoundReport",
@@ -56,7 +54,6 @@ __all__ = [
     "generate",
     "graph_from_json",
     "graph_to_json",
-    "normalized_spectrum",
     "pumpkin_chain_bounds",
     "run_repro",
     "run_repro_case",
@@ -66,7 +63,6 @@ __all__ = [
     "transfer_bound",
     "validate",
     "validate_cover",
-    "vicinity_graph",
 ]
 
 __version__ = "0.1.0"

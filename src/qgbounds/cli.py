@@ -56,11 +56,15 @@ def _resolve_cover(g: mg.MetricGraph, spec: str) -> covers.Cover:
 
 
 def _emit(args, payload: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
+    path = getattr(args, "output", None)
+    if not path:
         sys.stdout.write(payload)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise BadParameter(f"cannot write {path}: {exc.strerror}", path=path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +87,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = load_graph(args.graph)
-    eta = _resolve_eta(args.eta)
-    if args.cover in ("star", "stars"):
+    stars = args.cover in ("star", "stars")
+    eta = _resolve_eta(args.eta or ("star" if stars else "cycle"))
+    if stars:
+        if eta != "star_best":
+            raise BadParameter("the star cover takes only the star eta",
+                               eta=args.eta, cover=args.cover)
         report = bounds.star_bound(g)
     else:
         cover = _resolve_cover(g, args.cover)
@@ -168,9 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--cover", default="star",
                    help="star, faces, face_pairs, pumpkin_cycles, layered, "
                         "concatenated, copies:m, or file:cover.json")
-    b.add_argument("--eta", default="cycle",
+    b.add_argument("--eta",
                    help="exact, cycle, nicaise, star, oracle (or full "
-                        "strategy names)")
+                        "strategy names); default star for the star cover, "
+                        "which takes no other, and cycle for the rest")
     b.add_argument("--k", type=_positive_int,
                    help="report only the first K indices (K >= 1)")
     b.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -3,8 +3,9 @@
 A cover is a finite family of edge subsets ("elements") such that every
 edge of the host graph lies in the same number m of elements.  The
 vicinity graph has one vertex per element and connects two elements by the
-total length of the edges they share.  Everything downstream (transference
-bounds) consumes covers only through this module.
+total length of the edges they share; it exists only as arrays, the
+weights and degrees of ``CoverReport.vicinity``.  Everything downstream
+(transference bounds) consumes covers only through this module.
 
 With J the 0/1 element x edge incidence and k the edges' lengths, the
 shared lengths are W = (J k) J^T, the element lengths its diagonal J k,
@@ -31,7 +32,6 @@ recomputed from the data, never trusted from a file.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -49,12 +49,7 @@ from .errors import (
     NotUniform,
     ParseError,
 )
-from .spectral import (
-    WeightedGraph,
-    normalized_laplacian_dense,
-    normalized_laplacian_sym,
-    reduce_multigraph,
-)
+from .spectral import normalized_laplacian_dense
 
 _EXACT_FLOAT = 2**53  # integers below it are exact as floats
 
@@ -84,7 +79,8 @@ class CoverReport:
     from the one product (J k) J^T.  On a rational graph the overlaps are
     integer steps of ``grid`` (int64, or Python ints where int64 could
     overflow); otherwise ``grid`` is None and they are the lengths
-    themselves, each summed in graph edge order.
+    themselves, each summed in graph edge order.  The vicinity graph is
+    read from the overlaps as float arrays by :meth:`vicinity`.
 
     One report is shared by every caller that validates the same cover
     content on the same graph, and lives as long as that graph, so it is
@@ -106,14 +102,18 @@ class CoverReport:
             return steps.astype(float) * p / q  # exact up to the one division
         return (steps.astype(object) * p / q).astype(float)  # in Python ints
 
-    def laplacian(self) -> np.ndarray:
-        """Symmetric normalized Laplacian of the vicinity graph: its weights
-        are the off-diagonal overlaps and its degrees (m-1) times the
-        element lengths."""
+    def vicinity(self) -> tuple:
+        """The vicinity graph as ``(weights, degrees)``, float lengths in
+        cover order: the weights are the overlaps with a zero diagonal,
+        and the degrees (m-1) times the element lengths."""
         shared = self.overlap.copy()
         np.fill_diagonal(shared, 0)
         degrees = (self.fold - 1) * self.overlap.diagonal()
-        return normalized_laplacian_dense(self.floats(shared), self.floats(degrees))
+        return self.floats(shared), self.floats(degrees)
+
+    def laplacian(self) -> np.ndarray:
+        """Symmetric normalized Laplacian of the vicinity graph."""
+        return normalized_laplacian_dense(*self.vicinity())
 
     @cached_property
     def connected(self) -> bool:
@@ -121,16 +121,6 @@ class CoverReport:
         rows, cols = np.nonzero(self.overlap)
         pairs = zip(rows.tolist(), cols.tolist())
         return len(mg.connected_components(range(len(self.overlap)), pairs)) <= 1
-
-    @cached_property
-    def vicinity(self) -> WeightedGraph:
-        """The vicinity graph, with exact weights on the grid."""
-        labels = tuple(self.subgraphs)
-        weight = self.grid.length if self.grid is not None else (lambda w: w)
-        w = self.overlap.tolist()  # Python ints on the grid
-        raw = [(labels[i], labels[j], weight(w[i][j]))
-               for i, j in itertools.combinations(range(len(labels)), 2) if w[i][j]]
-        return reduce_multigraph(labels, raw)
 
 
 def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
@@ -216,36 +206,37 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     return CoverReport(fold, MappingProxyType(subgraphs), overlap, grid)
 
 
-def vicinity_graph(g: mg.MetricGraph, cover: Cover) -> WeightedGraph:
-    """Weighted graph on cover elements; weight = total shared edge length.
-
-    A view of :func:`validate_cover`'s overlaps, so the cover is checked
-    first; weights are exact on rational graphs."""
-    return validate_cover(g, cover).vicinity
+def vicinity_graph(g: mg.MetricGraph, cover: Cover) -> tuple:
+    """The vicinity graph's ``(weights, degrees)``: the weight of two
+    elements is the total length of the edges they share, as floats in
+    cover order.  A view of :func:`validate_cover`'s overlaps, so the cover
+    is checked first."""
+    return validate_cover(g, cover).vicinity()
 
 
 def proof_identity_residual(g: mg.MetricGraph, cover: Cover,
-                            vicinity: WeightedGraph) -> float:
+                            weights: np.ndarray) -> float:
     """Entrywise residual of the algebraic identity behind the transference
-    bound, between the cover's overlaps and a vicinity graph built some
-    other way.
+    bound, between the cover's overlaps and a vicinity weight matrix built
+    some other way.
 
-    With incidence matrix J (elements x edges), edge-length diagonal M,
-    the vicinity graph's degree diagonal D and fold m, the matrix
-    m*I - (m-1) * D^{-1/2} J M J^T D^{-1/2} must equal (m-1) times its
-    symmetric normalized Laplacian.  J M J^T is the cover's overlap
-    matrix.  Returns the maximum absolute entry of the difference; exact
-    covers land at rounding error.  The cover is validated first, so a
-    malformed cover raises as in :func:`validate_cover`."""
+    ``weights`` is that reference matrix, in cover order, with a zero
+    diagonal; its row sums are its degrees, summed in its own arithmetic
+    (a Fraction matrix stays exact) and rounded to float once.  With
+    incidence matrix J (elements x edges), edge-length diagonal M, the
+    degree diagonal D and fold m, the matrix
+    m*I - (m-1) * D^{-1/2} J M J^T D^{-1/2} must equal (m-1) times the
+    reference's symmetric normalized Laplacian.  J M J^T is the cover's
+    overlap matrix.  Returns the maximum absolute entry of the difference;
+    exact covers land at rounding error.  The cover is validated first, so
+    a malformed cover raises as in :func:`validate_cover`."""
     rep = validate_cover(g, cover)
     fold = rep.fold
-    pos = [vicinity.index[lbl] for lbl in rep.subgraphs]
-    gram = rep.floats(rep.overlap)
-    deg = np.array([float(d) for d in vicinity.degree_vector])[pos]
+    deg = weights.sum(axis=1).astype(float)
     dm = 1.0 / np.sqrt(deg)  # fold >= 2: every element shares its edges
-    G = (dm[:, None] * gram) * dm[None, :]
-    lhs = fold * np.eye(len(pos)) - (fold - 1) * G
-    rhs = (fold - 1) * normalized_laplacian_sym(vicinity)[np.ix_(pos, pos)]
+    G = (dm[:, None] * rep.floats(rep.overlap)) * dm[None, :]
+    lhs = fold * np.eye(len(deg)) - (fold - 1) * G
+    rhs = (fold - 1) * normalized_laplacian_dense(weights.astype(float), deg)
     return float(np.abs(lhs - rhs).max())
 
 

@@ -74,10 +74,6 @@ class NotBridgeless(QGraphError):
 
 # -- discrete spectra -------------------------------------------------------
 
-class IsolatedVertex(QGraphError):
-    pass
-
-
 class NotSymmetric(QGraphError):
     pass
 

@@ -186,9 +186,6 @@ class Edge:
         return self.u == self.v
 
 
-HalfEdge = tuple  # (edge id, end index 0|1)
-
-
 @dataclass(frozen=True)
 class MetricGraph:
     """Immutable metric graph.  Construct, then treat as read-only."""

@@ -1,8 +1,11 @@
-"""Discrete spectral tools for weighted multigraphs.
+"""Discrete spectral tools for weighted graphs given as arrays.
 
-Holds the symmetric normalized Laplacian, two dense symmetric eigensolvers,
-and the Cheeger-constant machinery used to sandwich the second normalized
-eigenvalue.  Each solver has one job:
+A weighted graph here is a symmetric float weight matrix with a zero
+diagonal and its float degrees, in one vertex order; the vicinity graph of
+a cover comes in that form from ``CoverReport.vicinity``.  The module holds
+the symmetric normalized Laplacian of such a pair, two dense symmetric
+eigensolvers, and the Cheeger constant and inverse-weight diameter that
+sandwich the second normalized eigenvalue.  Each solver has one job:
 
 * ``eigenvalues_lapack`` gives the vicinity spectrum alpha of every
   transference bound.  It calls LAPACK (``numpy.linalg.eigh``) and measures
@@ -19,99 +22,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from . import metric_graph as mg
-from .errors import (
-    Disconnected,
-    IsolatedVertex,
-    NoConvergence,
-    NotSymmetric,
-    TooLarge,
-)
+from .errors import Disconnected, NoConvergence, NotSymmetric, TooLarge
 
 _CHEEGER_CAP = 22
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Finite weighted graph without parallel edges.
-
-    vertices are labels; edges is a tuple of (u, v, weight) with exact
-    weights where possible.  Loops are not allowed here: callers reduce
-    multigraphs first."""
-
-    vertices: tuple
-    edges: tuple
-
-    def __post_init__(self):
-        idx = self.index
-        for u, v, w in self.edges:
-            if u not in idx or v not in idx:
-                raise NotSymmetric(f"edge ({u!r}, {v!r}) references unknown vertex")
-            if u == v:
-                raise NotSymmetric(f"loop at {u!r} not supported")
-            if not w > 0:
-                raise NotSymmetric(f"edge ({u!r}, {v!r}) has nonpositive weight {w}")
-
-    @cached_property
-    def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def degree_vector(self) -> tuple:
-        deg = [Fraction(0)] * len(self.vertices)
-        idx = self.index
-        for u, v, w in self.edges:
-            deg[idx[u]] += w
-            deg[idx[v]] += w
-        return tuple(deg)
-
-    @property
-    def volume(self):
-        return sum(self.degree_vector, start=Fraction(0))
-
-    def is_connected(self) -> bool:
-        pairs = ((u, v) for u, v, _ in self.edges)
-        return len(mg.connected_components(self.vertices, pairs)) <= 1
-
-
-def reduce_multigraph(vertices: Sequence, raw_edges: Sequence) -> WeightedGraph:
-    """Merge parallel (u, v, w) edges by adding weights; reject loops upstream."""
-    acc: dict = {}
-    for u, v, w in raw_edges:
-        key = (u, v) if str(u) <= str(v) else (v, u)
-        acc[key] = acc.get(key, Fraction(0)) + w
-    edges = tuple((u, v, w) for (u, v), w in sorted(acc.items(), key=lambda t: (str(t[0][0]), str(t[0][1]))))
-    return WeightedGraph(tuple(vertices), edges)
-
-
-def underlying_weighted(g) -> WeightedGraph:
-    """Weighted graph underlying a metric graph: each edge has weight one,
-    so parallel edges merge into their multiplicity."""
-    return reduce_multigraph(g.vertices, [(e.u, e.v, Fraction(1)) for e in g.edges])
-
-
-def normalized_laplacian_sym(wg: WeightedGraph) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.  The degrees
-    are summed exactly, in the weights' own arithmetic (int or Fraction),
-    and rounded to float once."""
-    idx = wg.index
-    n = len(wg.vertices)
-    A = np.zeros((n, n))
-    for u, v, w in wg.edges:
-        i, j = idx[u], idx[v]
-        A[i, j] += float(w)
-        A[j, i] += float(w)
-    deg = wg.degree_vector
-    for v, d in zip(wg.vertices, deg):
-        if d == 0:
-            raise IsolatedVertex(f"vertex {v!r} has weighted degree zero")
-    return normalized_laplacian_dense(A, np.array([float(d) for d in deg]))
 
 
 def normalized_laplacian_dense(A: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -292,50 +209,49 @@ def eigenvalues_sym(matrix) -> Spectrum:
     return Spectrum(tuple(sorted(d)), math.sqrt(2.0 * dropped))
 
 
-def normalized_spectrum(wg: WeightedGraph) -> Spectrum:
-    return eigenvalues_lapack(normalized_laplacian_sym(wg))
-
-
 # ---------------------------------------------------------------------------
 # Cheeger constant and the sandwich for the second eigenvalue
 
 
-def cheeger_constant(wg: WeightedGraph) -> float:
+def _weighted_pairs(weights: np.ndarray):
+    """(i, j, w) for each pair i < j of nonzero weight, row by row."""
+    rows, cols = np.nonzero(np.triu(weights, 1))
+    w = weights.tolist()
+    return [(i, j, w[i][j]) for i, j in zip(rows.tolist(), cols.tolist())]
+
+
+def cheeger_constant(weights: np.ndarray, degrees: np.ndarray) -> float:
     """Weighted Cheeger constant by exhaustive cuts.
 
     h = min over proper vertex subsets S of w(boundary S) / min(vol S,
-    vol complement).  Enumerates the 2^(n-1) subsets containing a fixed
-    vertex's complement side, so the size cap keeps this affordable."""
-    n = len(wg.vertices)
+    vol complement), from a float weight matrix and float degrees.
+    Enumerates the 2^(n-1) subsets containing a fixed vertex's complement
+    side, so the size cap keeps this affordable."""
+    n = len(degrees)
     if n < 2:
         raise TooLarge("Cheeger constant needs at least two vertices")
     if n > _CHEEGER_CAP:
         raise TooLarge(f"{n} vertices exceeds the exhaustive-cut cap {_CHEEGER_CAP}")
-    if not wg.is_connected():
+    pairs = _weighted_pairs(weights)
+    if len(mg.connected_components(range(n), ((i, j) for i, j, _ in pairs))) > 1:
         raise Disconnected("Cheeger constant of a disconnected graph is zero")
-    idx = wg.index
-    deg = np.array([float(d) for d in wg.degree_vector])
-    total = deg.sum()
     ids = np.arange(1, 2 ** (n - 1), dtype=np.uint64)
+    # vertex n-1 is pinned to the complement, so every proper subset shows up once
     membership = np.zeros((len(ids), n), dtype=bool)
     for b in range(n - 1):
         membership[:, b] = (ids >> np.uint64(b)) & np.uint64(1)
-    # vertex n-1 is pinned to the complement, so every proper subset shows up once
     cut = np.zeros(len(ids))
-    for u, v, w in wg.edges:
-        iu, iv = idx[u], idx[v]
-        su = membership[:, iu] if iu < n - 1 else np.zeros(len(ids), dtype=bool)
-        sv = membership[:, iv] if iv < n - 1 else np.zeros(len(ids), dtype=bool)
-        cut += float(w) * (su ^ sv)
-    vol = membership @ deg
-    ratio = cut / np.minimum(vol, total - vol)
+    for i, j, w in pairs:
+        cut += w * (membership[:, i] ^ membership[:, j])
+    vol = membership @ degrees
+    ratio = cut / np.minimum(vol, degrees.sum() - vol)
     return float(ratio.min())
 
 
-def inverse_weight_diameter(wg: WeightedGraph) -> float:
+def inverse_weight_diameter(weights: np.ndarray) -> float:
     """Max over vertex pairs of the shortest path metric with edge costs 1/w."""
     dist = mg.shortest_distances(
-        wg.vertices, ((u, v, 1.0 / float(w)) for u, v, w in wg.edges))
+        range(len(weights)), ((i, j, 1.0 / w) for i, j, w in _weighted_pairs(weights)))
     m = float(max(max(row.values()) for row in dist.values()))
     if math.isinf(m):
         raise Disconnected("inverse-weight diameter of a disconnected graph")
@@ -353,16 +269,17 @@ class Alpha2Sandwich:
         return max(self.lower_cheeger, self.lower_diameter)
 
 
-def alpha2_sandwich(wg: WeightedGraph) -> Alpha2Sandwich:
-    """Two-sided bracket for the second normalized eigenvalue.
+def alpha2_sandwich(weights: np.ndarray, degrees: np.ndarray) -> Alpha2Sandwich:
+    """Two-sided bracket for the second normalized eigenvalue of a float
+    weight matrix and its degrees.
 
     Lower bounds: h^2/2 from the Cheeger inequality and 4/(diam_{1/w} * vol)
-    from the inverse-weight diameter; upper bound 2h."""
-    h = cheeger_constant(wg)
-    diam = inverse_weight_diameter(wg)
-    vol = float(wg.volume)
+    from the inverse-weight diameter, with vol the correctly rounded sum
+    of the degrees; upper bound 2h."""
+    h = cheeger_constant(weights, degrees)
+    diam = inverse_weight_diameter(weights)
     return Alpha2Sandwich(
         lower_cheeger=h * h / 2,
-        lower_diameter=4.0 / (diam * vol),
+        lower_diameter=4.0 / (diam * math.fsum(degrees)),
         upper=2 * h,
     )

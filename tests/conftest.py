@@ -1,6 +1,6 @@
 """Shared fixtures: the graph corpus, a cached spectral oracle, the
-pairwise reference for vicinity graphs and the dense finite-element
-matrix."""
+unit-weight underlying graph, the pairwise reference for vicinity graphs
+and the dense finite-element matrix."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from hypothesis import settings
 
 from qgbounds import metric_graph as mg
 from qgbounds import oracle
-from qgbounds.spectral import WeightedGraph, reduce_multigraph
+from qgbounds.spectral import normalized_laplacian_dense
 
 # property tests draw the same examples on every run, so tier-1 stays
 # deterministic; no deadline, because example times follow the host's load
@@ -97,17 +97,40 @@ def oracle_of():
     return corpus_oracle
 
 
-def reference_vicinity(g: mg.MetricGraph, cover) -> WeightedGraph:
-    """The vicinity graph built pair by pair: each pair of elements gets
-    the sum of its shared edge lengths, in Fraction arithmetic and in the
-    first element's own edge order.  It shares no code with the library's
-    integer-grid overlaps, so it is the reference they are checked
-    against."""
+def underlying(g: mg.MetricGraph) -> tuple:
+    """The graph underlying a metric graph, each edge of weight one, so
+    parallel edges add up: ``(weights, degrees)`` in vertex order, the
+    floats of an integer adjacency matrix and of its row sums."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    A = np.zeros((len(index), len(index)), dtype=np.int64)
+    for e in g.edges:
+        A[index[e.u], index[e.v]] += 1
+        A[index[e.v], index[e.u]] += 1
+    return A.astype(float), A.sum(axis=1).astype(float)
+
+
+def reference_vicinity(g: mg.MetricGraph, cover) -> np.ndarray:
+    """The vicinity weight matrix built pair by pair, in cover order: each
+    pair of elements gets the sum of its shared edge lengths, in Fraction
+    arithmetic and in the first element's own edge order, and the
+    diagonal is zero, so the row sums are the exact degrees.  It shares no
+    code with the library's integer-grid overlaps, so it is the reference
+    they are checked against."""
     sets = cover.edge_sets
-    raw = [(a, b, sum(shared, start=Fraction(0)))
-           for (a, ea), (b, _) in itertools.combinations(cover.elements, 2)
-           if (shared := [g.edge(eid).length for eid in ea if eid in sets[b]])]
-    return reduce_multigraph(cover.labels, raw)
+    n = len(cover)
+    W = np.full((n, n), Fraction(0), dtype=object)
+    for (i, (_, ea)), (j, (b, _)) in itertools.combinations(enumerate(cover.elements), 2):
+        W[i, j] = W[j, i] = sum((g.edge(eid).length for eid in ea if eid in sets[b]),
+                                start=Fraction(0))
+    return W
+
+
+def reference_laplacian(weights: np.ndarray) -> np.ndarray:
+    """The normalized Laplacian of a reference weight matrix: the floats of
+    its entries and of its row sums, each sum taken in the matrix's own
+    arithmetic and rounded once."""
+    return normalized_laplacian_dense(weights.astype(float),
+                                      weights.sum(axis=1).astype(float))
 
 
 def lumped_matrix(g: mg.MetricGraph, n) -> np.ndarray:

@@ -28,8 +28,8 @@ from qgbounds import metric_graph as mg
 from qgbounds.errors import TooLarge
 from qgbounds.spectral import (
     alpha2_sandwich,
-    normalized_spectrum,
-    underlying_weighted,
+    eigenvalues_lapack,
+    normalized_laplacian_dense,
 )
 
 from conftest import (
@@ -86,8 +86,10 @@ PLATONIC_ALPHA = {
 def test_criterion_01_platonic_normalized_spectra():
     checks = []
     for name in PLATONIC_NAMES:
-        wg = underlying_weighted(corpus_graph(name))
-        got = normalized_spectrum(wg).values
+        # the star vicinity of an equilateral graph is its vertex graph
+        g = corpus_graph(name)
+        vicinity = covers.vicinity_graph(g, covers.star_cover(g))
+        got = eigenvalues_lapack(normalized_laplacian_dense(*vicinity)).values
         want = [v for v, m in PLATONIC_ALPHA[name] for _ in range(m)]
         dev = max(abs(a - b) for a, b in zip(got, want))
         checks.append((f"{name} alpha list", len(got) == len(want)
@@ -150,8 +152,8 @@ def test_criterion_03_transference_reproductions():
         _num("cube sixfold i=11", cube_six.bound(11), PI2 / 9, CLOSED_TOL),
     ]
 
-    grouped = normalized_spectrum(
-        covers.vicinity_graph(cube, covers.face_pair_cover(cube))).grouped()
+    grouped = eigenvalues_lapack(
+        covers.validate_cover(cube, covers.face_pair_cover(cube)).laplacian()).grouped()
     want_groups = [(0.0, 1), (16 / 15, 9), (6 / 5, 2)]
     ok = (len(grouped) == 3
           and all(m == wm and abs(v - wv) <= CLOSED_TOL
@@ -387,11 +389,11 @@ def test_criterion_08_exact_structural_identities():
         rep = covers.validate_cover(g, cover)
         m = rep.fold
         ref = reference_vicinity(g, cover)
-        degrees = dict(zip(ref.vertices, ref.degree_vector))
+        degrees = ref.sum(axis=1)
         degrees_ok = all(
-            degrees[lbl] == (m - 1) * rep.subgraphs[lbl].total_length
-            for lbl in cover.labels)
-        volume_ok = ref.volume == m * (m - 1) * g.total_length
+            degree == (m - 1) * rep.subgraphs[lbl].total_length
+            for lbl, degree in zip(cover.labels, degrees))
+        volume_ok = degrees.sum() == m * (m - 1) * g.total_length
         residual = covers.proof_identity_residual(g, cover, ref)
         ok = degrees_ok and volume_ok and residual <= 1e-12
         checks.append((f"{name}/{label}: degree, volume, overlap identity",
@@ -413,15 +415,15 @@ def test_criterion_08_exact_structural_identities():
 def test_criterion_09_alpha2_sandwich():
     checks = []
     for name, label, g, cover in _cover_inventory(list(CORPUS)):
-        gamma = covers.vicinity_graph(g, cover)
-        alpha2 = normalized_spectrum(gamma).values[1]
+        rep = covers.validate_cover(g, cover)
+        alpha2 = eigenvalues_lapack(rep.laplacian()).values[1]
         tag = f"{name}/{label}"
-        if not gamma.is_connected():
+        if not rep.connected:
             checks.append((f"{tag}: disconnected overlap has alpha2 = 0",
                            alpha2 <= 1e-12, f"alpha2 {alpha2:.3g}"))
             continue
         try:
-            s = alpha2_sandwich(gamma)
+            s = alpha2_sandwich(*rep.vicinity())
         except TooLarge as exc:
             checks.append((f"{tag}: over the exhaustive-cut cap",
                            True, str(exc)))

@@ -26,7 +26,7 @@ from qgbounds.errors import (
     LoopPresent,
     TooLarge,
 )
-from qgbounds.spectral import normalized_spectrum
+from qgbounds.spectral import eigenvalues_lapack
 
 from conftest import corpus_graph, corpus_oracle
 
@@ -36,6 +36,15 @@ SQ5 = math.sqrt(5)
 
 # ---------------------------------------------------------------------------
 # transference closed forms
+
+
+def test_every_public_name_resolves():
+    import qgbounds
+
+    namespace = {}
+    exec("from qgbounds import *", namespace)
+    for name in qgbounds.__all__:
+        assert namespace[name] is getattr(qgbounds, name)
 
 
 def test_tetrahedron_face_cover_bound():
@@ -69,8 +78,8 @@ def test_cube_sixfold_cover_bound():
     assert rep.ingredients["eta"] == pytest.approx(PI2 / 9, abs=1e-12)
     assert rep.bound(2) == pytest.approx(8 * PI2 / 81, abs=1e-9)
     grouped = {round(v, 9): m for v, m in
-               normalized_spectrum(
-                   covers.vicinity_graph(g, covers.face_pair_cover(g))).grouped()}
+               eigenvalues_lapack(
+                   covers.validate_cover(g, covers.face_pair_cover(g)).laplacian()).grouped()}
     assert grouped == {0.0: 1, round(16 / 15, 9): 9, round(6 / 5, 9): 2}
 
 

@@ -201,6 +201,29 @@ def test_bounds_unknown_eta(tetra_file, capsys):
     assert "exact_cycle" in info["context"]["known"]
 
 
+@pytest.mark.parametrize("eta", ["exact", "cycle", "nicaise", "oracle"])
+def test_bounds_star_cover_refuses_other_etas(tetra_file, capsys, eta):
+    code, out, err = invoke(capsys, "bounds", tetra_file, "--eta", eta, "--no-oracle")
+    assert code == 1 and out == ""
+    info = json.loads(err)
+    assert info["error"] == "BadParameter"
+    assert info["context"] == {"eta": eta, "cover": "star"}
+
+
+def test_bounds_eta_defaults_follow_the_cover(tetra_file, capsys):
+    def run(*argv):
+        code, out, err = invoke(capsys, "bounds", tetra_file, "--no-oracle", *argv)
+        assert code == 0 and err == ""
+        return out
+
+    stars = run()
+    assert stars.splitlines()[1].startswith("stars,1,")
+    assert run("--eta", "star") == run("--eta", "star_best") == stars
+    faces = run("--cover", "faces")
+    assert "transfer[faces,doubly_connected]" in faces
+    assert run("--cover", "faces", "--eta", "cycle") == faces
+
+
 def test_bounds_bad_copies_count(tetra_file, capsys):
     code, _, err = invoke(capsys, "bounds", tetra_file, "--cover", "copies:abc")
     assert code == 1
@@ -224,6 +247,19 @@ def test_bounds_output_file(tetra_file, tmp_path, capsys):
     assert code == 0 and out == ""
     text = out_path.read_text()
     assert text.startswith("method,index,bound,oracle,ratio,ingredients")
+
+
+def test_an_output_that_cannot_be_written_is_one_json_error(tetra_file, tmp_path,
+                                                           capsys):
+    target = str(tmp_path / "missing" / "out.json")
+    for argv in (["gen", "platonic:cube"], ["bounds", tetra_file, "--format", "json"]):
+        code, out, err = invoke(capsys, *argv, "-o", target)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        info = json.loads(line)
+        assert info["error"] == "BadParameter"
+        assert info["context"] == {"path": target}
+        assert info["message"] == f"cannot write {target}: No such file or directory"
 
 
 def test_oracle_subcommand(tetra_file, capsys):

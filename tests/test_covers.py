@@ -1,10 +1,11 @@
 """Cover constructions, vicinity graphs, and the exact structural identities.
 
 Two identities hold for every uniform m-fold cover and are checked in exact
-rational arithmetic on the pairwise reference vicinity graph: each
+rational arithmetic on the pairwise reference vicinity matrix: each
 element's vicinity degree is (m-1) times its length, and the vicinity
 volume is m(m-1) times the graph's total length.  The library's vicinity
-graph, a view of its integer-grid overlaps, must equal that reference.  On
+arrays, a view of its integer-grid overlaps, must equal the floats of that
+reference.  On
 graphs with float lengths the same overlap product sums in graph edge
 order, so its vicinity Laplacian must match the reference's to rounding
 and must not depend on the hash seed.
@@ -33,19 +34,24 @@ from qgbounds.errors import (
     NotUniform,
     ParseError,
 )
-from qgbounds.spectral import normalized_laplacian_sym, normalized_spectrum
+from qgbounds.spectral import eigenvalues_lapack, normalized_laplacian_dense
 
 from conftest import (
     CHAIN_NAMES,
     PLATONIC_NAMES,
     corpus_graph,
     float_cube,
+    reference_laplacian,
     reference_vicinity,
 )
 
 
 def expand(groups):
     return [v for v, m in groups for _ in range(m)]
+
+
+def _alpha(g: mg.MetricGraph, cover: covers.Cover) -> tuple:
+    return eigenvalues_lapack(normalized_laplacian_dense(*covers.vicinity_graph(g, cover))).values
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +90,7 @@ def test_face_cover_is_a_cycle_double_cover(name):
 
 def test_cube_face_vicinity_is_the_octahedron():
     g = corpus_graph("cube")
-    gamma = covers.vicinity_graph(g, covers.face_cover(g))
-    got = normalized_spectrum(gamma).values
+    got = _alpha(g, covers.face_cover(g))
     want = expand([(0, 1), (1, 3), (3 / 2, 2)])
     for a, b in zip(got, want):
         assert a == pytest.approx(b, abs=1e-9)
@@ -98,8 +103,7 @@ def test_tetrahedron_face_pairs_are_three_diamonds():
     assert rep.fold == 2
     assert len(rep.subgraphs) == 3
     assert {sub.total_length for sub in rep.subgraphs.values()} == {4}
-    gamma = covers.vicinity_graph(g, cover)
-    got = normalized_spectrum(gamma).values
+    got = _alpha(g, cover)
     assert got == pytest.approx((0.0, 1.5, 1.5), abs=1e-9)
 
 
@@ -111,10 +115,9 @@ def test_cube_face_pairs_form_a_sixfold_cover():
     assert len(rep.subgraphs) == 12
     assert {sub.total_length for sub in rep.subgraphs.values()} == {6}
     # each element shares weight 2 with 3 others and weight 3 with 8 others
-    gamma = covers.vicinity_graph(g, cover)
-    for v in gamma.vertices:
-        weights = sorted(w for a, b, w in gamma.edges if v in (a, b))
-        assert weights == [2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
+    weights, _ = covers.vicinity_graph(g, cover)
+    for row in weights:
+        assert sorted(row[row > 0].tolist()) == [2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
 
 
 def test_copies_cover():
@@ -122,9 +125,9 @@ def test_copies_cover():
     cover = covers.copies_cover(g, 3)
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 3
-    gamma = covers.vicinity_graph(g, cover)
-    assert all(w == g.total_length for _, _, w in gamma.edges)
-    assert len(gamma.edges) == 3  # complete graph on three copies
+    weights, _ = covers.vicinity_graph(g, cover)
+    # complete graph on three copies
+    assert (weights[~np.eye(3, dtype=bool)] == float(g.total_length)).all()
     with pytest.raises(BadSpec):
         covers.copies_cover(g, 1)
 
@@ -171,8 +174,7 @@ def test_pumpkin_cycle_cover_on_a_chain_splits_per_pumpkin():
     rep = covers.validate_cover(g, cover)
     assert rep.fold == 2
     assert len(rep.subgraphs) == 9  # one 2-edge cycle per pumpkin edge slot
-    gamma = covers.vicinity_graph(g, cover)
-    assert not gamma.is_connected()
+    assert not rep.connected
     with pytest.raises(BadSpec):
         covers.pumpkin_cycle_cover(g, ordering=("e1_1",))
 
@@ -190,7 +192,7 @@ def test_chain_covers_shape():
     assert sorted(sub.total_length for sub in rep.subgraphs.values()) == [2, 2, 2, 2, 2, 4, 4]
 
     for cover in (layered, concat):
-        assert covers.vicinity_graph(g, cover).is_connected()
+        assert covers.validate_cover(g, cover).connected
 
 
 def test_chain_covers_need_bridgeless_chains():
@@ -287,11 +289,13 @@ def test_degree_and_volume_identities_exact(label, g, cover):
     rep = covers.validate_cover(g, cover)
     m = rep.fold
     ref = reference_vicinity(g, cover)
-    degrees = dict(zip(ref.vertices, ref.degree_vector))
-    for lbl in cover.labels:
-        assert degrees[lbl] == (m - 1) * rep.subgraphs[lbl].total_length
-    assert ref.volume == m * (m - 1) * g.total_length
-    assert covers.vicinity_graph(g, cover) == ref
+    degrees = ref.sum(axis=1)
+    for lbl, degree in zip(cover.labels, degrees):
+        assert degree == (m - 1) * rep.subgraphs[lbl].total_length
+    assert degrees.sum() == m * (m - 1) * g.total_length
+    weights, float_degrees = covers.vicinity_graph(g, cover)
+    assert np.array_equal(weights, ref.astype(float))
+    assert np.array_equal(float_degrees, degrees.astype(float))
 
 
 @pytest.mark.parametrize("label, g, cover", _INVENTORY,
@@ -369,8 +373,8 @@ def test_a_fold_one_cover_is_refused():
 
 def test_vicinity_graph_has_no_self_overlap():
     g = corpus_graph("icosahedron")
-    gamma = covers.vicinity_graph(g, covers.face_cover(g))
-    assert all(u != v for u, v, _ in gamma.edges)
+    weights, _ = covers.vicinity_graph(g, covers.face_cover(g))
+    assert not weights.diagonal().any()
 
 
 def test_vicinity_weights_do_not_depend_on_the_hash_seed():
@@ -386,7 +390,8 @@ def test_vicinity_weights_do_not_depend_on_the_hash_seed():
             f"for g, name in ((mg.pumpkin(3, {[a, b, c]!r}), 'stars'),\n"
             "                 (float_cube(), 'faces')):\n"
             "    rep = covers.validate_cover(g, covers.build_cover(g, name))\n"
-            "    print(repr([w for *_, w in rep.vicinity.edges]))\n"
+            "    weights, degrees = rep.vicinity()\n"
+            "    print([w.hex() for w in weights.ravel().tolist() + degrees.tolist()])\n"
             "    print(repr(rep.laplacian().tolist()))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(covers.__file__)))
     path = os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__))))
@@ -395,7 +400,9 @@ def test_vicinity_weights_do_not_depend_on_the_hash_seed():
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[0] == repr([a + b + c]), seed
+        s = a + b + c
+        assert out.stdout.splitlines()[0] == repr(
+            [w.hex() for w in (0.0, s, s, 0.0, s, s)]), seed
         outputs.add(out.stdout)
     assert len(outputs) == 1
 
@@ -418,7 +425,7 @@ def test_float_overlaps_give_the_pairwise_laplacian(label, g, cover):
     # element's own order, so the two agree to rounding
     rep = covers.validate_cover(g, cover)
     assert rep.grid is None
-    want = normalized_laplacian_sym(reference_vicinity(g, cover))
+    want = reference_laplacian(reference_vicinity(g, cover))
     np.testing.assert_allclose(rep.laplacian(), want, rtol=1e-14, atol=0)
 
 
@@ -492,7 +499,7 @@ def _fingerprint(rep):
             [(sub.vertices, sub.edges, _hex(sub.total_length))
              for sub in rep.subgraphs.values()],
             _hex(rep.overlap.tolist()), _hex(rep.laplacian().tolist()),
-            rep.connected, _hex(rep.vicinity.edges))
+            rep.connected, _hex([a.tolist() for a in rep.vicinity()]))
 
 
 @pytest.mark.parametrize("family", _SWEEP_GRAPHS)

@@ -41,11 +41,10 @@ from qgbounds.errors import EtaUnavailable
 from qgbounds.spectral import (
     eigenvalues_lapack,
     eigenvalues_sym,
-    normalized_laplacian_sym,
-    underlying_weighted,
+    normalized_laplacian_dense,
 )
 
-from conftest import lumped_matrix, reference_vicinity
+from conftest import lumped_matrix, reference_laplacian, reference_vicinity, underlying
 
 LENGTHS = ("1/2", "1", "3/2", "2")
 BOUND_SLACK = 1e-6
@@ -139,14 +138,15 @@ def _hex(values) -> list:
 def _assert_grid_analysis_is_the_reference(g: mg.MetricGraph, cover: covers.Cover) -> None:
     rep = covers.validate_cover(g, cover)
     ref = reference_vicinity(g, cover)
-    laplacian = normalized_laplacian_sym(ref)
+    laplacian = reference_laplacian(ref)
     assert _hex(rep.laplacian()) == _hex(laplacian)
-    assert rep.connected == ref.is_connected()
-    degrees = dict(zip(ref.vertices, ref.degree_vector))
-    for lbl, eids in cover.elements:
+    rows, cols = np.nonzero(ref)
+    components = mg.connected_components(range(len(ref)), zip(rows.tolist(), cols.tolist()))
+    assert rep.connected == (len(components) <= 1)
+    for (lbl, eids), degree in zip(cover.elements, ref.sum(axis=1)):
         length = sum((g.edge(eid).length for eid in eids), start=Fraction(0))
         assert rep.subgraphs[lbl].total_length == length
-        assert degrees[lbl] == (rep.fold - 1) * length
+        assert degree == (rep.fold - 1) * length
     alpha = eigenvalues_lapack(laplacian).values
     for eta in sorted(bounds.RIGOROUS_ETA):
         try:
@@ -240,7 +240,7 @@ def _subdivided(g: mg.MetricGraph, h) -> mg.MetricGraph:
 
 def _assert_assembly_is_subdivided_laplacian(g: mg.MetricGraph, h) -> None:
     steps = [int(e.length / h) for e in g.edges]
-    want = normalized_laplacian_sym(underlying_weighted(_subdivided(g, h)))
+    want = normalized_laplacian_dense(*underlying(_subdivided(g, h)))
     assert np.array_equal(oracle._subdivided_laplacian(g, steps), want)
 
 

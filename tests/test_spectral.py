@@ -1,4 +1,5 @@
-"""Weighted graphs, the two eigensolvers, and the alpha_2 sandwich.
+"""Normalized spectra of weighted graphs given as arrays, the two
+eigensolvers, and the alpha_2 sandwich.
 
 The Householder/QL eigensolver is checked against numpy's LAPACK route on
 random symmetric matrices; the two implementations share no code, so
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,40 +20,26 @@ from qgbounds import metric_graph as mg
 from qgbounds import spectral
 from qgbounds.errors import Disconnected, NoConvergence, NotSymmetric, TooLarge
 
-from conftest import corpus_graph
+from conftest import corpus_graph, underlying
 
 SQ5 = math.sqrt(5.0)
 
 
+def _spectrum(weights, degrees) -> spectral.Spectrum:
+    return spectral.eigenvalues_lapack(spectral.normalized_laplacian_dense(weights, degrees))
+
+
 # ---------------------------------------------------------------------------
-# WeightedGraph basics
-
-
-def test_weighted_graph_validation():
-    with pytest.raises(NotSymmetric):
-        spectral.WeightedGraph(("a",), (("a", "a", Fraction(1)),))
-    with pytest.raises(NotSymmetric):
-        spectral.WeightedGraph(("a",), (("a", "zz", Fraction(1)),))
-    with pytest.raises(NotSymmetric):
-        spectral.WeightedGraph(("a", "b"), (("a", "b", Fraction(0)),))
-
-
-def test_reduce_multigraph_merges_parallel_edges():
-    wg = spectral.reduce_multigraph(
-        ("u", "v"), [("u", "v", Fraction(1)), ("v", "u", Fraction(2))])
-    assert wg.edges == (("u", "v", Fraction(3)),)
-    assert wg.degree_vector == (Fraction(3), Fraction(3))
-    assert wg.degree_vector is wg.degree_vector  # computed once
-    assert wg.volume == Fraction(6)
+# the star vicinity of a pumpkin
 
 
 def test_underlying_weighted_of_pumpkin():
-    unit = spectral.underlying_weighted(mg.pumpkin(3))
-    assert unit.edges == (("u", "v", Fraction(3)),)
-    # the length-weighted reduced graph is the star cover's vicinity graph
-    p = mg.pumpkin(2, [Fraction(1, 2), Fraction(3, 2)])
-    by_len = covers.vicinity_graph(p, covers.star_cover(p))
-    assert by_len.edges == (("star:u", "star:v", Fraction(2)),)
+    # the star cover's vicinity graph is the length-weighted underlying
+    # graph: the two edges of a pumpkin merge into one K2 edge of weight 2
+    p = mg.pumpkin(2, ["1/2", "3/2"])
+    weights, degrees = covers.vicinity_graph(p, covers.star_cover(p))
+    assert weights.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    assert degrees.tolist() == [2.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +86,8 @@ def test_small_asymmetry_is_rejected():
             solve([[1.0, math.nan], [math.nan, 1.0]])
 
 
-def _complete_graph(n):
-    return spectral.WeightedGraph(
-        tuple(range(n)),
-        tuple((i, j, Fraction(1)) for i in range(n) for j in range(i + 1, n)))
-
-
 def test_repeated_eigenvalues_of_k7():
-    spec = spectral.normalized_spectrum(_complete_graph(7))
+    spec = _spectrum(np.ones((7, 7)) - np.eye(7), np.full(7, 6.0))
     assert spec.values[0] == pytest.approx(0.0, abs=1e-12)
     for a in spec.values[1:]:
         assert a == pytest.approx(7 / 6, abs=1e-12)
@@ -191,8 +171,7 @@ def test_spectrum_grouped():
 
 
 def _alpha(g: mg.MetricGraph):
-    wg = spectral.underlying_weighted(g)
-    return spectral.normalized_spectrum(wg).values
+    return _spectrum(*underlying(g)).values
 
 
 def test_alpha_known_small_graphs():
@@ -239,79 +218,79 @@ def test_platonic_alpha_spectra(name):
 @pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron",
                                   "chain_324", "four_pumpkin_2"])
 def test_alpha_range_and_trace(name):
-    wg = spectral.underlying_weighted(corpus_graph(name))
-    got = spectral.normalized_spectrum(wg).values
+    got = _alpha(corpus_graph(name))
     assert got[0] == pytest.approx(0.0, abs=1e-10)
     assert got[1] > 1e-9  # connected
     assert all(-1e-10 <= a <= 2 + 1e-10 for a in got)
-    assert sum(got) == pytest.approx(len(wg.vertices), abs=1e-8)
+    assert sum(got) == pytest.approx(len(corpus_graph(name).vertices), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # Cheeger constant, second brute force
 
 
-def _cheeger_slow(wg: spectral.WeightedGraph) -> float:
-    verts = wg.vertices
-    deg = dict(zip(verts, (float(d) for d in wg.degree_vector)))
-    total = sum(deg.values())
+def _cheeger_slow(weights, degrees) -> float:
+    w, deg = weights.tolist(), degrees.tolist()
+    n = len(deg)
+    total = sum(deg)
     best = math.inf
-    for r in range(1, len(verts)):
-        for subset in itertools.combinations(verts, r):
+    for r in range(1, n):
+        for subset in itertools.combinations(range(n), r):
             s = set(subset)
-            cut = sum(float(w) for u, v, w in wg.edges if (u in s) != (v in s))
+            cut = sum(w[u][v] for u in s for v in range(n) if v not in s)
             vol = sum(deg[v] for v in s)
             best = min(best, cut / min(vol, total - vol))
     return best
 
 
-def _star_vicinity(g: mg.MetricGraph) -> spectral.WeightedGraph:
+def _star_vicinity(g: mg.MetricGraph) -> tuple:
     return covers.vicinity_graph(g, covers.star_cover(g))
 
 
 @pytest.mark.parametrize("build, known", [
-    (lambda: spectral.underlying_weighted(mg.path_graph(1)), 1.0),
-    (lambda: spectral.underlying_weighted(mg.cycle_graph(1, segments=4)), 0.5),
-    (lambda: spectral.underlying_weighted(corpus_graph("tetrahedron")), 2 / 3),
-    (lambda: spectral.underlying_weighted(corpus_graph("octahedron")), None),
-    (lambda: spectral.underlying_weighted(corpus_graph("cube")), None),
+    (lambda: underlying(mg.path_graph(1)), 1.0),
+    (lambda: underlying(mg.cycle_graph(1, segments=4)), 0.5),
+    (lambda: underlying(corpus_graph("tetrahedron")), 2 / 3),
+    (lambda: underlying(corpus_graph("octahedron")), None),
+    (lambda: underlying(corpus_graph("cube")), None),
     (lambda: _star_vicinity(mg.pumpkin_chain((3, 2, 4))), None),
 ])
 def test_cheeger_against_slow_version(build, known):
-    wg = build()
-    h = spectral.cheeger_constant(wg)
-    assert h == pytest.approx(_cheeger_slow(wg), abs=1e-12)
+    weights, degrees = build()
+    h = spectral.cheeger_constant(weights, degrees)
+    assert h == pytest.approx(_cheeger_slow(weights, degrees), abs=1e-12)
     if known is not None:
         assert h == pytest.approx(known, abs=1e-12)
 
 
+def _path(n: int) -> tuple:
+    weights = np.eye(n, k=1) + np.eye(n, k=-1)
+    return weights, weights.sum(axis=1)
+
+
 def test_cheeger_guards():
-    path23 = spectral.WeightedGraph(
-        tuple(range(23)),
-        tuple((i, i + 1, Fraction(1)) for i in range(22)))
     with pytest.raises(TooLarge):
-        spectral.cheeger_constant(path23)
-    broken = spectral.WeightedGraph(("a", "b", "c"), (("a", "b", Fraction(1)),))
+        spectral.cheeger_constant(*_path(23))
+    # a path on two vertices and an isolated third one
+    broken = np.zeros((3, 3))
+    broken[:2, :2] = _path(2)[0]
     with pytest.raises(Disconnected):
-        spectral.cheeger_constant(broken)
+        spectral.cheeger_constant(broken, broken.sum(axis=1))
 
 
 def test_inverse_weight_diameter():
-    wg = spectral.WeightedGraph(
-        ("a", "b", "c"),
-        (("a", "b", Fraction(1)), ("b", "c", Fraction(2))))
-    assert spectral.inverse_weight_diameter(wg) == pytest.approx(1.5)
+    weights = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+    assert spectral.inverse_weight_diameter(weights) == pytest.approx(1.5)
     with pytest.raises(Disconnected):
-        spectral.inverse_weight_diameter(
-            spectral.WeightedGraph(("a", "b"), ()))
+        spectral.inverse_weight_diameter(np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron",
                                   "icosahedron", "chain_324", "four_pumpkin_2"])
 def test_alpha2_sandwich_brackets_alpha2(name):
-    wg = spectral.underlying_weighted(corpus_graph(name))
-    alpha2 = spectral.normalized_spectrum(wg).values[1]
-    sandwich = spectral.alpha2_sandwich(wg)
+    weights, degrees = underlying(corpus_graph(name))
+    alpha2 = _spectrum(weights, degrees).values[1]
+    sandwich = spectral.alpha2_sandwich(weights, degrees)
     assert sandwich.lower <= alpha2 + 1e-12
     assert alpha2 <= sandwich.upper + 1e-12
     assert sandwich.lower == max(sandwich.lower_cheeger, sandwich.lower_diameter)
