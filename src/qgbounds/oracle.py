@@ -72,7 +72,18 @@ _BRANCH_EPS = 1e-9
 # has at least V + (2^k - 1) E vertices, and E >= 1, so by the 11th the cap
 # raises TooLarge.
 _MATRIX_CAP = 1500
-_FD_NODE_CAP = 250_000
+# Most nodes one finite-element mesh may have.  The solve works on V x V
+# matrices whatever the mesh; the cap bounds the chains' sorted Dirichlet
+# table, one float per interior node, and its temporaries.  Unpinned, the
+# first fine mesh is min_len/32, so a graph has about twice the nodes it had
+# when the schedule began one halving coarser under a cap of 250,000: the
+# same graphs are served, but for those within E - V/2 nodes of that cap,
+# where the rounding of the segment counts decides.  On a 2-CPU x86 host
+# with one BLAS thread, 2 values of a two-pumpkin chain about 15,600 long
+# (best of 15, fresh process) took 0.043 s and peaked at 63 MiB of RSS at
+# 498,577 nodes, 31 MiB of it the import; that schedule took 0.022 s and
+# 49 MiB on it, at 249,288.
+_FD_NODE_CAP = 500_000
 # Most vertices the finite-element route takes.  Every lam it evaluates
 # costs a dense V x V eigensolve, whatever the mesh: on a 2-CPU x86 host with
 # one BLAS thread, 40 values of a pumpkin chain with irrational lengths took
@@ -290,6 +301,7 @@ class _Chains:
         self.dirichlet = np.sort(np.repeat(4 / self.s**2, self.n - 1)
                                  * np.sin(np.pi * j) ** 2)
         self.evaluations = 0
+        self.rounds = 0
 
     def modes(self, lam: np.ndarray, slopes: bool = False):
         """p_e and q_e of every edge at every lam, and with slopes also
@@ -385,7 +397,9 @@ class _Chains:
         """The eigenvalue of the bordered S that has k of S's below it, at
         each lam with its own k, and its derivative z^T T'(lam) z / z^T z.
         Its eigenvector z is one step of inverse iteration, shifted just
-        below it, from a fixed start."""
+        below it, from a fixed start.  Each call is one batched round,
+        counted in ``rounds``."""
+        self.rounds += 1
         mu, slope = np.empty(lam.size), np.empty(lam.size)
         for rows, T, extra, dkept, dgamma in self.stacks(lam, slopes=True):
             width = T.shape[1]
@@ -486,10 +500,10 @@ def _finer(values: np.ndarray, h: float, h_new: float) -> np.ndarray:
     return values * (1 + values * (h * h - h_new * h_new) / 12)
 
 
-def _extrapolate(coarse, fine, mesh: float, nodes: int, refinements: int,
-                 count_evaluations: int) -> SpectrumResult:
+def _extrapolate(coarse: _Chains, fine: _Chains, coarse_values, fine_values,
+                 mesh: float, refinements: int) -> SpectrumResult:
     ext, errs = [], []
-    for lc, lf in zip(coarse.tolist(), fine.tolist()):
+    for lc, lf in zip(coarse_values.tolist(), fine_values.tolist()):
         e = (lf - lc) / 3
         ext.append(lf + e)
         errs.append(abs(e))
@@ -501,8 +515,10 @@ def _extrapolate(coarse, fine, mesh: float, nodes: int, refinements: int,
             f"error estimate exceeds rtol={_FD_RTOL:g} at indices {bad}",
             estimates=[errs[i] for i in bad], mesh=mesh)
     return SpectrumResult(tuple(ext), "fd", {
-        "mesh": mesh, "nodes": nodes, "error_estimates": errs,
-        "refinements": refinements, "count_evaluations": count_evaluations})
+        "mesh": mesh, "nodes": fine.nodes, "error_estimates": errs,
+        "refinements": refinements,
+        "count_evaluations": coarse.evaluations + fine.evaluations,
+        "newton_rounds": coarse.rounds + fine.rounds})
 
 
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
@@ -514,37 +530,43 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     lam_fine + (lam_fine - lam_coarse)/3 cancels the leading error term and
     (lam_fine - lam_coarse)/3 estimates the remaining one.  Raises
     MeshTooCoarse when that estimate exceeds _FD_RTOL relative to the
-    value; when no mesh was pinned explicitly the mesh is halved a few
-    times first, each refinement reusing the previous fine mesh as its
-    coarse one.  A pinned mesh must be finite and positive, and so must
-    its half, the width of the finer mesh.  Each solve starts Newton's
-    method from the previous mesh's values.  The meta records the halvings
-    made (``refinements``) and the lam points counted on the two meshes
-    extrapolated (``count_evaluations``)."""
+    value.  With no mesh pinned, the first pair is (min_len/16,
+    min_len/32), min_len the shortest edge, and a failed estimate halves
+    both meshes, at most twice, each refinement reusing the previous fine
+    mesh as its coarse one: the finest pair is (min_len/64, min_len/128).
+    A pinned mesh is never refined.  It must be finite and positive, and
+    so must its half, the width of the finer mesh; and it may be at most
+    min_len/2, where every edge still has two segments, else BadParameter
+    gives the mesh and that limit.  Each solve starts Newton's method from
+    the previous mesh's values.  The meta records the halvings made
+    (``refinements``), and on the two meshes extrapolated the lam points
+    counted (``count_evaluations``) and the batched Newton rounds
+    (``newton_rounds``)."""
     _check_count(count)
-    if mesh is not None:
-        mesh = float(mesh)  # the command line pins an exact Fraction
+    min_len = min(float(e.length) for e in g.edges)
+    if mesh is None:
+        refinements, mesh = 2, min_len / 16
+    else:
+        refinements, mesh = 0, float(mesh)  # the command line pins an exact Fraction
         if not (math.isfinite(mesh) and mesh / 2 > 0):
             raise BadParameter(f"mesh and its half must be finite and positive, got {mesh}")
-    min_len = min(float(e.length) for e in g.edges)
-    refinements = 0 if mesh is not None else 3
-    mesh = min(mesh, min_len / 2) if mesh is not None else min_len / 8
+        if mesh > min_len / 2:
+            raise BadParameter(f"mesh {mesh:g} exceeds half the shortest edge, {min_len / 2:g}",
+                               mesh=mesh, limit=min_len / 2)
     fine = _Chains(g, mesh / 2)  # the finer mesh first: it hits the cap
     coarse = _Chains(g, mesh)
     coarse_values = coarse.values(count)
     fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
     for done in range(refinements):
         try:
-            return _extrapolate(coarse_values, fine_values, mesh, fine.nodes, done,
-                                coarse.evaluations + fine.evaluations)
+            return _extrapolate(coarse, fine, coarse_values, fine_values, mesh, done)
         except MeshTooCoarse:
             # mesh/2 rounds to the same segments, so its solve carries over
             mesh /= 2
             coarse, coarse_values = fine, fine_values
             fine = _Chains(g, mesh / 2)
             fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
-    return _extrapolate(coarse_values, fine_values, mesh, fine.nodes, refinements,
-                        coarse.evaluations + fine.evaluations)
+    return _extrapolate(coarse, fine, coarse_values, fine_values, mesh, refinements)
 
 
 # ---------------------------------------------------------------------------

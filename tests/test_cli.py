@@ -307,7 +307,21 @@ def test_oracle_pinned_fd_mesh(tetra_file, tmp_path, capsys, irrational, argv):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert data["method"] == "fd"
-    assert "mesh" in data
+    assert "mesh" in data and data["newton_rounds"] >= 0
+
+
+def test_oracle_pinned_fd_mesh_above_half_the_shortest_edge(tmp_path, capsys):
+    # the pin is refused, not replaced by half the shortest edge
+    path = str(tmp_path / "pumpkin2.json")
+    assert invoke(capsys, "gen", "pumpkin:2", "-o", path)[0] == 0
+    for count in ("1", "2"):
+        code, out, err = invoke(capsys, "oracle", path, "--method", "fd",
+                                "--mesh", "5", "--count", count)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        info = json.loads(line)
+        assert info["error"] == "BadParameter"
+        assert info["context"] == {"mesh": 5.0, "limit": 0.5}
 
 
 def test_oracle_branch_overflow(tetra_file, capsys):

@@ -197,6 +197,40 @@ def test_fd_pinned_mesh_is_strict():
     assert exc.value.context["mesh"] == pytest.approx(0.3)
 
 
+def test_fd_pinned_mesh_above_half_the_shortest_edge_is_refused():
+    # a pin is never replaced by a finer mesh behind the caller's back
+    g = mg.pumpkin(2, [1, 3])
+    with pytest.raises(BadParameter, match="exceeds half the shortest edge") as exc:
+        oracle.fd_spectrum(g, 2, mesh=5)
+    assert exc.value.context == {"mesh": 5.0, "limit": 0.5}
+    with pytest.raises(BadParameter):  # through auto, when the pin is no grid
+        oracle.spectrum(g, 2, mesh=0.7)
+    # half the shortest edge itself is a mesh
+    assert oracle.fd_spectrum(g, 1, mesh=0.5).meta["mesh"] == 0.5
+
+
+def test_fd_unpinned_reach():
+    # the finest pair is (1/64, 1/128) on unit edges: lambda_8 of the unit
+    # two-pumpkin needs it, and lambda_9 is past it
+    res = oracle.fd_spectrum(mg.pumpkin(2), 9)
+    assert (res.meta["mesh"], res.meta["nodes"]) == (1 / 64, 2 + 2 * 127)
+    with pytest.raises(MeshTooCoarse) as exc:
+        oracle.fd_spectrum(mg.pumpkin(2), 10)
+    assert exc.value.context["mesh"] == 1 / 64
+
+
+def test_fd_node_cap_reach(monkeypatch):
+    # a chain 10,500 long on a unit shortest edge is served on its first pair
+    g = mg.pumpkin_chain([2, 2], [[1, math.sqrt(2)], [6000, 4500 + math.pi]])
+    res = oracle.fd_spectrum(g, 2)
+    assert res.meta["refinements"] == 0 and res.meta["nodes"] > 160_000
+    # twice as long, it passes the cap before any solve
+    g = mg.pumpkin_chain([2, 2], [[1, math.sqrt(2)], [12000, 9000 + math.pi]])
+    monkeypatch.setattr(oracle._Chains, "modes", None)
+    with pytest.raises(TooLarge, match=f"nodes \\(cap {oracle._FD_NODE_CAP}\\)"):
+        oracle.fd_spectrum(g, 2)
+
+
 def test_fd_mesh_flags_conflict():
     # a pinned mesh of 1/40 is the only spelling of 40 points per unit length
     res = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
@@ -406,7 +440,7 @@ def test_auto_dispatch_records_a_too_large_fallback(monkeypatch):
     assert "fallback" not in oracle.spectrum(mg.four_pumpkin(2 + math.sqrt(5)), 2).meta
 
 
-def test_meta_records_halvings_refinements_and_sparse_attempts():
+def test_meta_records_halvings_refinements_and_newton_rounds():
     # the unit tetrahedron has 4 eigenvalues below (pi/1)^2: a fifth needs
     # exactly one halving of its grid
     exact = oracle.spectrum(mg.platonic("tetrahedron"), 5)
@@ -414,24 +448,27 @@ def test_meta_records_halvings_refinements_and_sparse_attempts():
                           "subdivided_vertices": 10, "halvings": 1,
                           "requested": "auto"}
     assert exact.to_json()["halvings"] == 1
-    # from the start mesh sqrt(2)/8, one refinement; the lam points counted
-    # are those of the two meshes extrapolated
+    # the start pair sqrt(2)/16, sqrt(2)/32 meets the estimate; the lam
+    # points counted and the Newton rounds are those of the two meshes
     g = mg.platonic("cube", length=math.sqrt(2))
     res = oracle.spectrum(g, 6)
     meta = {k: v for k, v in res.to_json().items()
-            if k not in ("values", "error_estimates", "count_evaluations")}
+            if k not in ("values", "error_estimates", "count_evaluations", "newton_rounds")}
     assert meta == {"method": "fd", "requested": "auto", "mesh": math.sqrt(2) / 16,
-                    "nodes": 380, "refinements": 1}
+                    "nodes": 380, "refinements": 0}
     assert list(res.to_json())[:3] == ["method", "requested", "values"]
-    h = [math.sqrt(2) / 8, math.sqrt(2) / 16, math.sqrt(2) / 32]
-    meshes = [oracle._Chains(g, x) for x in h]
-    values = meshes[0].values(6)
-    for i in (1, 2):  # each solve starts from the one before
-        values = meshes[i].values(6, oracle._finer(values, h[i - 1], h[i]))
-    assert res.meta["count_evaluations"] == meshes[1].evaluations + meshes[2].evaluations
+    h = [math.sqrt(2) / 16, math.sqrt(2) / 32]
+    coarse, fine = (oracle._Chains(g, x) for x in h)
+    fine.values(6, oracle._finer(coarse.values(6), h[0], h[1]))  # from the coarse values
+    assert res.meta["count_evaluations"] == coarse.evaluations + fine.evaluations
+    assert res.meta["newton_rounds"] == coarse.rounds + fine.rounds > 0
     pinned = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
     assert pinned.meta["refinements"] == 0 and pinned.meta["count_evaluations"] > 0
+    # its lambda_1 sits on the chains' Dirichlet value: counts alone settle it
+    assert pinned.meta["newton_rounds"] == 0
     assert "requested" not in pinned.meta
+    # at most two halvings: lambda_8 of the unit two-pumpkin takes both
+    assert oracle.fd_spectrum(mg.pumpkin(2), 9).meta["refinements"] == 2
 
 
 def test_explicit_methods_and_unknown():
