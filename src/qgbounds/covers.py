@@ -48,10 +48,17 @@ from .errors import (
     NotBridgeless,
     NotUniform,
     ParseError,
+    TooLarge,
 )
 from .spectral import normalized_laplacian_dense
 
 _EXACT_FLOAT = 2**53  # integers below it are exact as floats
+# Most copies in a copies cover.  Its vicinity graph is complete, and the
+# cost of ``qgb bounds`` on it grows like m^2 to m^3: on a 2-CPU x86 host
+# with one BLAS thread, on a tetrahedron, a fresh process took 0.3 s and
+# 56 MiB of RSS at m = 500, 0.65-0.9 s and 138 MiB at 1000, 1.9 s and
+# 280 MiB at 1500, and 4.0 s and 475 MiB at 2000.
+_COPIES_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -288,9 +295,13 @@ def face_pair_cover(g: mg.MetricGraph) -> Cover:
 
 
 def copies_cover(g: mg.MetricGraph, m: int) -> Cover:
-    """m copies of the whole edge set.  Degenerate but a useful baseline."""
+    """m copies of the whole edge set.  Degenerate but a useful baseline.
+    At most _COPIES_CAP copies, checked before any is built."""
     if m < 2:
         raise BadSpec(f"copies cover needs m >= 2, got {m}")
+    if m > _COPIES_CAP:
+        raise TooLarge(f"copies cover of {m} copies (cap {_COPIES_CAP})",
+                       copies=m, cap=_COPIES_CAP)
     all_ids = tuple(e.id for e in g.edges)
     return Cover(f"copies:{m}", tuple((f"copy{k}", all_ids) for k in range(m)))
 
@@ -418,7 +429,12 @@ def build_cover(g: mg.MetricGraph, strategy: str) -> Cover:
         m = strategy[len("copies:"):]
         if not m.isdecimal():
             raise BadParameter("copies cover needs an integer m", cover=strategy)
-        return copies_cover(g, int(m))
+        try:
+            m = int(m)
+        except ValueError:  # past the digits int() reads, so past the cap
+            raise TooLarge(f"copies cover of a {len(m)}-digit count (cap {_COPIES_CAP})",
+                           cap=_COPIES_CAP) from None
+        return copies_cover(g, m)
     raise BadSpec(f"unknown cover strategy {strategy!r}")
 
 

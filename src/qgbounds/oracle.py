@@ -302,24 +302,35 @@ class _Chains:
                                  * np.sin(np.pi * j) ** 2)
         self.evaluations = 0
         self.rounds = 0
+        # per mesh: the constants of ``modes``; where each edge's diag, diag,
+        # off, off entries land in a flat V x V matrix, and in a stack of
+        # them (grown as stacks grow); inverse iteration's fixed start
+        self._half_s, self._half_n, self._q4 = self.s / 2, self.n / 2, self.s**2 / 4
+        V = self.V
+        self._slots = np.concatenate((self.u * (V + 1), self.v * (V + 1),
+                                      self.u * V + self.v, self.v * V + self.u))
+        self._scatter = self._slots
+        self._start = np.cos(np.arange(V))[:, None]
 
     def modes(self, lam: np.ndarray, slopes: bool = False):
         """p_e and q_e of every edge at every lam, and with slopes also
         their derivatives in lam."""
-        x = self.s * np.sqrt(lam)[:, None] / 2
-        n = self.n
-        q4 = self.s**2 / 4
+        x = self._half_s * np.sqrt(lam)[:, None]
+        n, n2, q4 = self.n, self._half_n, self._q4
         inside = x <= 1
         # harmless where the other branch holds; at x = 1 both branches are
         # 0/0, and the coefficients are smooth there
         xi = np.minimum(np.where(inside, x, 0.5), np.nextafter(1.0, 0.0))
-        sin = 2 * xi * np.sqrt(1 - xi * xi)  # sin theta
+        xx = xi * xi
+        sin = 2 * xi * np.sqrt(1 - xx)  # sin theta
         t = np.tan(n * np.arcsin(xi))  # tan(n theta/2)
-        p, q = -sin / 2 * t, sin / 2 / t
+        half = sin / 2
+        p, q = -half * t, half / t
         if slopes:
-            cot = (1 - 2 * xi * xi) / sin
-            dp = -q4 * (cot * t + n / 2 * (1 + t * t))
-            dq = q4 * (cot / t - n / 2 * (1 + 1 / (t * t)))
+            cot = (1 - 2 * xx) / sin
+            tt = t * t
+            dp = -q4 * (cot * t + n2 * (1 + tt))
+            dq = q4 * (cot / t - n2 * (1 + 1 / tt))
         if not inside.all():
             xo = np.where(inside, 2.0, x)
             sinh = 2 * xo * np.sqrt(xo * xo - 1)  # sinh phi
@@ -330,8 +341,8 @@ class _Chains:
             q = np.where(inside, q, np.where(odd, tanh_mode, coth_mode))
             if slopes:
                 coth = (2 * xo * xo - 1) / sinh
-                d_tanh = -q4 * (coth * tau + n / 2 * (1 - tau * tau))
-                d_coth = -q4 * (coth / tau - n / 2 * (1 / (tau * tau) - 1))
+                d_tanh = -q4 * (coth * tau + n2 * (1 - tau * tau))
+                d_coth = -q4 * (coth / tau - n2 * (1 / (tau * tau) - 1))
                 dp = np.where(inside, dp, np.where(odd, d_coth, d_tanh))
                 dq = np.where(inside, dq, np.where(odd, d_tanh, d_coth))
         return (p, q, dp, dq) if slopes else (p, q)
@@ -341,8 +352,8 @@ class _Chains:
         stacks of one width and at most _FD_STACK entries: yields the places
         in lam of a stack, the stack, and the negative eigenvalues the
         bordering added to each matrix; with slopes, also the derivatives in
-        lam of the modes kept in S and of the gammas.  Each matrix depends
-        on its lam alone.
+        lam of the modes kept in S and of the gammas (None in a stack with
+        no border).  Each matrix depends on its lam alone.
 
         Next to a Dirichlet value a mode's coefficient c grows without bound,
         and rounding in S would hide the sign of its small eigenvalues.  Such
@@ -350,40 +361,54 @@ class _Chains:
         diagonal and gamma = -1/(c s_e) on it (w = a or b), whose elimination
         adds c w w^T/s_e back.  By Haynsworth the bordered matrix has one
         more negative eigenvalue than S for each such c > 0, no entry larger
-        than _FD_BORDER/min(s_e), and it is singular where S is."""
+        than _FD_BORDER/min(s_e), and it is singular where S is.  The
+        bordering work (grouping by width, border rows and columns, their
+        gammas and slopes) runs only for the lam that border a mode; S
+        itself is one scatter of the kept modes into V x V matrices."""
         modes = self.modes(lam, slopes)
+        self.evaluations += lam.size
         c = np.stack(modes[:2], axis=2)
         big = np.abs(c) > _FD_BORDER
-        self.evaluations += lam.size
-        borders = np.count_nonzero(big, axis=(1, 2))
+        bordered = big.any()
+        kept = (np.where(big, 0.0, c) if bordered else c) / self.s[:, None]
+        diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
+        w = np.concatenate((diag, diag, off, off), axis=1)
+        if slopes:
+            dc = np.stack(modes[2:], axis=2)
+            dkept = (np.where(big, 0.0, dc) if bordered else dc) / self.s[:, None]
+        if bordered:
+            borders = np.count_nonzero(big, axis=(1, 2))
+            groups = [(b, np.flatnonzero(borders == b)) for b in np.unique(borders).tolist()]
+        else:
+            groups = [(0, np.arange(lam.size))]
         V = self.V
-        for b in np.unique(borders).tolist():
-            width = V + b
-            group = np.flatnonzero(borders == b)
-            size = max(1, _FD_STACK // width**2)
+        for b, group in groups:
+            size = max(1, _FD_STACK // (V + b) ** 2)
             for at in range(0, group.size, size):
                 rows = group[at:at + size]
+                n = rows.size
+                if self._scatter.size < n * self._slots.size:
+                    self._scatter = (np.arange(n)[:, None] * V**2 + self._slots).ravel()
+                S = np.bincount(self._scatter[:n * self._slots.size], w[rows].ravel(),
+                                n * V**2).reshape(n, V, V)
+                if not b:
+                    yield (rows, S, 0, dkept[rows], None) if slopes else (rows, S, 0)
+                    continue
+                T = np.zeros((n, V + b, V + b))
+                T[:, :V, :V] = S
                 cs, bigs = c[rows], big[rows]
-                kept = np.where(bigs, 0.0, cs) / self.s[:, None]
-                diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
-                slots = np.concatenate((self.u * (width + 1), self.v * (width + 1),
-                                        self.u * width + self.v, self.v * width + self.u))
-                w = np.concatenate((diag, diag, off, off), axis=1)
-                T = np.bincount((np.arange(rows.size)[:, None] * width**2 + slots).ravel(),
-                                w.ravel(), rows.size * width**2).reshape(rows.size, width, width)
                 mats, edges, kinds = np.nonzero(bigs)
-                slot = V + np.tile(np.arange(b), rows.size)
+                slot = V + np.tile(np.arange(b), n)
                 s = self.s[edges]
-                for ends, w in ((self.u[edges], 1 / s), (self.v[edges], (1 - 2 * kinds) / s)):
-                    T[mats, ends, slot] = T[mats, slot, ends] = w
+                for ends, x in ((self.u[edges], 1 / s), (self.v[edges], (1 - 2 * kinds) / s)):
+                    T[mats, ends, slot] = T[mats, slot, ends] = x
                 T[mats, slot, slot] = -1 / (cs[bigs] * s)
                 extra = np.count_nonzero(bigs & (cs > 0), axis=(1, 2))
-                if not slopes:
+                if slopes:
+                    yield (rows, T, extra, dkept[rows],
+                           (dc[rows][bigs] / (cs[bigs] ** 2 * s)).reshape(n, b))
+                else:
                     yield rows, T, extra
-                    continue
-                dc = np.stack(modes[2:], axis=2)[rows]
-                yield (rows, T, extra, np.where(bigs, 0.0, dc) / self.s[:, None],
-                       (dc[bigs] / (cs[bigs] ** 2 * s)).reshape(rows.size, b))
 
     def count(self, lam: np.ndarray) -> np.ndarray:
         """How many eigenvalues of the pencil lie below each lam; no lam may
@@ -402,19 +427,20 @@ class _Chains:
         self.rounds += 1
         mu, slope = np.empty(lam.size), np.empty(lam.size)
         for rows, T, extra, dkept, dgamma in self.stacks(lam, slopes=True):
-            width = T.shape[1]
-            m = np.linalg.eigvalsh(T)[np.arange(rows.size), k[rows] + extra]
+            n, width = T.shape[:2]
+            m = np.linalg.eigvalsh(T)[np.arange(n), k[rows] + extra]
             # just below mu, on a scale that stays when S vanishes (at a root
             # where every eigenvalue of S crosses 0 at once)
             shift = m - 1e-13 * (np.abs(T).max(axis=(1, 2)) + 1 / self.s.min())
-            T[:, np.arange(width), np.arange(width)] -= shift[:, None]
-            start = np.broadcast_to(np.cos(np.arange(width)), (rows.size, width))
-            z = np.linalg.solve(T, start[..., None])[..., 0]
+            T.reshape(n, width * width)[:, ::width + 1] -= shift[:, None]
+            start = self._start if width == self.V else np.cos(np.arange(width))[:, None]
+            z = np.linalg.solve(T, start)[..., 0]
             zu, zv = z[:, self.u], z[:, self.v]
             mu[rows] = m
-            slope[rows] = (np.sum(dkept[..., 0] * (zu + zv) ** 2
-                                  + dkept[..., 1] * (zu - zv) ** 2, axis=1)
-                           + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)) / np.sum(z * z, axis=1)
+            top = np.sum(dkept[..., 0] * (zu + zv) ** 2 + dkept[..., 1] * (zu - zv) ** 2, axis=1)
+            if dgamma is not None:
+                top = top + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)
+            slope[rows] = top / np.sum(z * z, axis=1)
         return mu, slope
 
     def values(self, count: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
@@ -633,25 +659,35 @@ def _fd_fallback(g: mg.MetricGraph, count: int, mesh: Optional[float],
 def analytic_gap(kind: str) -> float:
     """Known spectral gaps, for spot checks: ``"cycle(L)"`` gives
     4 pi^2/L^2, ``"path(L)"`` gives pi^2/L^2, and
-    ``"equilateral_pumpkin(m, l)"`` gives pi^2/l^2 (any m >= 2)."""
+    ``"equilateral_pumpkin(m, l)"`` gives pi^2/l^2 (any m >= 2).  Anything
+    else raises UnknownKind: another form, an argument that is not a
+    positive finite float, or a gap that is not one."""
     text = kind.strip()
     m = re.fullmatch(r"(\w+)\s*\(([^)]*)\)", text)
     if not m:
         raise UnknownKind(f"cannot parse {kind!r}; expected name(args)")
     name, raw_args = m.group(1), m.group(2)
-    try:
+    try:  # float() of a Fraction past the float range overflows
         args = [float(Fraction(s.strip())) for s in raw_args.split(",") if s.strip()]
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UnknownKind(f"bad arguments in {kind!r}") from None
     if any(a <= 0 for a in args):
         raise UnknownKind(f"arguments must be positive in {kind!r}")
     pi2 = math.pi**2
     if name == "cycle" and len(args) == 1:
-        return 4.0 * pi2 / args[0] ** 2
-    if name == "path" and len(args) == 1:
-        return pi2 / args[0] ** 2
-    if name == "equilateral_pumpkin" and len(args) == 2:
+        factor, ell = 4.0 * pi2, args[0]
+    elif name == "path" and len(args) == 1:
+        factor, ell = pi2, args[0]
+    elif name == "equilateral_pumpkin" and len(args) == 2:
         if args[0] < 2 or args[0] != int(args[0]):
             raise UnknownKind(f"pumpkin multiplicity must be an integer >= 2 in {kind!r}")
-        return pi2 / args[1] ** 2
-    raise UnknownKind(f"no closed form for {kind!r}")
+        factor, ell = pi2, args[1]
+    else:
+        raise UnknownKind(f"no closed form for {kind!r}")
+    try:  # ell**2 overflows past about 1e154, and is 0 below about 1e-162
+        gap = factor / ell**2
+    except (OverflowError, ZeroDivisionError):
+        gap = math.inf
+    if not 0 < gap < math.inf:
+        raise UnknownKind(f"the gap of {kind!r} is not a positive finite float")
+    return gap

@@ -232,6 +232,15 @@ def test_bounds_bad_copies_count(tetra_file, capsys):
     assert info["context"]["cover"] == "copies:abc"
 
 
+def test_bounds_copies_count_past_the_cap(tetra_file, capsys):
+    # refused before a single copy is built, not after minutes of solving
+    code, out, err = invoke(capsys, "bounds", tetra_file, "--cover", "copies:99999999999")
+    assert code == 1 and out == ""
+    info = json.loads(err)
+    assert info["error"] == "TooLarge"
+    assert info["context"] == {"copies": 99999999999, "cap": 1000}
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_bounds_rejects_nonpositive_k(tetra_file, capsys, k):
     with pytest.raises(SystemExit) as exc:

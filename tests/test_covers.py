@@ -33,6 +33,7 @@ from qgbounds.errors import (
     NotBridgeless,
     NotUniform,
     ParseError,
+    TooLarge,
 )
 from qgbounds.spectral import eigenvalues_lapack, normalized_laplacian_dense
 
@@ -130,6 +131,19 @@ def test_copies_cover():
     assert (weights[~np.eye(3, dtype=bool)] == float(g.total_length)).all()
     with pytest.raises(BadSpec):
         covers.copies_cover(g, 1)
+
+
+def test_copies_cover_cap_is_checked_before_building(monkeypatch):
+    g = mg.pumpkin(3)
+    assert len(covers.copies_cover(g, covers._COPIES_CAP)) == covers._COPIES_CAP
+    monkeypatch.setattr(covers, "Cover", None)  # nothing may be built
+    for m in (covers._COPIES_CAP + 1, 99999999999):
+        with pytest.raises(TooLarge, match=f"cap {covers._COPIES_CAP}") as exc:
+            covers.copies_cover(g, m)
+        assert exc.value.context == {"copies": m, "cap": covers._COPIES_CAP}
+    # a count past the digits int() reads is refused alike
+    with pytest.raises(TooLarge, match="5000-digit"):
+        covers.build_cover(g, "copies:" + "9" * 5000)
 
 
 def test_pumpkin_cycle_cover_orderings():

@@ -299,6 +299,39 @@ def test_fd_vertex_matrices_depend_on_their_own_lam_alone(monkeypatch):
     assert chains.count(lam).tolist() == [chains.count(lam[i:i + 1])[0] for i in range(4)]
 
 
+@pytest.mark.parametrize("g, count", [(mg.four_pumpkin(2 + math.sqrt(5)), 8),
+                                      (mg.platonic("cube", length=math.sqrt(2)), 12)])
+def test_fd_bordered_vertex_matrices_give_the_same_eigenvalues(g, count, monkeypatch):
+    # a mode is bordered only next to a pole, so outside the count probes a
+    # whole solve may border none; with the threshold low, every row of every
+    # count and Newton batch is bordered, and the roots stay put
+    def slope_error(chains):
+        # Newton's slope is d mu/d lam: against a central difference
+        centre = np.unique(chains.dirichlet)
+        lam, k = (centre[:5] + centre[1:6]) / 2, np.zeros(5, dtype=int)
+        slope, h = chains.newton(lam, k)[1], 1e-6 * lam
+        diff = (chains.newton(lam + h, k)[0] - chains.newton(lam - h, k)[0]) / (2 * h)
+        return np.max(np.abs(slope / diff - 1))
+
+    plain = oracle.fd_spectrum(g, count)
+    assert slope_error(oracle._Chains(g, 0.05)) < 1e-6
+    stacks = oracle._Chains.stacks
+    borders = {False: [], True: []}
+
+    def watched(self, lam, slopes=False):
+        for out in stacks(self, lam, slopes):
+            borders[slopes].append(out[1].shape[1] - self.V)
+            yield out
+
+    monkeypatch.setattr(oracle._Chains, "stacks", watched)
+    monkeypatch.setattr(oracle, "_FD_BORDER", 1e-2)
+    bordered = oracle.fd_spectrum(g, count)
+    assert slope_error(oracle._Chains(g, 0.05)) < 1e-6
+    assert min(borders[False]) > 0 and min(borders[True]) > 0
+    assert bordered.values == pytest.approx(plain.values, rel=1e-12, abs=0)
+    assert bordered.meta["mesh"] == plain.meta["mesh"]
+
+
 def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
     def triangle(third):
         return mg.graph_from_json({
@@ -314,7 +347,9 @@ def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
     assert clash.gap == pytest.approx(oracle.analytic_gap("cycle(3)"), rel=1e-6)
 
 
-def test_fd_sparse_route_repeats_bit_for_bit():
+def test_fd_fine_mesh_repeats_bit_for_bit():
+    # past a thousand nodes the solve still works on the cube's 8 x 8 vertex
+    # matrices alone
     g = mg.platonic("cube", length=math.sqrt(2))
     first = oracle.fd_spectrum(g, 4, mesh=0.02)
     assert first.meta["nodes"] > 1000
@@ -562,6 +597,9 @@ def test_analytic_gap_values(kind, want):
     "cycle(-1)", "blob(1)", "cycle(1,2)", "cycle",
     "equilateral_pumpkin(2.5,1)", "equilateral_pumpkin(1,1)",
     "path(0)", "path(x)",
+    # not finite as floats, and finite lengths whose gap is not
+    "cycle(1e400)", "path(1e400)", "equilateral_pumpkin(3, 1e400)",
+    "path(1e200)", "path(1e-200)", "cycle(1e-161)",
 ])
 def test_analytic_gap_rejects(kind):
     with pytest.raises(UnknownKind):

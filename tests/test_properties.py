@@ -295,7 +295,9 @@ def fd_graphs(draw):
 # a steep and a shallow eigencurve of S meet next to a close pair of roots,
 # where a small Newton step does not mean a root is near
 @example(mg.pumpkin(2, [0.5646087065052985, 0.5643333384014506]), 38, 401)
-def test_fd_sparse_solve_matches_dense(g, want, nodes):
+def test_fd_vertex_count_solve_matches_dense(g, want, nodes):
+    # the count and Newton's method on the V x V vertex matrices against
+    # LAPACK on the whole lumped matrix of the same mesh
     chains = oracle._Chains(g, sum(float(e.length) for e in g.edges) / nodes)
     A = lumped_matrix(g, chains.n)
     dense = np.linalg.eigvalsh(A)[:want]
