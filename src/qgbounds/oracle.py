@@ -303,14 +303,14 @@ class _Chains:
         self.evaluations = 0
         self.rounds = 0
         # per mesh: the constants of ``modes``; where each edge's diag, diag,
-        # off, off entries land in a flat V x V matrix, and in a stack of
-        # them (grown as stacks grow); inverse iteration's fixed start
+        # off, off entries land in a flat V x V matrix; inverse iteration's
+        # fixed start at every width up to two borders an edge, with a batch
+        # axis so that solve reads it as a stack of matrices on any numpy
         self._half_s, self._half_n, self._q4 = self.s / 2, self.n / 2, self.s**2 / 4
         V = self.V
         self._slots = np.concatenate((self.u * (V + 1), self.v * (V + 1),
                                       self.u * V + self.v, self.v * V + self.u))
-        self._scatter = self._slots
-        self._start = np.cos(np.arange(V))[:, None]
+        self._start = np.cos(np.arange(V + 2 * self.u.size))[None, :, None]
 
     def modes(self, lam: np.ndarray, slopes: bool = False):
         """p_e and q_e of every edge at every lam, and with slopes also
@@ -369,17 +369,16 @@ class _Chains:
         self.evaluations += lam.size
         c = np.stack(modes[:2], axis=2)
         big = np.abs(c) > _FD_BORDER
-        bordered = big.any()
-        kept = (np.where(big, 0.0, c) if bordered else c) / self.s[:, None]
+        kept = np.where(big, 0.0, c) / self.s[:, None]
         diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
         w = np.concatenate((diag, diag, off, off), axis=1)
         if slopes:
             dc = np.stack(modes[2:], axis=2)
-            dkept = (np.where(big, 0.0, dc) if bordered else dc) / self.s[:, None]
-        if bordered:
+            dkept = np.where(big, 0.0, dc) / self.s[:, None]
+        if big.any():
             borders = np.count_nonzero(big, axis=(1, 2))
             groups = [(b, np.flatnonzero(borders == b)) for b in np.unique(borders).tolist()]
-        else:
+        else:  # as nearly always: one group, no border
             groups = [(0, np.arange(lam.size))]
         V = self.V
         for b, group in groups:
@@ -387,10 +386,8 @@ class _Chains:
             for at in range(0, group.size, size):
                 rows = group[at:at + size]
                 n = rows.size
-                if self._scatter.size < n * self._slots.size:
-                    self._scatter = (np.arange(n)[:, None] * V**2 + self._slots).ravel()
-                S = np.bincount(self._scatter[:n * self._slots.size], w[rows].ravel(),
-                                n * V**2).reshape(n, V, V)
+                S = np.bincount((np.arange(n)[:, None] * V**2 + self._slots).ravel(),
+                                w[rows].ravel(), n * V**2).reshape(n, V, V)
                 if not b:
                     yield (rows, S, 0, dkept[rows], None) if slopes else (rows, S, 0)
                     continue
@@ -433,8 +430,7 @@ class _Chains:
             # where every eigenvalue of S crosses 0 at once)
             shift = m - 1e-13 * (np.abs(T).max(axis=(1, 2)) + 1 / self.s.min())
             T.reshape(n, width * width)[:, ::width + 1] -= shift[:, None]
-            start = self._start if width == self.V else np.cos(np.arange(width))[:, None]
-            z = np.linalg.solve(T, start)[..., 0]
+            z = np.linalg.solve(T, self._start[:, :width])[..., 0]
             zu, zv = z[:, self.u], z[:, self.v]
             mu[rows] = m
             top = np.sum(dkept[..., 0] * (zu + zv) ** 2 + dkept[..., 1] * (zu - zv) ** 2, axis=1)
