@@ -33,7 +33,7 @@ from .metric_graph import (
     graph_to_json,
     validate,
 )
-from .oracle import analytic_gap, spectrum
+from .oracle import spectrum
 from .repro import run_all as run_repro
 from .repro import run_case as run_repro_case
 
@@ -44,7 +44,6 @@ __all__ = [
     "Edge",
     "MetricGraph",
     "QGraphError",
-    "analytic_gap",
     "build_cover",
     "classical_bounds",
     "compare_report",

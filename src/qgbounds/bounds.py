@@ -42,11 +42,11 @@ _log = logging.getLogger(__name__)
 PI2 = math.pi**2
 
 
-def _nonneg(alpha: float, snap: float = 1e-12) -> float:
-    # normalized-Laplacian eigenvalues sit in [0, 2]; anything below snap
+def _nonneg(alpha: float) -> float:
+    # normalized-Laplacian eigenvalues sit in [0, 2]; anything up to 1e-12
     # is a zero mode seen through rounding, and must not leak into a
     # positive lower bound for an eigenvalue that is exactly zero
-    return alpha if alpha > snap else 0.0
+    return alpha if alpha > 1e-12 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +109,6 @@ ETA_STRATEGIES: Mapping[str, Callable[[MetricGraph], float]] = {
     "star_best": star_gap_bound,
     "oracle": _eta_oracle,
 }
-
-#: strategies whose output is a closed-form certificate rather than a
-#: numerical approximation
-RIGOROUS_ETA = frozenset(ETA_STRATEGIES) - {"oracle"}
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +448,6 @@ class CompareTable:
             writer.writerow([r.method, r.index, _fmt(r.bound),
                              _fmt(r.oracle), _fmt(r.ratio), r.ingredients])
         return buf.getvalue()
-
-    def to_json(self) -> dict:
-        out = {
-            "rows": [
-                {
-                    "method": r.method,
-                    "index": r.index,
-                    "bound": r.bound,
-                    "oracle": r.oracle,
-                    "ratio": r.ratio,
-                    "ingredients": r.ingredients,
-                }
-                for r in self.rows
-            ]
-        }
-        if self.oracle_note is not None:
-            out["oracle_note"] = self.oracle_note
-        return out
 
 
 def _fmt(x: float | None) -> str:

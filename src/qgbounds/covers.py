@@ -66,14 +66,6 @@ class Cover:
     name: str
     elements: tuple  # tuple of (label, tuple of edge ids)
 
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(lbl for lbl, _ in self.elements)
-
-    @cached_property
-    def edge_sets(self) -> dict:
-        return {lbl: frozenset(eids) for lbl, eids in self.elements}
-
     def __len__(self) -> int:
         return len(self.elements)
 

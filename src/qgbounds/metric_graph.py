@@ -60,6 +60,7 @@ from .errors import (
     NonpositiveLength,
     NoRotation,
     ParseError,
+    TooLarge,
     UnknownEndpoint,
     UnknownFamily,
 )
@@ -69,6 +70,19 @@ VertexId = Union[str, int]
 EdgeId = Union[str, int]
 
 _MAX_DECIMAL_DEN = 10**6
+# Most edges ``pumpkin``, ``pumpkin_chain`` and ``cycle_graph`` build.  Each
+# edge costs about 20 us and 1.5 KiB: on a 2-CPU x86 host, a fresh ``qgb gen``
+# took 0.3 s and 45 MiB at 10,000 edges, 0.9-1.3 s and 102-114 MiB at
+# 50,000, 1.7-2.4 s and 173-201 MiB at 100,000, and 13.7-16.6 s and about
+# 1.4 GiB at 1,000,000.
+_EDGE_CAP = 50_000
+
+
+def _check_edge_count(count: int, family: str) -> None:
+    """Refuse a generated graph past _EDGE_CAP edges, before any is built."""
+    if count > _EDGE_CAP:
+        raise TooLarge(f"{family} of {count} edges (cap {_EDGE_CAP})",
+                       edges=count, cap=_EDGE_CAP)
 
 
 def as_length(x) -> Length:
@@ -275,9 +289,6 @@ class MetricGraph:
 
     def degree(self, v: VertexId) -> int:
         return len(self.incident[v])
-
-    def weighted_degree(self, v: VertexId) -> Length:
-        return sum((e.length for e, _ in self.incident[v]), start=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +660,7 @@ def pumpkin(m: int, lengths=1) -> MetricGraph:
     """m parallel edges between two vertices."""
     if m < 1:
         raise BadParameter(f"pumpkin needs at least one edge, got {m}")
+    _check_edge_count(m, "pumpkin")
     if isinstance(lengths, (list, tuple)):
         if len(lengths) != m:
             raise BadParameter(
@@ -679,6 +691,7 @@ def pumpkin_chain(multiplicities: Sequence[int], lengths=1) -> MetricGraph:
         raise BadSpec("a pumpkin chain needs at least one pumpkin")
     if any(m < 1 for m in ms):
         raise BadSpec(f"multiplicities must be >= 1, got {ms}")
+    _check_edge_count(sum(ms), "pumpkin chain")
     if not isinstance(lengths, (list, tuple)):
         lengths = [lengths] * len(ms)
     elif len(lengths) != len(ms):
@@ -699,6 +712,7 @@ def cycle_graph(total_length=1, segments: int = 2) -> MetricGraph:
     """Cycle of the given total length, realized with `segments` equal edges."""
     if segments < 2:
         raise BadParameter("a loopless cycle needs at least 2 segments")
+    _check_edge_count(segments, "cycle")
     piece = as_length(total_length) / segments
     verts = tuple(f"v{i}" for i in range(segments))
     edges = tuple(Edge(f"e{i}", verts[i], verts[(i + 1) % segments], piece)

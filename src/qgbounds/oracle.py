@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -192,14 +191,16 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
     multiplicities.  Discrete eigenvalues within _BRANCH_EPS of 2 map to the
     threshold itself and are left out.  With no explicit ``h`` the grid
     starts at the gcd of the (rational) edge lengths and is halved until
-    count eigenvalues sit strictly below the threshold.  An explicit ``h``,
-    rational or float, must divide every edge length exactly and is used
-    as-is; if the threshold then cuts off the requested eigenvalues,
-    ThresholdExceeded asks for a smaller h.
+    count eigenvalues sit strictly below the threshold.  An explicit ``h``
+    is read by ``mg.as_length``, as edge lengths are (so 0.1 is 1/10), must
+    divide every edge length exactly and is used as-is; if the threshold
+    then cuts off the requested eigenvalues, ThresholdExceeded asks for a
+    smaller h.
     """
     _check_count(count)
     pinned = h is not None
     if pinned:
+        h = mg.as_length(h)
         if not 0 < h < math.inf:
             raise BadParameter(f"grid must be finite and positive, got {h}")
         grid = Fraction(h)  # the exact value of a float h
@@ -556,8 +557,9 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     min_len/32), min_len the shortest edge, and a failed estimate halves
     both meshes, at most twice, each refinement reusing the previous fine
     mesh as its coarse one: the finest pair is (min_len/64, min_len/128).
-    A pinned mesh is never refined.  It must be finite and positive, and
-    so must its half, the width of the finer mesh; and it may be at most
+    A pinned mesh is never refined.  It is read by ``mg.as_length`` (a bool
+    is no mesh), and its float must be finite and positive, and so must
+    its half, the width of the finer mesh; and it may be at most
     min_len/2, where every edge still has two segments, else BadParameter
     gives the mesh and that limit.  Each solve starts Newton's method from
     the previous mesh's values.  The meta records the halvings made
@@ -569,7 +571,10 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     if mesh is None:
         refinements, mesh = 2, min_len / 16
     else:
-        refinements, mesh = 0, float(mesh)  # the command line pins an exact Fraction
+        try:  # an exact mesh past the float range overflows
+            refinements, mesh = 0, float(mg.as_length(mesh))
+        except OverflowError:
+            raise BadParameter("mesh is too large for a float") from None
         if not (math.isfinite(mesh) and mesh / 2 > 0):
             raise BadParameter(f"mesh and its half must be finite and positive, got {mesh}")
         if mesh > min_len / 2:
@@ -619,7 +624,7 @@ def _route(g: mg.MetricGraph, count: int, method: str,
         if g.grid is not None:
             if mesh is not None:
                 try:
-                    return subdivision_spectrum(g, count, h=mg.as_length(mesh))
+                    return subdivision_spectrum(g, count, h=mesh)
                 except IncommensurableLengths as exc:
                     return _fd_fallback(g, count, mesh, exc)
             try:
@@ -633,8 +638,7 @@ def _route(g: mg.MetricGraph, count: int, method: str,
                                "edge length", mesh=str(mesh))
         return von_below_spectrum(g, count)
     if method == "subdivision":
-        h = None if mesh is None else mg.as_length(mesh)
-        return subdivision_spectrum(g, count, h=h)
+        return subdivision_spectrum(g, count, h=mesh)
     if method == "fd":
         return fd_spectrum(g, count, mesh=mesh)
     raise UnknownKind(f"unknown oracle method {method!r}")
@@ -646,44 +650,3 @@ def _fd_fallback(g: mg.MetricGraph, count: int, mesh: Optional[float],
     res = fd_spectrum(g, count, mesh=mesh)
     res.meta["fallback"] = f"{exc.code}: {exc}"
     return res
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-def analytic_gap(kind: str) -> float:
-    """Known spectral gaps, for spot checks: ``"cycle(L)"`` gives
-    4 pi^2/L^2, ``"path(L)"`` gives pi^2/L^2, and
-    ``"equilateral_pumpkin(m, l)"`` gives pi^2/l^2 (any m >= 2).  Anything
-    else raises UnknownKind: another form, an argument that is not a
-    positive finite float, or a gap that is not one."""
-    text = kind.strip()
-    m = re.fullmatch(r"(\w+)\s*\(([^)]*)\)", text)
-    if not m:
-        raise UnknownKind(f"cannot parse {kind!r}; expected name(args)")
-    name, raw_args = m.group(1), m.group(2)
-    try:  # float() of a Fraction past the float range overflows
-        args = [float(Fraction(s.strip())) for s in raw_args.split(",") if s.strip()]
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise UnknownKind(f"bad arguments in {kind!r}") from None
-    if any(a <= 0 for a in args):
-        raise UnknownKind(f"arguments must be positive in {kind!r}")
-    pi2 = math.pi**2
-    if name == "cycle" and len(args) == 1:
-        factor, ell = 4.0 * pi2, args[0]
-    elif name == "path" and len(args) == 1:
-        factor, ell = pi2, args[0]
-    elif name == "equilateral_pumpkin" and len(args) == 2:
-        if args[0] < 2 or args[0] != int(args[0]):
-            raise UnknownKind(f"pumpkin multiplicity must be an integer >= 2 in {kind!r}")
-        factor, ell = pi2, args[1]
-    else:
-        raise UnknownKind(f"no closed form for {kind!r}")
-    try:  # ell**2 overflows past about 1e154, and is 0 below about 1e-162
-        gap = factor / ell**2
-    except (OverflowError, ZeroDivisionError):
-        gap = math.inf
-    if not 0 < gap < math.inf:
-        raise UnknownKind(f"the gap of {kind!r} is not a positive finite float")
-    return gap

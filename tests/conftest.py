@@ -109,6 +109,11 @@ def underlying(g: mg.MetricGraph) -> tuple:
     return A.astype(float), A.sum(axis=1).astype(float)
 
 
+def edge_sets(cover) -> dict:
+    """Each element's label -> the set of its edge ids."""
+    return {lbl: frozenset(eids) for lbl, eids in cover.elements}
+
+
 def reference_vicinity(g: mg.MetricGraph, cover) -> np.ndarray:
     """The vicinity weight matrix built pair by pair, in cover order: each
     pair of elements gets the sum of its shared edge lengths, in Fraction
@@ -116,7 +121,7 @@ def reference_vicinity(g: mg.MetricGraph, cover) -> np.ndarray:
     diagonal is zero, so the row sums are the exact degrees.  It shares no
     code with the library's integer-grid overlaps, so it is the reference
     they are checked against."""
-    sets = cover.edge_sets
+    sets = edge_sets(cover)
     n = len(cover)
     W = np.full((n, n), Fraction(0), dtype=object)
     for (i, (_, ea)), (j, (b, _)) in itertools.combinations(enumerate(cover.elements), 2):

@@ -392,7 +392,7 @@ def test_criterion_08_exact_structural_identities():
         degrees = ref.sum(axis=1)
         degrees_ok = all(
             degree == (m - 1) * rep.subgraphs[lbl].total_length
-            for lbl, degree in zip(cover.labels, degrees))
+            for (lbl, _), degree in zip(cover.elements, degrees))
         volume_ok = degrees.sum() == m * (m - 1) * g.total_length
         residual = covers.proof_identity_residual(g, cover, ref)
         ok = degrees_ok and volume_ok and residual <= 1e-12

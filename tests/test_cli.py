@@ -79,6 +79,20 @@ def test_gen_rejects_options_the_family_does_not_take(capsys, argv, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["pumpkin:100000000"], ["pumpkin_chain:2,100000000"],
+    ["cycle:1", "--segments", "100000000"],
+])
+def test_gen_refuses_a_graph_past_the_edge_cap(capsys, argv):
+    # refused before an edge is built, not after minutes and gigabytes
+    code, out, err = invoke(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    info = json.loads(err)
+    assert info["error"] == "TooLarge"
+    assert info["context"]["cap"] == 50_000
+
+
 def test_gen_star_needs_lengths(capsys):
     code, _, err = invoke(capsys, "gen", "star")
     assert code == 1

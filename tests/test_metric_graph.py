@@ -20,6 +20,7 @@ from qgbounds.errors import (
     NonpositiveLength,
     NoRotation,
     ParseError,
+    TooLarge,
     UnknownEndpoint,
     UnknownFamily,
 )
@@ -168,6 +169,18 @@ def test_pumpkin_chain_rejects():
         mg.pumpkin_chain((2, 2), [1])
     with pytest.raises(NonpositiveLength):
         mg.pumpkin_chain((2,), [[1, -1]])
+
+
+def test_generator_edge_cap_is_checked_before_building(monkeypatch):
+    cap = mg._EDGE_CAP
+    assert len(mg.pumpkin_chain([2] * (cap // 2)).edges) == cap
+    monkeypatch.setattr(mg, "Edge", None)  # nothing may be built
+    for build in (lambda n: mg.pumpkin(n), lambda n: mg.pumpkin_chain([n - 1, 1]),
+                  lambda n: mg.cycle_graph(1, segments=n)):
+        for n in (cap + 1, 10**8):
+            with pytest.raises(TooLarge, match=f"cap {cap}") as exc:
+                build(n)
+            assert exc.value.context == {"edges": n, "cap": cap}
 
 
 def test_chain_structure_rejects_non_chains():

@@ -100,7 +100,7 @@ def test_subdivision_agrees_with_direct_route(name, count):
 def test_dummy_vertices_do_not_change_the_spectrum():
     bent = mg.star_graph([Fraction(1, 2), Fraction(1, 3)])
     res = oracle.subdivision_spectrum(bent, 2)
-    assert res.gap == pytest.approx(oracle.analytic_gap("path(5/6)"), abs=1e-9)
+    assert res.gap == pytest.approx(36 * PI2 / 25, abs=1e-9)
 
     cyc = mg.MetricGraph(
         ("a", "b", "c"),
@@ -108,7 +108,7 @@ def test_dummy_vertices_do_not_change_the_spectrum():
          mg.Edge("e1", "b", "c", Fraction(3)),
          mg.Edge("e2", "c", "a", Fraction(5))), None)
     res = oracle.subdivision_spectrum(cyc, 3)
-    want = oracle.analytic_gap("cycle(10)")
+    want = 4 * PI2 / 100
     assert res.values[1] == pytest.approx(want, abs=1e-9)
     assert res.values[2] == pytest.approx(want, abs=1e-9)  # circle pairs up
 
@@ -118,8 +118,7 @@ def test_equilateral_pumpkin_gap():
     for ell in (Fraction(1), Fraction(1, 2), 0.5):
         g = mg.pumpkin(3, [ell] * 3)
         res = oracle.subdivision_spectrum(g, 2)
-        assert res.gap == pytest.approx(
-            oracle.analytic_gap(f"equilateral_pumpkin(3,{ell})"), abs=1e-12)
+        assert res.gap == pytest.approx(PI2 / float(ell) ** 2, abs=1e-12)
 
 
 def test_pinned_grid_must_divide():
@@ -131,6 +130,18 @@ def test_pinned_grid_must_divide():
             oracle.subdivision_spectrum(g, 2, h=h)
     with pytest.raises(IncommensurableLengths):
         oracle.subdivision_spectrum(mg.four_pumpkin(2 + math.sqrt(5)), 2)
+    # a pinned grid is read as an edge length is, here and through spectrum
+    g = mg.pumpkin(2, [1 / 2, 1 / 2])
+    res = oracle.subdivision_spectrum(g, 2, h=0.1)
+    assert res.meta["grid"] == "1/10"
+    routed = oracle.spectrum(g, 2, method="subdivision", mesh=0.1)
+    assert routed.values == res.values and routed.meta["grid"] == "1/10"
+    assert oracle.subdivision_spectrum(g, 2, h="1/4").meta["grid"] == "1/4"
+    with pytest.raises(ThresholdExceeded) as exc:  # a circle of length 1
+        oracle.subdivision_spectrum(g, 2, h="1/2")
+    assert exc.value.context["grid"] == "1/2"
+    with pytest.raises(BadParameter):
+        oracle.subdivision_spectrum(g, 2, h=True)
 
 
 def test_pinned_grid_threshold_is_strict():
@@ -231,21 +242,31 @@ def test_fd_node_cap_reach(monkeypatch):
         oracle.fd_spectrum(g, 2)
 
 
-def test_fd_mesh_flags_conflict():
-    # a pinned mesh of 1/40 is the only spelling of 40 points per unit length
+def test_fd_gap_on_a_pinned_mesh():
     res = oracle.fd_spectrum(mg.pumpkin(2), 2, mesh=1 / 40)
     assert res.meta["mesh"] == pytest.approx(1 / 40)
     assert res.gap == pytest.approx(PI2, rel=1e-5)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mesh", [-1, 0, math.nan, math.inf, 5e-324])
+@pytest.mark.parametrize("mesh", [
+    -1, 0, math.nan, math.inf, 5e-324, pytest.param(10**400, id="10**400"),
+    pytest.param(Fraction(10**400), id="Fraction(10**400)"), True])
 def test_fd_rejects_mesh_that_is_not_finite_and_positive(mesh):
     # -1 and inf would put two segments on every edge of both meshes, so
     # coarse would equal fine and a wrong gap would pass its error estimate;
-    # half of 5e-324, the finer mesh, underflows to 0
+    # half of 5e-324, the finer mesh, underflows to 0; 10**400 overflows a
+    # float, and True is no length (read as 1, it would be a mesh of this
+    # cube, whose half edge is 2.83)
     with pytest.raises(BadParameter):
-        oracle.fd_spectrum(mg.platonic("cube", length=math.sqrt(2)), 3, mesh=mesh)
+        oracle.fd_spectrum(mg.platonic("cube", length=4 * math.sqrt(2)), 3, mesh=mesh)
+
+
+def test_spectrum_rejects_a_mesh_past_the_float_range():
+    # on a rational graph 10**400 divides no edge, so auto falls back to fd
+    for g in (mg.platonic("cube"), mg.platonic("cube", length=math.sqrt(2))):
+        with pytest.raises(BadParameter, match="too large for a float"):
+            oracle.spectrum(g, 2, mesh=10**400)
 
 
 def test_fd_pinned_fraction_mesh_equals_its_float():
@@ -344,7 +365,7 @@ def test_fd_vertex_names_cannot_clash_with_mesh_nodes():
     # "e0%1" spells an interior node of e0 in a label-keyed mesh
     clash = oracle.fd_spectrum(triangle("e0%1"), 3, mesh=0.05)
     assert clash.values == plain.values
-    assert clash.gap == pytest.approx(oracle.analytic_gap("cycle(3)"), rel=1e-6)
+    assert clash.gap == pytest.approx(4 * PI2 / 9, rel=1e-6)
 
 
 def test_fd_fine_mesh_repeats_bit_for_bit():
@@ -575,32 +596,3 @@ def test_result_shape():
     assert data["values"] == list(res.values)
     with pytest.raises(BadParameter):
         oracle.SpectrumResult((0.0,), "stub").gap
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-@pytest.mark.parametrize("kind, want", [
-    ("cycle(2)", PI2),
-    ("cycle(10)", PI2 / 25),
-    ("path(3)", PI2 / 9),
-    ("path(5/6)", 36 * PI2 / 25),
-    ("equilateral_pumpkin(3,1)", PI2),
-    ("equilateral_pumpkin(2, 1/2)", 4 * PI2),
-])
-def test_analytic_gap_values(kind, want):
-    assert oracle.analytic_gap(kind) == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("kind", [
-    "cycle(-1)", "blob(1)", "cycle(1,2)", "cycle",
-    "equilateral_pumpkin(2.5,1)", "equilateral_pumpkin(1,1)",
-    "path(0)", "path(x)",
-    # not finite as floats, and finite lengths whose gap is not
-    "cycle(1e400)", "path(1e400)", "equilateral_pumpkin(3, 1e400)",
-    "path(1e200)", "path(1e-200)", "cycle(1e-161)",
-])
-def test_analytic_gap_rejects(kind):
-    with pytest.raises(UnknownKind):
-        oracle.analytic_gap(kind)

@@ -76,7 +76,7 @@ def _best_of_worsts_star_factor(g: mg.MetricGraph) -> float:
     wdeg_max = dd_max = 0.0
     for v in g.vertices:
         lengths = sorted((float(e.length) for e, _ in g.incident[v]), reverse=True)
-        wdeg = float(g.weighted_degree(v))
+        wdeg = float(sum((e.length for e, _ in g.incident[v]), start=Fraction(0)))
         diam = lengths[0] + lengths[1] if len(lengths) >= 2 else 2.0 * lengths[0]
         wdeg_max = max(wdeg_max, wdeg)
         dd_max = max(dd_max, diam * wdeg)
@@ -98,7 +98,7 @@ def test_transfer_bounds_hold_on_random_rational_graphs(g):
         L = covers.validate_cover(g, cover).laplacian()
         assert abs(np.trace(L) - len(cover)) <= 1e-12
         assert covers.proof_identity_residual(g, cover, reference_vicinity(g, cover)) < 1e-12
-        for eta in sorted(bounds.RIGOROUS_ETA):
+        for eta in sorted(set(bounds.ETA_STRATEGIES) - {"oracle"}):
             try:
                 reports.append(bounds.transfer_bound(g, cover, eta))
             except EtaUnavailable:
@@ -148,7 +148,7 @@ def _assert_grid_analysis_is_the_reference(g: mg.MetricGraph, cover: covers.Cove
         assert rep.subgraphs[lbl].total_length == length
         assert degree == (rep.fold - 1) * length
     alpha = eigenvalues_lapack(laplacian).values
-    for eta in sorted(bounds.RIGOROUS_ETA):
+    for eta in sorted(set(bounds.ETA_STRATEGIES) - {"oracle"}):
         try:
             got = bounds.transfer_bound(g, cover, eta)
         except EtaUnavailable:
