@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .covers import Cover, build_cover, star_cover, validate_cover
+from .covers import Cover, build_cover, pumpkin_cycle_cover, star_cover, validate_cover
 from .errors import (
     BadParameter,
     BadSpec,
@@ -30,6 +30,7 @@ from .errors import (
 from .metric_graph import (
     MetricGraph,
     chain_structure,
+    four_pumpkin,
     is_cycle_graph,
     is_doubly_connected,
     is_star_graph,
@@ -322,19 +323,14 @@ class FourPumpkinBounds:
     via_cover_alternating: float
 
 
-def four_pumpkin_bounds(a: float) -> FourPumpkinBounds:
-    """Closed-form cover bounds for pumpkin(4, [1, 1, a, a]), a >= 1."""
-    from .covers import pumpkin_cycle_cover
-    from .metric_graph import four_pumpkin
-
-    a = float(a)
-    if a < 1.0:
-        raise BadParameter("edge length ratio must be >= 1", a=a)
-
+def four_pumpkin_bounds(a) -> FourPumpkinBounds:
+    """Closed-form cover bounds for pumpkin(4, [1, 1, a, a]), a >= 1, with
+    a any length :func:`metric_graph.four_pumpkin` takes."""
+    g = four_pumpkin(a)
+    a = float(g.edges[-1].length)
     grouped = PI2 / (2.0 * a**2)
     alternating = 4.0 * PI2 / (a + 1.0) ** 3
 
-    g = four_pumpkin(a)
     rep_g = transfer_bound(g, pumpkin_cycle_cover(g, ordering=("e0", "e1", "e3", "e2")), "exact_cycle")
     rep_a = transfer_bound(g, pumpkin_cycle_cover(g, ordering=("e0", "e2", "e1", "e3")), "exact_cycle")
 
@@ -420,6 +416,7 @@ def classical_bounds(g: MetricGraph, k_max: int = 2) -> list[BoundReport]:
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = ("method", "index", "bound", "oracle", "ratio", "ingredients")
+_ORACLE_COUNT_CAP = 40  # most oracle values a table asks for
 
 
 @dataclass(frozen=True)
@@ -435,7 +432,8 @@ class CompareRow:
 @dataclass(frozen=True)
 class CompareTable:
     """Comparison rows; ``oracle_note`` says why the oracle column is empty
-    (``"<code>: <message>"``), and is None when it is filled."""
+    (``"<code>: <message>"``) or stops short (``"from index <n> on: ..."``),
+    and is None when every row has an oracle value."""
 
     rows: tuple[CompareRow, ...]
     oracle_note: str | None = None
@@ -473,15 +471,20 @@ def tabulate(
 
     When the oracle raises a QGraphError (too large, threshold, mesh) the
     oracle and ratio columns stay empty, and the table's ``oracle_note``
-    and a DEBUG log say why; any other exception is a bug and propagates."""
+    and a DEBUG log say why; any other exception is a bug and propagates.
+    The oracle gives at most _ORACLE_COUNT_CAP values, and the note names
+    the first index past them that a row asks for."""
     needed = max((max(r.indices, default=1) for r in reports), default=2)
     oracle_values: Sequence[float] | None = None
     note = None
     if with_oracle:
         from . import oracle
 
+        if needed > _ORACLE_COUNT_CAP:
+            note = (f"from index {_ORACLE_COUNT_CAP + 1} on: the oracle gives "
+                    f"at most {_ORACLE_COUNT_CAP} values")
         try:
-            oracle_values = oracle.spectrum(g, count=min(needed, 40)).values
+            oracle_values = oracle.spectrum(g, count=min(needed, _ORACLE_COUNT_CAP)).values
         except QGraphError as exc:
             note = f"{exc.code}: {exc}"
             _log.debug("oracle column left empty: %s", note)

@@ -18,17 +18,20 @@ from . import bounds, covers, oracle, repro
 from . import metric_graph as mg
 from .errors import BadParameter, ParseError, QGraphError
 
-ETA_ALIASES = {
-    "exact": "exact_cycle",
-    "cycle": "doubly_connected",
-    "star": "star_best",
-}
-
-
 def _read_json(path: str):
+    """The JSON document at ``path``; an object that repeats a key is
+    refused, not read as its last value."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"repeated key {key!r} in {path}", path=path, key=key)
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", path=path) from None
     except json.JSONDecodeError as exc:
@@ -39,14 +42,6 @@ def _read_json(path: str):
 def load_graph(path: str) -> mg.MetricGraph:
     """Parse and validate a graph file; loops are split on load."""
     return mg.graph_from_json(_read_json(path))
-
-
-def _resolve_eta(name: str) -> str:
-    eta = ETA_ALIASES.get(name, name)
-    if eta not in bounds.ETA_STRATEGIES:
-        raise BadParameter("unknown eta strategy", eta=name,
-                           known=sorted(bounds.ETA_STRATEGIES) + sorted(ETA_ALIASES))
-    return eta
 
 
 def _resolve_cover(g: mg.MetricGraph, spec: str) -> covers.Cover:
@@ -87,16 +82,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = load_graph(args.graph)
-    stars = args.cover in ("star", "stars")
-    eta = _resolve_eta(args.eta or ("star" if stars else "cycle"))
+    stars = args.cover == "stars"
+    eta = args.eta or ("star_best" if stars else "doubly_connected")
+    if eta not in bounds.ETA_STRATEGIES:
+        raise BadParameter("unknown eta strategy", eta=eta,
+                           known=sorted(bounds.ETA_STRATEGIES))
     if stars:
         if eta != "star_best":
-            raise BadParameter("the star cover takes only the star eta",
-                               eta=args.eta, cover=args.cover)
+            raise BadParameter("the stars cover takes only the star_best eta",
+                               eta=eta, cover=args.cover)
         report = bounds.star_bound(g)
     else:
-        cover = _resolve_cover(g, args.cover)
-        report = bounds.transfer_bound(g, cover, eta)
+        report = bounds.transfer_bound(g, _resolve_cover(g, args.cover), eta)
     if args.k is not None:
         report = dataclasses.replace(
             report, indices=report.indices[:args.k], bounds=report.bounds[:args.k])
@@ -173,13 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="compute eigenvalue lower bounds")
     b.add_argument("graph")
-    b.add_argument("--cover", default="star",
-                   help="star, faces, face_pairs, pumpkin_cycles, layered, "
+    b.add_argument("--cover", default="stars",
+                   help="stars, faces, face_pairs, pumpkin_cycles, layered, "
                         "concatenated, copies:m, or file:cover.json")
     b.add_argument("--eta",
-                   help="exact, cycle, nicaise, star, oracle (or full "
-                        "strategy names); default star for the star cover, "
-                        "which takes no other, and cycle for the rest")
+                   help="exact_cycle, doubly_connected, nicaise, star_best or "
+                        "oracle; default star_best for the stars cover, which "
+                        "takes no other, and doubly_connected for the rest")
     b.add_argument("--k", type=_positive_int,
                    help="report only the first K indices (K >= 1)")
     b.add_argument("--format", choices=("csv", "json"), default="csv")

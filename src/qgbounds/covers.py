@@ -9,12 +9,13 @@ weights and degrees of ``CoverReport.vicinity``.  Everything downstream
 
 With J the 0/1 element x edge incidence and k the edges' lengths, the
 shared lengths are W = (J k) J^T, the element lengths its diagonal J k,
-and the vicinity degrees (m-1) J k.  A rational graph is analysed on its
-integer grid (``MetricGraph.grid``): k holds the edges' step counts, and
-each entry becomes a float once, as the correctly rounded w p / q, so no
-fraction is ever summed.  On a graph with a float length k holds the
-lengths themselves, so the same product sums each entry as Python
-numbers in graph edge order, whatever the hash seed.
+and the vicinity degrees (m-1) J k.  W is accumulated edge by edge: each
+edge adds its k to the entries of every pair of elements that contain it.
+A rational graph is analysed on its integer grid (``MetricGraph.grid``):
+k holds the edges' step counts, and each entry becomes a float once, as
+the correctly rounded w p / q, so no fraction is ever summed.  On a graph
+with a float length k holds the lengths themselves, so each entry is a
+sum of Python numbers in graph edge order, whatever the hash seed.
 
 A cover is analysed once per graph: :func:`validate_cover` keeps each
 ``CoverReport`` in the graph's own instance dict, keyed by the cover's
@@ -53,12 +54,14 @@ from .errors import (
 from .spectral import normalized_laplacian_dense
 
 _EXACT_FLOAT = 2**53  # integers below it are exact as floats
-# Most copies in a copies cover.  Its vicinity graph is complete, and the
-# cost of ``qgb bounds`` on it grows like m^2 to m^3: on a 2-CPU x86 host
-# with one BLAS thread, on a tetrahedron, a fresh process took 0.3 s and
-# 56 MiB of RSS at m = 500, 0.65-0.9 s and 138 MiB at 1000, 1.9 s and
-# 280 MiB at 1500, and 4.0 s and 475 MiB at 2000.
-_COPIES_CAP = 1000
+# Most elements in a cover.  An analysis builds m x m arrays and LAPACK
+# solves an m x m eigenproblem, so the cost of ``qgb bounds --no-oracle``
+# grows like m^2 to m^3.  On a 2-CPU x86 host with one BLAS thread, a fresh
+# process took, for the star cover of a cycle of m edges, 0.5 s and 89 MiB
+# of RSS at m = 1000, 0.8 s and 157 MiB at 1500, and 1.6 s and 253 MiB at
+# 2000; for m copies of a tetrahedron, 0.6 s and 140 MiB at 1000, 1.6 s and
+# 282 MiB at 1500, and 2.8 s and 478 MiB at 2000.
+_ELEMENT_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class CoverReport:
     """A valid cover's fold, element subgraphs (label -> MetricGraph, in
     cover order) and overlap matrix: ``overlap[i, j]`` is the length that
     elements i and j share, and ``overlap[i, i]`` element i's length, both
-    from the one product (J k) J^T.  On a rational graph the overlaps are
+    entries of W = (J k) J^T.  On a rational graph the overlaps are
     integer steps of ``grid`` (int64, or Python ints where int64 could
     overflow); otherwise ``grid`` is None and they are the lengths
     themselves, each summed in graph edge order.  The vicinity graph is
@@ -135,14 +138,17 @@ def validate_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
 
     Raises NotUniform when edges are covered unequally (or not at all),
     DisconnectedElement when some element is not connected, BadSpec on
-    structural nonsense (unknown edges, duplicate labels, empty cover) and
-    on fold 1, where no element overlaps another."""
+    structural nonsense (elements that are no (label, edge ids) pairs of
+    hashable values, unknown edges, duplicate labels, empty cover) and on
+    fold 1, where no element overlaps another; TooLarge past _ELEMENT_CAP
+    elements."""
     reports = vars(g).setdefault("_cover_reports", {})
     try:
         key = tuple((lbl, tuple(eids)) for lbl, eids in cover.elements)
         report = reports.get(key)
-    except (TypeError, ValueError):  # malformed content: raise as the analysis does
-        return _analyse_cover(g, cover)
+    except (TypeError, ValueError):
+        raise BadSpec(f"cover {cover.name!r} has an element that is not a "
+                      f"(label, edge ids) pair of hashable values") from None
     if report is None:
         report = reports[key] = _analyse_cover(g, cover)
     return report
@@ -153,6 +159,9 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     cover content."""
     if not cover.elements:
         raise BadSpec("cover has no elements")
+    if len(cover) > _ELEMENT_CAP:
+        raise TooLarge(f"cover of {len(cover)} elements (cap {_ELEMENT_CAP})",
+                       elements=len(cover), cap=_ELEMENT_CAP)
     index = {e.id: c for c, e in enumerate(g.edges)}
     seen = set()
     rows, cols = [], []
@@ -171,9 +180,7 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
                     element=lbl, edge=eid)
             rows.append(r)
             cols.append(index[eid])
-    J = np.zeros((len(cover), len(g.edges)), dtype=np.int64)
-    J[rows, cols] = 1
-    counts = J.sum(axis=0)
+    counts = np.bincount(cols, minlength=len(g.edges))
     fold, most = int(counts.min()), int(counts.max())
     if fold != most:
         under = sorted(str(e.id) for e, c in zip(g.edges, counts) if c == fold)
@@ -190,7 +197,11 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
         k = np.array(grid.steps, dtype=np.int64 if small else object)
     else:  # each overlap a Python sum in graph edge order, whatever the hash seed
         k = np.array([e.length for e in g.edges], dtype=object)
-    overlap = (J * k) @ J.T
+    # members[c] lists the elements that contain edge c; add.at walks the
+    # broadcast edge x member x member table in C order, that is edge by edge
+    members = np.array(rows)[np.argsort(cols, kind="stable")].reshape(-1, fold)
+    overlap = np.zeros((len(cover), len(cover)), dtype=k.dtype)
+    np.add.at(overlap, (members[:, :, None], members[:, None, :]), k[:, None, None])
     subgraphs = {}
     for (lbl, eids), size in zip(cover.elements, overlap.diagonal().tolist()):
         try:
@@ -288,12 +299,12 @@ def face_pair_cover(g: mg.MetricGraph) -> Cover:
 
 def copies_cover(g: mg.MetricGraph, m: int) -> Cover:
     """m copies of the whole edge set.  Degenerate but a useful baseline.
-    At most _COPIES_CAP copies, checked before any is built."""
+    At most _ELEMENT_CAP copies, checked before any is built."""
     if m < 2:
         raise BadSpec(f"copies cover needs m >= 2, got {m}")
-    if m > _COPIES_CAP:
-        raise TooLarge(f"copies cover of {m} copies (cap {_COPIES_CAP})",
-                       copies=m, cap=_COPIES_CAP)
+    if m > _ELEMENT_CAP:
+        raise TooLarge(f"copies cover of {m} copies (cap {_ELEMENT_CAP})",
+                       copies=m, cap=_ELEMENT_CAP)
     all_ids = tuple(e.id for e in g.edges)
     return Cover(f"copies:{m}", tuple((f"copy{k}", all_ids) for k in range(m)))
 
@@ -424,8 +435,8 @@ def build_cover(g: mg.MetricGraph, strategy: str) -> Cover:
         try:
             m = int(m)
         except ValueError:  # past the digits int() reads, so past the cap
-            raise TooLarge(f"copies cover of a {len(m)}-digit count (cap {_COPIES_CAP})",
-                           cap=_COPIES_CAP) from None
+            raise TooLarge(f"copies cover of a {len(m)}-digit count (cap {_ELEMENT_CAP})",
+                           cap=_ELEMENT_CAP) from None
         return copies_cover(g, m)
     raise BadSpec(f"unknown cover strategy {strategy!r}")
 

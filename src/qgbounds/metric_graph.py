@@ -866,13 +866,11 @@ def graph_from_json(data) -> MetricGraph:
         raw_rot = data["rotation"]
         if not isinstance(raw_rot, dict):
             raise ParseError("'rotation' must be an object")
+        # keys are strings: map each to the vertex it names, and pass an
+        # unknown one through for MetricGraph to refuse
         by_str = {str(v): v for v in vertices}
         rotation = {}
         for key, lst in raw_rot.items():
-            v = by_str.get(str(key))
-            if v is None:
-                raise ParseError(f"rotation lists unknown vertex {key!r}",
-                                 vertex=key)
             if not isinstance(lst, list):
                 raise ParseError(f"rotation at vertex {key!r} must be an array",
                                  vertex=key)
@@ -884,7 +882,7 @@ def graph_from_json(data) -> MetricGraph:
                         f"rotation at vertex {key!r} has a malformed half-edge",
                         vertex=key)
                 hes.append((item["edge"], item["end"]))
-            rotation[v] = tuple(hes)
+            rotation[by_str.get(key, key)] = tuple(hes)
     try:
         return split_loops(vertices, [Edge(*e) for e in edges], rotation)
     except (BadParameter, UnknownEndpoint, NonpositiveLength) as exc:

@@ -9,9 +9,10 @@ both numbers but never count as PASS or FAIL.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -37,15 +38,7 @@ class Row:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "row": self.row,
-            "computed": self.computed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _check(case: str, row: str, computed: float, expected: float,
@@ -114,42 +107,14 @@ def _case_dodecahedron() -> list:
     return rows
 
 
-def _case_cube() -> list:
-    case = "cube"
-    g = mg.generate("platonic:cube")
-    rows = []
-    gap = oracle.spectrum(g, count=2).gap
-    rows += _both(case, "gap", gap, math.acos(1 / 3) ** 2)
-    faces = bounds.transfer_bound(g, covers.build_cover(g, "faces"), "exact_cycle")
-    rows += _both(case, "faces.i2", faces.bound(2), PI2 / 8)
-    star = bounds.star_bound(g)
-    rows += _both(case, "star.i2", star.bound(2), PI2 / 12)
-    return rows
-
-
-def _case_octahedron() -> list:
-    case = "octahedron"
-    g = mg.generate("platonic:octahedron")
-    rows = []
-    gap = oracle.spectrum(g, count=2).gap
-    rows += _both(case, "gap", gap, PI2 / 4)
-    faces = bounds.transfer_bound(g, covers.build_cover(g, "faces"), "exact_cycle")
-    rows += _both(case, "faces.i2", faces.bound(2), 4 * PI2 / 27)
-    star = bounds.star_bound(g)
-    rows += _both(case, "star.i2", star.bound(2), PI2 / 8)
-    return rows
-
-
-def _case_tetrahedron() -> list:
-    case = "tetrahedron"
-    g = mg.generate("platonic:tetrahedron")
-    rows = []
-    gap = oracle.spectrum(g, count=2).gap
-    rows += _both(case, "gap", gap, math.acos(-1 / 3) ** 2)
-    faces = bounds.transfer_bound(g, covers.build_cover(g, "faces"), "exact_cycle")
-    rows += _both(case, "faces.i2", faces.bound(2), 8 * PI2 / 27)
-    star = bounds.star_bound(g)
-    rows += _both(case, "star.i2", star.bound(2), PI2 / 6)
+def _solid_case(name: str, gap: float, faces: float, star: float) -> list:
+    """A platonic solid's gap and its face and star bounds at index 2,
+    against their closed forms."""
+    g = mg.generate(f"platonic:{name}")
+    rows = _both(name, "gap", oracle.spectrum(g, count=2).gap, gap)
+    rep = bounds.transfer_bound(g, covers.build_cover(g, "faces"), "exact_cycle")
+    rows += _both(name, "faces.i2", rep.bound(2), faces)
+    rows += _both(name, "star.i2", bounds.star_bound(g).bound(2), star)
     return rows
 
 
@@ -273,9 +238,12 @@ def _case_four_pumpkin(a) -> list:
 CASES: dict[str, Callable[[], list]] = {
     "icosahedron": _case_icosahedron,
     "dodecahedron": _case_dodecahedron,
-    "cube": _case_cube,
-    "octahedron": _case_octahedron,
-    "tetrahedron": _case_tetrahedron,
+    "cube": functools.partial(_solid_case, "cube", math.acos(1 / 3) ** 2,
+                              PI2 / 8, PI2 / 12),
+    "octahedron": functools.partial(_solid_case, "octahedron", PI2 / 4,
+                                    4 * PI2 / 27, PI2 / 8),
+    "tetrahedron": functools.partial(_solid_case, "tetrahedron",
+                                     math.acos(-1 / 3) ** 2, 8 * PI2 / 27, PI2 / 6),
     "tetrahedron_diamond": _case_tetrahedron_diamond,
     "cube_sixfold": _case_cube_sixfold,
     "chain_324": _case_chain_324,

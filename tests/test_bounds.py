@@ -86,7 +86,7 @@ def test_cube_sixfold_cover_bound():
 def test_index_limit_truncates(tmp_path, capsys):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(mg.graph_to_json(corpus_graph("cube"))))
-    code = cli.run(["bounds", str(path), "--cover", "faces", "--eta", "exact",
+    code = cli.run(["bounds", str(path), "--cover", "faces", "--eta", "exact_cycle",
                     "--k", "3", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0

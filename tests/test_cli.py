@@ -111,7 +111,7 @@ def test_gen_star_reads_lengths_from_the_family(capsys):
 
 def test_bounds_csv_table(tetra_file, capsys):
     code, out, _ = invoke(capsys, "bounds", tetra_file,
-                          "--cover", "faces", "--eta", "exact")
+                          "--cover", "faces", "--eta", "exact_cycle")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert list(rows[0]) == ["method", "index", "bound", "oracle",
@@ -142,7 +142,7 @@ def test_bounds_csv_says_why_the_oracle_column_is_empty(tetra_file, capsys,
 
 def test_bounds_json_and_k(tetra_file, capsys):
     code, out, _ = invoke(capsys, "bounds", tetra_file, "--cover", "faces",
-                          "--eta", "exact", "--format", "json", "--k", "2")
+                          "--eta", "exact_cycle", "--format", "json", "--k", "2")
     assert code == 0
     data = json.loads(out)
     assert data["indices"] == [1, 2]
@@ -161,7 +161,7 @@ def test_bounds_cover_from_file(tetra_file, tmp_path, capsys):
     cov = tmp_path / "cover.json"
     cov.write_text(json.dumps(covers.cover_to_json(covers.face_pair_cover(g))))
     code, out, _ = invoke(capsys, "bounds", tetra_file,
-                          "--cover", f"file:{cov}", "--eta", "exact",
+                          "--cover", f"file:{cov}", "--eta", "exact_cycle",
                           "--format", "json")
     assert code == 0
     data = json.loads(out)
@@ -194,19 +194,6 @@ def test_bounds_copies_with_oracle_eta(tetra_file, capsys):
     assert data["bounds"][1] == pytest.approx(math.acos(-1 / 3) ** 2, abs=1e-6)
 
 
-def test_bounds_eta_aliases_agree(tmp_path, capsys):
-    chain = tmp_path / "chain.json"
-    assert invoke(capsys, "gen", "pumpkin_chain:3,2,4", "-o", str(chain))[0] == 0
-    outputs = []
-    for eta in ("cycle", "doubly_connected"):
-        code, out, _ = invoke(capsys, "bounds", str(chain),
-                              "--cover", "layered", "--eta", eta,
-                              "--format", "json")
-        assert code == 0
-        outputs.append(json.loads(out)["bounds"])
-    assert outputs[0] == outputs[1]
-
-
 def test_bounds_unknown_eta(tetra_file, capsys):
     code, _, err = invoke(capsys, "bounds", tetra_file, "--eta", "bogus")
     assert code == 1
@@ -215,13 +202,13 @@ def test_bounds_unknown_eta(tetra_file, capsys):
     assert "exact_cycle" in info["context"]["known"]
 
 
-@pytest.mark.parametrize("eta", ["exact", "cycle", "nicaise", "oracle"])
+@pytest.mark.parametrize("eta", ["exact_cycle", "doubly_connected", "nicaise", "oracle"])
 def test_bounds_star_cover_refuses_other_etas(tetra_file, capsys, eta):
     code, out, err = invoke(capsys, "bounds", tetra_file, "--eta", eta, "--no-oracle")
     assert code == 1 and out == ""
     info = json.loads(err)
     assert info["error"] == "BadParameter"
-    assert info["context"] == {"eta": eta, "cover": "star"}
+    assert info["context"] == {"eta": eta, "cover": "stars"}
 
 
 def test_bounds_eta_defaults_follow_the_cover(tetra_file, capsys):
@@ -232,10 +219,10 @@ def test_bounds_eta_defaults_follow_the_cover(tetra_file, capsys):
 
     stars = run()
     assert stars.splitlines()[1].startswith("stars,1,")
-    assert run("--eta", "star") == run("--eta", "star_best") == stars
+    assert run("--eta", "star_best") == run("--cover", "stars") == stars
     faces = run("--cover", "faces")
     assert "transfer[faces,doubly_connected]" in faces
-    assert run("--cover", "faces", "--eta", "cycle") == faces
+    assert run("--cover", "faces", "--eta", "doubly_connected") == faces
 
 
 def test_bounds_bad_copies_count(tetra_file, capsys):
@@ -253,6 +240,53 @@ def test_bounds_copies_count_past_the_cap(tetra_file, capsys):
     info = json.loads(err)
     assert info["error"] == "TooLarge"
     assert info["context"] == {"copies": 99999999999, "cap": 1000}
+
+
+def test_bounds_cover_past_the_element_cap(tmp_path, capsys):
+    path = str(tmp_path / "cycle.json")
+    n = covers._ELEMENT_CAP + 1
+    assert invoke(capsys, "gen", "cycle:1", "--segments", str(n), "-o", path)[0] == 0
+    code, out, err = invoke(capsys, "bounds", path, "--no-oracle")
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    info = json.loads(line)
+    assert info["error"] == "TooLarge"
+    assert info["context"] == {"elements": n, "cap": covers._ELEMENT_CAP}
+
+
+def test_bounds_csv_says_where_the_oracle_column_stops(tetra_file, capsys):
+    code, out, err = invoke(capsys, "bounds", tetra_file, "--cover", "copies:50")
+    assert code == 0
+    assert err == "oracle column empty: from index 41 on: the oracle gives at most 40 values\n"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    oracle_at = {int(r["index"]): r["oracle"] for r in rows
+                 if r["method"] == "transfer[copies:50,doubly_connected]"}
+    assert sorted(oracle_at) == list(range(1, 51))
+    assert all(oracle_at[i] for i in range(1, 41))
+    assert not any(oracle_at[i] for i in range(41, 51))
+
+
+_ALL = json.dumps([f"e{k}" for k in range(6)])  # the tetrahedron's edges
+
+
+@pytest.mark.parametrize("name, text", [
+    # three copies, read as two (fold 2) if the last "a" silently won
+    ("cover", f'{{"elements": {{"a": {_ALL}, "a": {_ALL}, "b": {_ALL}}}}}'),
+    ("graph", '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], '
+              '"length": 1, "length": 2}]}'),
+], ids=["cover", "graph"])
+def test_a_repeated_json_key_is_refused(tetra_file, tmp_path, capsys, name, text):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    argv = ((tetra_file, "--cover", f"file:{path}") if name == "cover"
+            else (str(path),))
+    code, out, err = invoke(capsys, "bounds", *argv, "--no-oracle")
+    assert code == 1 and out == ""
+    info = json.loads(err)
+    assert info["error"] == "ParseError"
+    repeated = "a" if name == "cover" else "length"
+    assert info["message"] == f"repeated key {repeated!r} in {path}"
+    assert info["context"] == {"path": str(path), "key": repeated}
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -137,16 +137,25 @@ def test_copies_cover():
 
 def test_copies_cover_cap_is_checked_before_building(monkeypatch):
     g = mg.pumpkin(3)
-    assert len(covers.copies_cover(g, covers._COPIES_CAP)) == covers._COPIES_CAP
+    assert len(covers.copies_cover(g, covers._ELEMENT_CAP)) == covers._ELEMENT_CAP
     monkeypatch.setattr(covers, "Cover", None)  # nothing may be built
-    for m in (covers._COPIES_CAP + 1, 99999999999):
-        with pytest.raises(TooLarge, match=f"cap {covers._COPIES_CAP}") as exc:
+    for m in (covers._ELEMENT_CAP + 1, 99999999999):
+        with pytest.raises(TooLarge, match=f"cap {covers._ELEMENT_CAP}") as exc:
             covers.copies_cover(g, m)
-        assert exc.value.context == {"copies": m, "cap": covers._COPIES_CAP}
+        assert exc.value.context == {"copies": m, "cap": covers._ELEMENT_CAP}
     # a count past the digits int() reads is refused alike (an int() with no
     # such limit reads it, and copies_cover refuses it)
-    with pytest.raises(TooLarge, match=f"cap {covers._COPIES_CAP}"):
+    with pytest.raises(TooLarge, match=f"cap {covers._ELEMENT_CAP}"):
         covers.build_cover(g, "copies:" + "9" * 5000)
+
+
+def test_a_cover_past_the_element_cap_is_refused(monkeypatch):
+    g = mg.cycle_graph(1, segments=covers._ELEMENT_CAP + 1)
+    stars = covers.star_cover(g)
+    monkeypatch.setattr(covers, "np", None)  # no array is built
+    with pytest.raises(TooLarge, match=f"cap {covers._ELEMENT_CAP}") as exc:
+        covers.validate_cover(g, stars)
+    assert exc.value.context == {"elements": len(stars), "cap": covers._ELEMENT_CAP}
 
 
 def test_pumpkin_cycle_cover_orderings():
@@ -254,6 +263,10 @@ def test_validate_cover_rejects():
         covers.validate_cover(g, covers.Cover("x", (("a", ("e0", "e0")),)))
     with pytest.raises(BadSpec):
         covers.validate_cover(g, covers.Cover("x", (("a", ("bogus",)),)))
+    # an unhashable edge id, and an element that is no (label, ids) pair
+    for elements in ((("a", (["e0"],)),), (("a",),)):
+        with pytest.raises(BadSpec, match="not a .label, edge ids. pair"):
+            covers.validate_cover(g, covers.Cover("x", elements))
     with pytest.raises(NotUniform):
         covers.validate_cover(g, covers.Cover("x", (("a", tuple(eids[:3])),)))
     # two opposite cube edges do not touch
@@ -463,6 +476,7 @@ def test_cover_json_round_trip():
     [],
     {"name": "x"},
     {"name": "x", "elements": ["e0"]},
+    {"name": "x", "elements": {"a": "e0"}},
 ])
 def test_cover_from_json_rejects(data):
     with pytest.raises(ParseError):
@@ -548,9 +562,11 @@ def test_a_cover_is_keyed_by_content_not_name(analyses):
     assert covers.validate_cover(g, listed) is rep
     assert rep.fold == 2
     assert len(analyses) == 1
-    # content that makes no key is analysed as it stands, and refused
-    with pytest.raises(BadSpec, match="element 'a' is empty"):
+    # content that makes no key is refused before any analysis
+    with pytest.raises(BadSpec, match="cover 'd' has an element that is not a "
+                                      r"\(label, edge ids\) pair of hashable values"):
         covers.validate_cover(g, covers.Cover("d", (("a", None),)))
+    assert len(analyses) == 1
 
 
 def test_a_report_is_read_only():

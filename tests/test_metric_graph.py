@@ -167,6 +167,8 @@ def test_pumpkin_chain_rejects():
         mg.pumpkin_chain((2, 0))
     with pytest.raises(BadSpec):
         mg.pumpkin_chain((2, 2), [1])
+    with pytest.raises(BadSpec, match="pumpkin 1 needs 2 lengths"):
+        mg.pumpkin_chain((2, 2), [[1], 1])
     with pytest.raises(NonpositiveLength):
         mg.pumpkin_chain((2,), [[1, -1]])
 
@@ -213,6 +215,10 @@ def test_generate_dispatch():
         mg.generate("star")
     with pytest.raises(BadParameter):
         mg.cycle_graph(1, segments=1)
+    with pytest.raises(BadParameter, match="nonempty list"):
+        mg.star_graph([])
+    with pytest.raises(BadParameter, match="expected 3 lengths, got 2"):
+        mg.pumpkin(3, [1, 2])
     with pytest.raises(NonpositiveLength):
         mg.path_graph(0)
 
@@ -465,10 +471,49 @@ def test_graph_from_json_splits_loops():
      "edges": [{"id": "e", "ends": ["a", "b"], "length": bad}]}
     for bad in (math.inf, -math.inf, math.nan, json.loads("1e400"),
                 "1e400", "1/1" + "0" * 400)
+] + [
+    {"vertices": ["a", "b"], "edges": ["e"]},
 ])
 def test_graph_from_json_rejects(data):
     with pytest.raises(ParseError):
         mg.graph_from_json(data)
+
+
+_PATH = {"vertices": ["a", "b", "c"],
+         "edges": [{"id": "e", "ends": ["a", "b"], "length": 1},
+                   {"id": "f", "ends": ["b", "c"], "length": 1}]}
+_PATH_ROTATION = {"a": [{"edge": "e", "end": 0}],
+                  "b": [{"edge": "e", "end": 1}, {"edge": "f", "end": 0}],
+                  "c": [{"edge": "f", "end": 1}]}
+
+
+@pytest.mark.parametrize("rotation, message, vertex", [
+    ([], "'rotation' must be an object", None),
+    ({"a": {"edge": "e", "end": 0}}, "rotation at vertex 'a' must be an array", "a"),
+    ({"a": [{"edge": "e", "end": 2}]}, "rotation at vertex 'a' has a malformed half-edge",
+     "a"),
+    ({"a": ["e"]}, "rotation at vertex 'a' has a malformed half-edge", "a"),
+    ({**_PATH_ROTATION, "zz": []}, "rotation lists unknown vertex 'zz'", "zz"),
+    ({**_PATH_ROTATION, "b": [{"edge": "e", "end": 1}, {"edge": "e", "end": 1}]},
+     "rotation at vertex 'b' does not list each incident half-edge exactly once", "b"),
+], ids=["not_an_object", "not_an_array", "bad_end", "half_edge_not_an_object",
+        "unknown_vertex", "a_half_edge_twice"])
+def test_graph_from_json_refuses_a_bad_rotation(rotation, message, vertex):
+    with pytest.raises(ParseError) as exc:
+        mg.graph_from_json({**_PATH, "rotation": rotation})
+    assert str(exc.value) == message
+    assert exc.value.context == ({} if vertex is None else {"vertex": vertex})
+
+
+def test_a_null_vertex_id_with_a_rotation_round_trips():
+    # a rotation key is the str() of its vertex id, so the id null is "None"
+    doc = {"vertices": [None, "b", "c"],
+           "edges": [{"id": "e", "ends": [None, "b"], "length": 1}, _PATH["edges"][1]],
+           "rotation": {"None": _PATH_ROTATION["a"], "b": _PATH_ROTATION["b"],
+                        "c": _PATH_ROTATION["c"]}}
+    g = mg.graph_from_json(doc)
+    assert g.rotation[None] == (("e", 0),)
+    assert mg.graph_from_json(json.loads(json.dumps(mg.graph_to_json(g)))) == g
 
 
 @pytest.mark.parametrize("vertices, edge, item", [
