@@ -180,6 +180,15 @@ def _json_clean(value):
 # ---------------------------------------------------------------------------
 
 
+def eta_strategy(eta: str) -> Callable[[MetricGraph], float]:
+    """The strategy that ``eta`` names in :data:`ETA_STRATEGIES`; any other
+    name is a BadParameter that lists the known ones."""
+    try:
+        return ETA_STRATEGIES[eta]
+    except KeyError:
+        raise BadParameter("unknown eta strategy", eta=eta, known=sorted(ETA_STRATEGIES)) from None
+
+
 def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> BoundReport:
     """Lower bounds lambda_i >= ((m-1)/m) * eta * alpha_i from an m-fold cover.
 
@@ -188,14 +197,12 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
     vicinity graph is not an error: alpha_2 = 0 then makes the nontrivial
     bounds vanish, and the report is flagged ``disconnected_vicinity``.
     """
-    if eta not in ETA_STRATEGIES:
-        raise BadParameter("unknown eta strategy", eta=eta, known=sorted(ETA_STRATEGIES))
+    strategy = eta_strategy(eta)
     analysis = validate_cover(g, cover)
     fold = analysis.fold
     spectrum = eigenvalues_lapack(analysis.laplacian())
     alpha = spectrum.values
 
-    strategy = ETA_STRATEGIES[eta]
     eta_per_element = {}
     for label, sub in analysis.subgraphs.items():
         try:

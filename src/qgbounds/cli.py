@@ -84,9 +84,7 @@ def _cmd_bounds(args) -> int:
     g = load_graph(args.graph)
     stars = args.cover == "stars"
     eta = args.eta or ("star_best" if stars else "doubly_connected")
-    if eta not in bounds.ETA_STRATEGIES:
-        raise BadParameter("unknown eta strategy", eta=eta,
-                           known=sorted(bounds.ETA_STRATEGIES))
+    bounds.eta_strategy(eta)  # an unknown name is refused first
     if stars:
         if eta != "star_best":
             raise BadParameter("the stars cover takes only the star_best eta",

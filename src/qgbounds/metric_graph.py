@@ -822,9 +822,21 @@ def graph_to_json(g: MetricGraph) -> dict:
     }
     if g.rotation is not None:
         out["rotation"] = {
-            str(v): [{"edge": eid, "end": end} for eid, end in g.rotation[v]]
-            for v in g.vertices if v in g.rotation}
+            key: [{"edge": eid, "end": end} for eid, end in g.rotation[v]]
+            for key, v in _rotation_keys(g.vertices).items() if v in g.rotation}
     return out
+
+
+def _rotation_keys(vertices) -> dict:
+    """The rotation's keys in a file, the str of each vertex id, mapped to
+    the ids; two ids that are not equal cannot share one."""
+    keys = {}
+    for v in vertices:
+        w = keys.setdefault(str(v), v)
+        if w != v:
+            raise BadParameter(f"vertex ids {w!r} and {v!r} share the rotation key "
+                               f"{str(v)!r}", key=str(v))
+    return keys
 
 
 def graph_from_json(data) -> MetricGraph:
@@ -856,11 +868,12 @@ def graph_from_json(data) -> MetricGraph:
         if not isinstance(ends, list) or len(ends) != 2:
             raise ParseError(f"edge {eid!r}: 'ends' must be a pair")
         ends = [id_from_json(w, f"an end of edge {eid!r}") for w in ends]
-        try:
-            ell = as_length(raw_len)
-        except BadParameter as exc:
-            raise ParseError(f"edge {eid!r}: {exc}", edge=eid) from exc
-        edges.append((eid, ends[0], ends[1], ell))
+        if isinstance(raw_len, bool) or not isinstance(raw_len, numbers.Real):
+            try:  # a "p/q" string; anything else but a number is refused
+                raw_len = as_length(raw_len)
+            except BadParameter as exc:
+                raise ParseError(f"edge {eid!r}: {exc}", edge=eid) from exc
+        edges.append((eid, ends[0], ends[1], raw_len))  # Edge coerces a number
     rotation = None
     if "rotation" in data and data["rotation"] is not None:
         raw_rot = data["rotation"]
@@ -868,7 +881,10 @@ def graph_from_json(data) -> MetricGraph:
             raise ParseError("'rotation' must be an object")
         # keys are strings: map each to the vertex it names, and pass an
         # unknown one through for MetricGraph to refuse
-        by_str = {str(v): v for v in vertices}
+        try:
+            by_str = _rotation_keys(vertices)
+        except BadParameter as exc:
+            raise ParseError(str(exc), **exc.context) from exc
         rotation = {}
         for key, lst in raw_rot.items():
             if not isinstance(lst, list):

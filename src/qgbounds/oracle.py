@@ -97,6 +97,10 @@ _FD_RTOL = 1e-3  # relative error estimate a finite-element value must meet
 _FD_WINDOW = 1e-10
 _FD_NEWTON_STOP = 1e-12  # Newton's method stops on a bracket this narrow (relative)
 _FD_NEWTON_ROUNDS = 60  # per mesh, before NoConvergence
+# Newton's method straddles its root once its last move is at most this
+# (relative), about sqrt(_FD_NEWTON_STOP)/10: converging quadratically, x
+# then lies well within _FD_NEWTON_STOP of the root
+_FD_STRADDLE = 1e-7
 # A chain mode whose coefficient (times s_e) exceeds this, next to a pole,
 # is bordered rather than added into the vertex matrix.
 _FD_BORDER = 100
@@ -191,7 +195,8 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
     multiplicities.  Discrete eigenvalues within _BRANCH_EPS of 2 map to the
     threshold itself and are left out.  With no explicit ``h`` the grid
     starts at the gcd of the (rational) edge lengths and is halved until
-    count eigenvalues sit strictly below the threshold.  An explicit ``h``
+    count eigenvalues sit strictly below the threshold, without a solve
+    while it has fewer than count vertices.  An explicit ``h``
     is read by ``mg.as_length``, as edge lengths are (so 0.1 is 1/10), must
     divide every edge length exactly and is used as-is; if the threshold
     then cuts off the requested eigenvalues, ThresholdExceeded asks for a
@@ -223,24 +228,27 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
             raise TooLarge(
                 f"subdivision at grid {h} needs {n_vertices} vertices "
                 f"(cap {_MATRIX_CAP})")
-        ell = float(grid)
-        values = []
-        for a in eigenvalues_sym(_subdivided_laplacian(g, steps)).values:
-            a = min(max(a, 0.0), 2.0)
-            if a <= 2.0 - _BRANCH_EPS:
-                values.append((math.acos(1.0 - a) / ell) ** 2)
-        values.sort()
-        threshold = (math.pi / ell) ** 2
-        if len(values) >= count:
-            values[0] = 0.0  # alpha_1 = 0 exactly on a connected graph
-            return SpectrumResult(tuple(values[:count]), "subdivision", {
-                "threshold": threshold, "grid": str(h),
-                "subdivided_vertices": n_vertices, "halvings": halvings})
-        if pinned:
-            raise ThresholdExceeded(
-                f"only {len(values)} eigenvalues lie below the branch threshold "
-                f"(pi/h)^2 = {threshold:.6g} at grid {h}; shrink h to expose {count}",
-                available=len(values), grid=str(h))
+        # no grid gives more values than it has vertices, so a grid with
+        # fewer is halved unsolved; a pinned one is solved, for ``available``
+        if pinned or n_vertices >= count:
+            ell = float(grid)
+            values = []
+            for a in eigenvalues_sym(_subdivided_laplacian(g, steps)).values:
+                a = min(max(a, 0.0), 2.0)
+                if a <= 2.0 - _BRANCH_EPS:
+                    values.append((math.acos(1.0 - a) / ell) ** 2)
+            values.sort()
+            threshold = (math.pi / ell) ** 2
+            if len(values) >= count:
+                values[0] = 0.0  # alpha_1 = 0 exactly on a connected graph
+                return SpectrumResult(tuple(values[:count]), "subdivision", {
+                    "threshold": threshold, "grid": str(h),
+                    "subdivided_vertices": n_vertices, "halvings": halvings})
+            if pinned:
+                raise ThresholdExceeded(
+                    f"only {len(values)} eigenvalues lie below the branch threshold "
+                    f"(pi/h)^2 = {threshold:.6g} at grid {h}; shrink h to expose {count}",
+                    available=len(values), grid=str(h))
         h = grid = grid / 2
         steps = [2 * k for k in steps]
         halvings += 1
@@ -353,8 +361,9 @@ class _Chains:
         stacks of one width and at most _FD_STACK entries: yields the places
         in lam of a stack, the stack, and the negative eigenvalues the
         bordering added to each matrix; with slopes, also the derivatives in
-        lam of the modes kept in S and of the gammas (None in a stack with
-        no border).  Each matrix depends on its lam alone.
+        lam of the modes kept in S, as a pair (p'/s_e, q'/s_e), and of the
+        gammas (None in a stack with no border).  Each matrix depends on its
+        lam alone.
 
         Next to a Dirichlet value a mode's coefficient c grows without bound,
         and rounding in S would hide the sign of its small eigenvalues.  Such
@@ -362,35 +371,40 @@ class _Chains:
         diagonal and gamma = -1/(c s_e) on it (w = a or b), whose elimination
         adds c w w^T/s_e back.  By Haynsworth the bordered matrix has one
         more negative eigenvalue than S for each such c > 0, no entry larger
-        than _FD_BORDER/min(s_e), and it is singular where S is.  The
-        bordering work (grouping by width, border rows and columns, their
-        gammas and slopes) runs only for the lam that border a mode; S
-        itself is one scatter of the kept modes into V x V matrices."""
+        than _FD_BORDER/min(s_e), and it is singular where S is.  When no
+        mode borders, as nearly always, S is one scatter of p/s_e and q/s_e
+        into V x V matrices, and the stacks are slices of lam; the bordering
+        work (grouping by width, border rows and columns, their gammas and
+        slopes) runs only when some lam borders a mode."""
         modes = self.modes(lam, slopes)
         self.evaluations += lam.size
-        c = np.stack(modes[:2], axis=2)
-        big = np.abs(c) > _FD_BORDER
-        kept = np.where(big, 0.0, c) / self.s[:, None]
-        diag, off = kept[..., 0] + kept[..., 1], kept[..., 0] - kept[..., 1]
-        w = np.concatenate((diag, diag, off, off), axis=1)
-        if slopes:
-            dc = np.stack(modes[2:], axis=2)
-            dkept = np.where(big, 0.0, dc) / self.s[:, None]
-        if big.any():
+        p, q = modes[:2]
+        if max(np.abs(p).max(initial=0.0), np.abs(q).max(initial=0.0)) <= _FD_BORDER:
+            kept, groups = modes, [(0, None)]  # as nearly always: every lam at once
+        else:
+            c = np.stack((p, q), axis=2)
+            big = np.abs(c) > _FD_BORDER
+            kept = [np.where(big[..., i % 2], 0.0, m) for i, m in enumerate(modes)]
+            if slopes:
+                dc = np.stack(modes[2:], axis=2)
             borders = np.count_nonzero(big, axis=(1, 2))
             groups = [(b, np.flatnonzero(borders == b)) for b in np.unique(borders).tolist()]
-        else:  # as nearly always: one group, no border
-            groups = [(0, np.arange(lam.size))]
+        kp, kq = kept[0] / self.s, kept[1] / self.s
+        diag, off = kp + kq, kp - kq
+        w = np.concatenate((diag, diag, off, off), axis=1)
+        if slopes:
+            dp, dq = kept[2] / self.s, kept[3] / self.s
         V = self.V
         for b, group in groups:
             size = max(1, _FD_STACK // (V + b) ** 2)
-            for at in range(0, group.size, size):
-                rows = group[at:at + size]
-                n = rows.size
+            for at in range(0, lam.size if group is None else group.size, size):
+                rows = slice(at, at + size) if group is None else group[at:at + size]
+                chunk = w[rows]
+                n = len(chunk)
                 S = np.bincount((np.arange(n)[:, None] * V**2 + self._slots).ravel(),
-                                w[rows].ravel(), n * V**2).reshape(n, V, V)
+                                chunk.ravel(), n * V**2).reshape(n, V, V)
                 if not b:
-                    yield (rows, S, 0, dkept[rows], None) if slopes else (rows, S, 0)
+                    yield (rows, S, 0, (dp[rows], dq[rows]), None) if slopes else (rows, S, 0)
                     continue
                 T = np.zeros((n, V + b, V + b))
                 T[:, :V, :V] = S
@@ -403,7 +417,7 @@ class _Chains:
                 T[mats, slot, slot] = -1 / (cs[bigs] * s)
                 extra = np.count_nonzero(bigs & (cs > 0), axis=(1, 2))
                 if slopes:
-                    yield (rows, T, extra, dkept[rows],
+                    yield (rows, T, extra, (dp[rows], dq[rows]),
                            (dc[rows][bigs] / (cs[bigs] ** 2 * s)).reshape(n, b))
                 else:
                     yield rows, T, extra
@@ -424,7 +438,7 @@ class _Chains:
         counted in ``rounds``."""
         self.rounds += 1
         mu, slope = np.empty(lam.size), np.empty(lam.size)
-        for rows, T, extra, dkept, dgamma in self.stacks(lam, slopes=True):
+        for rows, T, extra, (dp, dq), dgamma in self.stacks(lam, slopes=True):
             n, width = T.shape[:2]
             m = np.linalg.eigvalsh(T)[np.arange(n), k[rows] + extra]
             # just below mu, on a scale that stays when S vanishes (at a root
@@ -434,7 +448,7 @@ class _Chains:
             z = np.linalg.solve(T, self._start[:, :width])[..., 0]
             zu, zv = z[:, self.u], z[:, self.v]
             mu[rows] = m
-            top = np.sum(dkept[..., 0] * (zu + zv) ** 2 + dkept[..., 1] * (zu - zv) ** 2, axis=1)
+            top = np.sum(dp * (zu + zv) ** 2 + dq * (zu - zv) ** 2, axis=1)
             if dgamma is not None:
                 top = top + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)
             slope[rows] = top / np.sum(z * z, axis=1)
@@ -454,7 +468,14 @@ class _Chains:
         #(dirichlet below).  Newton's method, with its bracket as a
         safeguard, finds it from ``guess`` (when inside the bracket) or the
         middle of the bracket, and stops once the signs of mu_k have closed
-        the bracket to _FD_NEWTON_STOP relative.  Multiple eigenvalues
+        the bracket to tol = _FD_NEWTON_STOP x relative.  Once its last move
+        is at most _FD_STRADDLE x, a round straddles x: it evaluates
+        x - 0.45 tol and x + 0.45 tol, kept in the bracket, in place of x.
+        Two signs that differ close the bracket in that round; two that
+        agree shrink it to one side, and Newton's method goes on from the
+        point nearer the root, whose step must pass the same safeguard
+        against x's last move.  A round is one batched ``newton`` call,
+        straddles included.  Multiple eigenvalues
         are roots of as many mu_k, and neither they nor eigenvalues on a
         Dirichlet value need more than that.  Each lam's matrix depends on
         lam alone, so a call repeats bit for bit; another count probes other
@@ -490,29 +511,42 @@ class _Chains:
             guess = np.append(guess, np.full(max(0, want - guess.size), np.nan))[index]
             x = np.where((guess > lo) & (guess < hi), guess, x)
         move = hi - lo  # x's last move, bisections included
-        for _ in range(_FD_NEWTON_ROUNDS):
-            if not index.size:
-                return np.sort(values)
-            mu, slope = self.newton(x, k)
-            lo, hi = np.where(mu < 0, lo, x), np.where(mu < 0, x, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
+            for _ in range(_FD_NEWTON_ROUNDS):
+                if not index.size:
+                    return np.sort(values)
+                near = np.flatnonzero(np.abs(move) <= _FD_STRADDLE * x)
+                if near.size:  # straddle: x - 0.45 tol in place of x, x + 0.45 tol besides
+                    half = 0.45 * _FD_NEWTON_STOP * x[near]
+                    upper = np.minimum(x[near] + half, hi[near])
+                    x[near] = np.maximum(x[near] - half, lo[near])
+                    mu, slope = self.newton(np.concatenate((x, upper)), np.concatenate((k, k[near])))
+                    n = x.size
+                    mu, mu_up, slope, slope_up = mu[:n], mu[n:], slope[:n], slope[n:]
+                else:
+                    mu, slope = self.newton(x, k)
+                lo, hi = np.where(mu < 0, lo, x), np.where(mu < 0, x, hi)
+                if near.size:
+                    # where the root lies past the upper point too, Newton's
+                    # method goes on from there
+                    past = mu_up >= 0
+                    lo[near] = np.where(past, upper, lo[near])
+                    hi[near] = np.where(past, hi[near], np.minimum(hi[near], upper))
+                    on = near[past]
+                    x[on], mu[on], slope[on] = upper[past], mu_up[past], slope_up[past]
                 step = -mu / slope
-            tol = _FD_NEWTON_STOP * x
-            done = hi - lo <= tol
-            values[index[done]] = np.clip(x + np.nan_to_num(step), lo, hi)[done]
-            # a step shorter than the tolerance goes on past the root, to
-            # within the tolerance of x, so that the next sign closes the
-            # bracket: a small step alone can mislead where a steep
-            # eigencurve of S meets a shallow one
-            step = np.where(np.abs(step) < tol, np.copysign(tol + np.abs(step), step) / 2, step)
-            # Newton's step when it stays in the bracket, and goes on in the
-            # last move's direction or at least halves it (so that it cannot
-            # cycle); else bisection
-            newton = ((x + step > lo) & (x + step < hi)
-                      & ((step * move > 0) | (2 * np.abs(step) <= np.abs(move))))
-            move = np.where(newton, x + step, (lo + hi) / 2) - x
-            x = x + move
-            index, k, x, lo, hi, move = (a[~done] for a in (index, k, x, lo, hi, move))
+                done = hi - lo <= _FD_NEWTON_STOP * x
+                if done.any():
+                    values[index[done]] = np.clip(x + np.nan_to_num(step), lo, hi)[done]
+                    index, k, x, lo, hi, move, step = (
+                        a[~done] for a in (index, k, x, lo, hi, move, step))
+                # Newton's step when it stays in the bracket, and goes on in
+                # the last move's direction or at least halves it (so that it
+                # cannot cycle); else bisection
+                newton = ((x + step > lo) & (x + step < hi)
+                          & ((step * move > 0) | (2 * np.abs(step) <= np.abs(move))))
+                move = np.where(newton, x + step, (lo + hi) / 2) - x
+                x = x + move
         raise NoConvergence(f"Newton's method did not settle {index.size} eigenvalues "
                             f"on {self.nodes} nodes", nodes=self.nodes, want=want)
 

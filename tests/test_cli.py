@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from qgbounds import cli, covers, oracle
+from qgbounds import bounds, cli, covers, oracle
 from qgbounds import metric_graph as mg
-from qgbounds.errors import TooLarge
+from qgbounds.errors import BadParameter, TooLarge
 
 PI2 = math.pi ** 2
 
@@ -200,6 +200,10 @@ def test_bounds_unknown_eta(tetra_file, capsys):
     info = json.loads(err)
     assert info["error"] == "BadParameter"
     assert "exact_cycle" in info["context"]["known"]
+    # the library's own refusal, word for word
+    with pytest.raises(BadParameter) as exc:
+        bounds.eta_strategy("bogus")
+    assert info == json.loads(json.dumps(exc.value.to_json()))
 
 
 @pytest.mark.parametrize("eta", ["exact_cycle", "doubly_connected", "nicaise", "oracle"])

@@ -516,6 +516,46 @@ def test_a_null_vertex_id_with_a_rotation_round_trips():
     assert mg.graph_from_json(json.loads(json.dumps(mg.graph_to_json(g)))) == g
 
 
+@pytest.mark.parametrize("length, message", [
+    ("x", "edge 'e': cannot parse length 'x'"),
+    (True, "edge 'e': boolean is not a length"),
+    (None, "edge 'e': cannot interpret None as a length"),
+    ([1], "edge 'e': cannot interpret [1] as a length"),
+])
+def test_graph_from_json_names_the_edge_of_a_length_it_cannot_read(length, message):
+    doc = {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], "length": length}]}
+    with pytest.raises(ParseError) as exc:
+        mg.graph_from_json(doc)
+    assert str(exc.value) == message and exc.value.context == {"edge": "e"}
+
+
+def test_graph_from_json_coerces_each_length_once(monkeypatch):
+    calls = []
+    coerce = mg.as_length
+    monkeypatch.setattr(mg, "as_length", lambda x: calls.append(x) or coerce(x))
+    doc = {"vertices": ["a", "b"],
+           "edges": [{"id": "e", "ends": ["a", "b"], "length": math.sqrt(2)},
+                     {"id": "f", "ends": ["a", "b"], "length": "1/2"},
+                     {"id": "g", "ends": ["a", "b"], "length": 0.25}]}
+    g = mg.graph_from_json(doc)
+    assert [e.length for e in g.edges] == [math.sqrt(2), Fraction(1, 2), Fraction(1, 4)]
+    # a string is parsed as the file is read, and reaches Edge as a Fraction,
+    # which passes through; a number is coerced as its Edge is built
+    assert [x for x in calls if not isinstance(x, Fraction)] == ["1/2", math.sqrt(2), 0.25]
+
+
+def test_vertex_ids_that_share_a_rotation_key_are_refused():
+    # a rotation key is the str() of its vertex id, and 1 and "1" give one
+    g = mg.MetricGraph((1, "1"), (mg.Edge("e", 1, "1", Fraction(1)),),
+                       {1: (("e", 0),), "1": (("e", 1),)})
+    with pytest.raises(BadParameter, match="vertex ids 1 and '1' share the rotation key '1'"):
+        mg.graph_to_json(g)
+    doc = {"vertices": [1, "1"], "edges": [{"id": "e", "ends": [1, "1"], "length": 1}]}
+    assert mg.graph_to_json(mg.graph_from_json(doc)) == doc  # no rotation, no key
+    with pytest.raises(ParseError, match="vertex ids 1 and '1' share the rotation key '1'"):
+        mg.graph_from_json({**doc, "rotation": {"1": [{"edge": "e", "end": 0}]}})
+
+
 @pytest.mark.parametrize("vertices, edge, item", [
     (["a", ["b"]], {"id": "e", "ends": ["a", "a"]}, "vertex #1 is an array"),
     (["a", "b"], {"id": {"k": 1}, "ends": ["a", "b"]}, "the id of edge #0 is an object"),

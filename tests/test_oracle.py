@@ -153,6 +153,25 @@ def test_pinned_grid_threshold_is_strict():
     assert res.gap == pytest.approx(PI2, abs=1e-9)
 
 
+def test_a_grid_with_fewer_vertices_than_count_is_halved_unsolved(monkeypatch):
+    # the unit dodecahedron has 20 vertices on its own grid: 26 values need
+    # one halving, to 50 vertices, and no 20 x 20 matrix is solved on the way
+    g = mg.platonic("dodecahedron")
+    at_half = oracle.subdivision_spectrum(g, 26, h=Fraction(1, 2))
+    sizes = []
+    solve = oracle.eigenvalues_sym
+    monkeypatch.setattr(oracle, "eigenvalues_sym", lambda A: sizes.append(len(A)) or solve(A))
+    res = oracle.subdivision_spectrum(g, 26)
+    assert sizes == [50]
+    assert res.values == at_half.values
+    assert res.meta == {**at_half.meta, "halvings": 1} and res.meta["grid"] == "1/2"
+    # a pinned grid is solved all the same, to say how many values it has
+    sizes.clear()
+    with pytest.raises(ThresholdExceeded) as exc:
+        oracle.subdivision_spectrum(mg.platonic("tetrahedron"), 5, h=1)
+    assert sizes == [4] and exc.value.context["available"] == 4
+
+
 def test_subdivision_size_cap():
     g = mg.pumpkin(2, [Fraction(1), Fraction(6001)])
     with pytest.raises(TooLarge):
@@ -525,6 +544,29 @@ def test_meta_records_halvings_refinements_and_newton_rounds():
     assert "requested" not in pinned.meta
     # at most two halvings: lambda_8 of the unit two-pumpkin takes both
     assert oracle.fd_spectrum(mg.pumpkin(2), 9).meta["refinements"] == 2
+
+
+IRRATIONAL = (1.0, math.sqrt(2), (1 + math.sqrt(5)) / 2, math.pi / 2)
+
+
+def _irrational(g):
+    """g with its edge lengths taken from IRRATIONAL in turn."""
+    return mg.MetricGraph(g.vertices, tuple(
+        mg.Edge(e.id, e.u, e.v, IRRATIONAL[i % 4]) for i, e in enumerate(g.edges)), g.rotation)
+
+
+@pytest.mark.parametrize("g, count, rounds", [
+    (_irrational(mg.platonic("tetrahedron")), 6, 9),
+    (_irrational(mg.platonic("cube")), 8, 11),
+    (mg.four_pumpkin(2 + math.sqrt(5)), 8, 11),
+], ids=["tetrahedron", "cube", "four_pumpkin"])
+def test_fd_newton_rounds_stay_pinned(g, count, rounds):
+    # the batched rounds of both meshes, each solve ending in the round whose
+    # straddle closes its last bracket (11, 13 and 13 rounds before the
+    # straddle): a change that adds a round fails here
+    res = oracle.spectrum(g, count)
+    assert res.method == "fd" and res.meta["refinements"] == 0
+    assert res.meta["newton_rounds"] == rounds
 
 
 def test_explicit_methods_and_unknown():

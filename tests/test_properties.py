@@ -279,23 +279,47 @@ def fd_graphs(draw):
     return draw(multigraphs(st.floats(0.25, 2.0)))
 
 
+# (graph, want, nodes) solves that once went wrong
+FD_CASES = [
+    # multiple eigenvalues, many of them on a chain's Dirichlet value
+    (mg.platonic("icosahedron"), 30, 500),
+    (mg.platonic("dodecahedron", length=math.sqrt(2)), 30, 300),
+    (mg.pumpkin(18, 1.0), 8, 900),
+    # a double root where the whole vertex matrix vanishes
+    (mg.pumpkin(2, [0.5, 1.5]), 23, 900),
+    # Newton's method cycles between two points unless it is made to halve
+    (mg.MetricGraph(tuple(f"v{i}" for i in range(6)), tuple(
+        mg.Edge(f"e{i}", f"v{a}", f"v{b}", length) for i, (a, b, length) in enumerate(
+            [(0, 1, 1.0), (1, 2, math.sqrt(2)), (0, 3, math.sqrt(2)), (1, 4, 0.5),
+             (1, 5, 1.5), (2, 5, 0.75)]))), 32, 100),
+    # a steep and a shallow eigencurve of S meet next to a pair of roots
+    # 3.4e-9 apart, where a small Newton step does not mean a root is near
+    (mg.pumpkin(2, [0.5646087065052985, 0.5643333384014506]), 38, 401),
+]
+
+
+def _with_fd_cases(test):
+    for case in reversed(FD_CASES):
+        test = example(*case)(test)
+    return test
+
+
 @settings(max_examples=40)
 @given(fd_graphs(), st.integers(1, 30), st.integers(300, 900))
-# multiple eigenvalues, many of them on a chain's Dirichlet value
-@example(mg.platonic("icosahedron"), 30, 500)
-@example(mg.platonic("dodecahedron", length=math.sqrt(2)), 30, 300)
-@example(mg.pumpkin(18, 1.0), 8, 900)
-# a double root where the whole vertex matrix vanishes
-@example(mg.pumpkin(2, [0.5, 1.5]), 23, 900)
-# Newton's method cycles between two points unless it is made to halve
-@example(mg.MetricGraph(tuple(f"v{i}" for i in range(6)), tuple(
-    mg.Edge(f"e{i}", f"v{a}", f"v{b}", length) for i, (a, b, length) in enumerate(
-        [(0, 1, 1.0), (1, 2, math.sqrt(2)), (0, 3, math.sqrt(2)), (1, 4, 0.5),
-         (1, 5, 1.5), (2, 5, 0.75)]))), 32, 100)
-# a steep and a shallow eigencurve of S meet next to a close pair of roots,
-# where a small Newton step does not mean a root is near
-@example(mg.pumpkin(2, [0.5646087065052985, 0.5643333384014506]), 38, 401)
+@_with_fd_cases
 def test_fd_vertex_count_solve_matches_dense(g, want, nodes):
+    _assert_vertex_solve_matches_dense(g, want, nodes)
+
+
+@pytest.mark.parametrize("g, want, nodes", FD_CASES)
+def test_fd_vertex_solve_straddling_every_round_matches_dense(g, want, nodes, monkeypatch):
+    # every round evaluates x -/+ 0.45 tol, so the pairs whose signs agree
+    # (a straddle that misses its root) go on from the nearer point
+    monkeypatch.setattr(oracle, "_FD_STRADDLE", math.inf)
+    _assert_vertex_solve_matches_dense(g, want, nodes)
+
+
+def _assert_vertex_solve_matches_dense(g, want, nodes):
     # the count and Newton's method on the V x V vertex matrices against
     # LAPACK on the whole lumped matrix of the same mesh
     chains = oracle._Chains(g, sum(float(e.length) for e in g.edges) / nodes)
