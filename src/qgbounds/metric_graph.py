@@ -70,6 +70,9 @@ VertexId = Union[str, int]
 EdgeId = Union[str, int]
 
 _MAX_DECIMAL_DEN = 10**6
+# the types a length usually has, tested by identity before the slower
+# numbers.Real check (a bool is no length, and its type is not here)
+_PLAIN_LENGTHS = (float, int, Fraction)
 # Most edges ``pumpkin``, ``pumpkin_chain`` and ``cycle_graph`` build.  Each
 # edge costs about 20 us and 1.5 KiB: on a 2-CPU x86 host, a fresh ``qgb gen``
 # took 0.3 s and 45 MiB at 10,000 edges, 0.9-1.3 s and 102-114 MiB at
@@ -91,25 +94,28 @@ def as_length(x) -> Length:
     whose shortest decimal has a denominator up to 10^6, such as 0.5)
     become exact Fractions; any other float stays a float, for ``Edge`` to
     judge."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise BadParameter("boolean is not a length")
-    if isinstance(x, numbers.Integral):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadParameter(f"cannot parse length {x!r}") from exc
-    if isinstance(x, numbers.Real):
+    if type(x) is int:  # JSON's two number types before the ABC checks
+        return Fraction(x)
+    if type(x) is not float:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, bool):
+            raise BadParameter("boolean is not a length")
+        if isinstance(x, numbers.Integral):
+            return Fraction(int(x))
+        if isinstance(x, str):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise BadParameter(f"cannot parse length {x!r}") from exc
+        if not isinstance(x, numbers.Real):
+            raise BadParameter(f"cannot interpret {x!r} as a length")
         x = float(x)
-        if math.isfinite(x):
-            exact = Fraction(str(x))
-            if exact.denominator <= _MAX_DECIMAL_DEN:
-                return exact
-        return x
-    raise BadParameter(f"cannot interpret {x!r} as a length")
+    if math.isfinite(x):
+        exact = Fraction(str(x))
+        if exact.denominator <= _MAX_DECIMAL_DEN:
+            return exact
+    return x
 
 
 def id_from_json(raw, item: str):
@@ -176,7 +182,8 @@ class Edge:
     length: Length
 
     def __post_init__(self):
-        if isinstance(self.length, bool) or not isinstance(self.length, numbers.Real):
+        if type(self.length) not in _PLAIN_LENGTHS and (
+                isinstance(self.length, bool) or not isinstance(self.length, numbers.Real)):
             raise BadParameter(
                 f"edge {self.id!r} has length {self.length!r}, which is not a "
                 f"number", edge=self.id)
@@ -868,7 +875,8 @@ def graph_from_json(data) -> MetricGraph:
         if not isinstance(ends, list) or len(ends) != 2:
             raise ParseError(f"edge {eid!r}: 'ends' must be a pair")
         ends = [id_from_json(w, f"an end of edge {eid!r}") for w in ends]
-        if isinstance(raw_len, bool) or not isinstance(raw_len, numbers.Real):
+        if type(raw_len) not in _PLAIN_LENGTHS and (
+                isinstance(raw_len, bool) or not isinstance(raw_len, numbers.Real)):
             try:  # a "p/q" string; anything else but a number is refused
                 raw_len = as_length(raw_len)
             except BadParameter as exc:

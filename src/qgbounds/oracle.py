@@ -104,6 +104,7 @@ _FD_STRADDLE = 1e-7
 # A chain mode whose coefficient (times s_e) exceeds this, next to a pole,
 # is bordered rather than added into the vertex matrix.
 _FD_BORDER = 100
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -306,16 +307,20 @@ class _Chains:
         self.u, self.v = np.array([(index[e.u], index[e.v]) for e in g.edges],
                                   dtype=np.int64).T
         self.V = len(g.vertices)
-        j = np.concatenate([np.arange(1, n) / (2 * n) for n in self.n.tolist()])
-        self.dirichlet = np.sort(np.repeat(4 / self.s**2, self.n - 1)
-                                 * np.sin(np.pi * j) ** 2)
+        # j/(2 n_e) for j = 1..n_e-1, edge by edge
+        inner = self.n - 1
+        j = ((np.arange(1, inner.sum() + 1) - np.repeat(np.cumsum(inner) - inner, inner))
+             / np.repeat(2 * self.n, inner))
+        self.dirichlet = np.sort(np.repeat(4 / self.s**2, inner) * np.sin(np.pi * j) ** 2)
         self.evaluations = 0
         self.rounds = 0
-        # per mesh: the constants of ``modes``; where each edge's diag, diag,
-        # off, off entries land in a flat V x V matrix; inverse iteration's
-        # fixed start at every width up to two borders an edge, with a batch
-        # axis so that solve reads it as a stack of matrices on any numpy
+        # per mesh: the constants of ``modes``; the floor of ``newton``'s
+        # shift; where each edge's diag, diag, off, off entries land in a
+        # flat V x V matrix; inverse iteration's fixed start at every width
+        # up to two borders an edge, with a batch axis so that solve reads it
+        # as a stack of matrices on any numpy
         self._half_s, self._half_n, self._q4 = self.s / 2, self.n / 2, self.s**2 / 4
+        self._floor = 1 / self.s.min()
         V = self.V
         self._slots = np.concatenate((self.u * (V + 1), self.v * (V + 1),
                                       self.u * V + self.v, self.v * V + self.u))
@@ -327,20 +332,20 @@ class _Chains:
         x = self._half_s * np.sqrt(lam)[:, None]
         n, n2, q4 = self.n, self._half_n, self._q4
         inside = x <= 1
+        every = inside.all()  # as nearly always: no np.where below
         # harmless where the other branch holds; at x = 1 both branches are
         # 0/0, and the coefficients are smooth there
-        xi = np.minimum(np.where(inside, x, 0.5), np.nextafter(1.0, 0.0))
+        xi = np.minimum(x if every else np.where(inside, x, 0.5), _BELOW_ONE)
         xx = xi * xi
-        sin = 2 * xi * np.sqrt(1 - xx)  # sin theta
+        half = xi * np.sqrt(1 - xx)  # (sin theta)/2
         t = np.tan(n * np.arcsin(xi))  # tan(n theta/2)
-        half = sin / 2
         p, q = -half * t, half / t
         if slopes:
-            cot = (1 - 2 * xx) / sin
+            cot = (1 - 2 * xx) / (2 * half)
             tt = t * t
             dp = -q4 * (cot * t + n2 * (1 + tt))
             dq = q4 * (cot / t - n2 * (1 + 1 / tt))
-        if not inside.all():
+        if not every:
             xo = np.where(inside, 2.0, x)
             sinh = 2 * xo * np.sqrt(xo * xo - 1)  # sinh phi
             tau = np.tanh(n * np.arccosh(xo))  # tanh(n phi/2)
@@ -443,15 +448,15 @@ class _Chains:
             m = np.linalg.eigvalsh(T)[np.arange(n), k[rows] + extra]
             # just below mu, on a scale that stays when S vanishes (at a root
             # where every eigenvalue of S crosses 0 at once)
-            shift = m - 1e-13 * (np.abs(T).max(axis=(1, 2)) + 1 / self.s.min())
+            shift = m - 1e-13 * (np.abs(T).max(axis=(1, 2)) + self._floor)
             T.reshape(n, width * width)[:, ::width + 1] -= shift[:, None]
             z = np.linalg.solve(T, self._start[:, :width])[..., 0]
-            zu, zv = z[:, self.u], z[:, self.v]
+            zu, zv = z.take(self.u, axis=1), z.take(self.v, axis=1)
             mu[rows] = m
-            top = np.sum(dp * (zu + zv) ** 2 + dq * (zu - zv) ** 2, axis=1)
+            top = (dp * (zu + zv) ** 2 + dq * (zu - zv) ** 2).sum(axis=1)
             if dgamma is not None:
-                top = top + np.sum(dgamma * z[:, self.V:] ** 2, axis=1)
-            slope[rows] = top / np.sum(z * z, axis=1)
+                top = top + (dgamma * z[:, self.V:] ** 2).sum(axis=1)
+            slope[rows] = top / (z * z).sum(axis=1)
         return mu, slope
 
     def values(self, count: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
@@ -483,10 +488,11 @@ class _Chains:
         want = min(count, self.nodes - 1)
         values = np.zeros(want)  # lam_0 = 0 on a connected graph, exactly
         d = self.dirichlet
-        centre = np.unique(d)
+        centre = d[np.concatenate(([True], d[1:] != d[:-1]))]  # d is sorted
         # one window per cluster, so that the probes below ascend strictly
         cut = np.flatnonzero(centre[1:] * (1 - _FD_WINDOW) > centre[:-1] * (1 + _FD_WINDOW)) + 1
-        first, last = centre[np.r_[0, cut]], centre[np.r_[cut, centre.size] - 1]
+        first = centre[np.concatenate(([0], cut))]
+        last = centre[np.concatenate((cut, [centre.size])) - 1]
         if d.size >= want:
             first = first[:np.searchsorted(first, d[want - 1], "right")]
             last = last[:first.size]
@@ -515,7 +521,8 @@ class _Chains:
             for _ in range(_FD_NEWTON_ROUNDS):
                 if not index.size:
                     return np.sort(values)
-                near = np.flatnonzero(np.abs(move) <= _FD_STRADDLE * x)
+                reach = np.abs(move)
+                near = np.flatnonzero(reach <= _FD_STRADDLE * x)
                 if near.size:  # straddle: x - 0.45 tol in place of x, x + 0.45 tol besides
                     half = 0.45 * _FD_NEWTON_STOP * x[near]
                     upper = np.minimum(x[near] + half, hi[near])
@@ -525,7 +532,8 @@ class _Chains:
                     mu, mu_up, slope, slope_up = mu[:n], mu[n:], slope[:n], slope[n:]
                 else:
                     mu, slope = self.newton(x, k)
-                lo, hi = np.where(mu < 0, lo, x), np.where(mu < 0, x, hi)
+                below = mu < 0
+                lo, hi = np.where(below, lo, x), np.where(below, x, hi)
                 if near.size:
                     # where the root lies past the upper point too, Newton's
                     # method goes on from there
@@ -535,17 +543,21 @@ class _Chains:
                     on = near[past]
                     x[on], mu[on], slope[on] = upper[past], mu_up[past], slope_up[past]
                 step = -mu / slope
+                ahead = x + step
                 done = hi - lo <= _FD_NEWTON_STOP * x
                 if done.any():
-                    values[index[done]] = np.clip(x + np.nan_to_num(step), lo, hi)[done]
-                    index, k, x, lo, hi, move, step = (
-                        a[~done] for a in (index, k, x, lo, hi, move, step))
+                    # a nan step (zero slope) settles at x, an infinite one
+                    # at the end of the bracket
+                    values[index[done]] = np.clip(np.where(np.isnan(step), x, ahead), lo, hi)[done]
+                    keep = ~done
+                    index, k, x, lo, hi, move, reach, step, ahead = (
+                        a[keep] for a in (index, k, x, lo, hi, move, reach, step, ahead))
                 # Newton's step when it stays in the bracket, and goes on in
                 # the last move's direction or at least halves it (so that it
                 # cannot cycle); else bisection
-                newton = ((x + step > lo) & (x + step < hi)
-                          & ((step * move > 0) | (2 * np.abs(step) <= np.abs(move))))
-                move = np.where(newton, x + step, (lo + hi) / 2) - x
+                newton = ((ahead > lo) & (ahead < hi)
+                          & ((step * move > 0) | (2 * np.abs(step) <= reach)))
+                move = np.where(newton, ahead, (lo + hi) / 2) - x
                 x = x + move
         raise NoConvergence(f"Newton's method did not settle {index.size} eigenvalues "
                             f"on {self.nodes} nodes", nodes=self.nodes, want=want)

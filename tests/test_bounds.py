@@ -47,6 +47,26 @@ def test_every_public_name_resolves():
         assert namespace[name] is getattr(qgbounds, name)
 
 
+def test_the_package_loads_each_submodule_on_first_use():
+    # a process that needs only the oracle does not load the bounds, covers
+    # and repro modules; a public name loads its own submodule
+    code = ("import sys\n"
+            "import qgbounds.oracle\n"
+            "print(sorted(m for m in ('qgbounds.bounds', 'qgbounds.covers', 'qgbounds.repro')\n"
+            "             if m in sys.modules))\n"
+            "import qgbounds\n"
+            "print(qgbounds.transfer_bound is sys.modules['qgbounds.bounds'].transfer_bound)\n"
+            "try:\n"
+            "    qgbounds.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "[]", "True", "module 'qgbounds' has no attribute 'no_such_name'"]
+
+
 def test_tetrahedron_face_cover_bound():
     g = corpus_graph("tetrahedron")
     rep = bounds.transfer_bound(g, covers.face_cover(g), "exact_cycle")

@@ -445,6 +445,30 @@ def test_fd_vertex_count_continues_past_the_top_of_a_chain():
     assert chains.count(np.array([4.04 / chains.s.min() ** 2])).tolist() == [chains.nodes]
 
 
+def test_fd_dirichlet_table_is_every_chains_values_edge_by_edge():
+    # the vectorised table against the chains' values computed one edge at
+    # a time, (4/s_e^2) sin^2(j pi/(2 n_e)) for j = 1..n_e-1: the same bits
+    chains = oracle._Chains(mg.pumpkin(3, [1.0, 1.5, 3.3]), 0.2)
+    assert chains.n.tolist() == [5, 8, 16]
+    loop = np.sort(np.concatenate([4 / s**2 * np.sin(np.pi * (np.arange(1, n) / (2 * n))) ** 2
+                                   for s, n in zip(chains.s, chains.n.tolist())]))
+    assert chains.dirichlet.tobytes() == loop.tobytes()
+
+
+def test_fd_modes_inside_every_chain_band_match_the_general_path():
+    # a batch whose every lam lies below each 4/s_e^2 skips the tanh and coth
+    # branch; with one lam past the top of two chains it runs, and the rows
+    # they share are the same bits
+    chains = oracle._Chains(mg.pumpkin(3, [1.0, 1.5, 3.3]), 0.5)
+    top = 4 / chains.s**2
+    inside = np.linspace(0.3, 0.95 * top.min(), 11)
+    past = np.append(inside, (top.min() + top.max()) / 2)
+    assert (past[-1] > top).tolist() == [True, True, False]
+    alone, mixed = chains.modes(inside, slopes=True), chains.modes(past, slopes=True)
+    for a, b in zip(alone, mixed):
+        assert a.tobytes() == b[:inside.size].tobytes()
+
+
 def test_fd_rejects_disconnected():
     # the file is refused as it is read, with the same error as in Python
     doc = {"vertices": ["a", "b", "c", "d"],
