@@ -36,8 +36,6 @@ _SOURCES = {
     "graph_to_json": ("metric_graph", "graph_to_json"),
     "validate": ("metric_graph", "validate"),
     "spectrum": ("oracle", "spectrum"),
-    "run_repro": ("repro", "run_all"),
-    "run_repro_case": ("repro", "run_case"),
 }
 
 __all__ = sorted(_SOURCES)

@@ -15,7 +15,6 @@ import csv
 import io
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -32,6 +31,7 @@ from .metric_graph import (
     chain_structure,
     four_pumpkin,
     is_cycle_graph,
+    is_count,
     is_doubly_connected,
     is_star_graph,
     metric_diameter,
@@ -376,7 +376,7 @@ def classical_bounds(g: MetricGraph, k_max: int = 2) -> list[BoundReport]:
         diameter; the exact constant is a reconstruction, so the entry is
         flagged.
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 2:
+    if not is_count(k_max, 2):
         raise BadParameter("k_max must be an integer >= 2", k_max=k_max)
     total = float(g.total_length)
     n_edges = len(g.edges)
@@ -509,35 +509,18 @@ def tabulate(
     return CompareTable(tuple(rows), note)
 
 
-def compare_report(
-    g: MetricGraph,
-    cover_specs: Sequence[str | tuple[str, Cover]],
-    eta_specs: str | Mapping[str, str] = "exact_cycle",
-    k_max: int = 2,
-    *,
-    with_oracle: bool = True,
-) -> CompareTable:
+def compare_report(g: MetricGraph, cover_names: Sequence[str],
+                   eta: str = "exact_cycle") -> CompareTable:
     """One row per (method, index): bound, oracle value, tightness ratio.
 
-    ``cover_specs`` entries are either a strategy name understood by
-    :func:`covers.build_cover` or a ``(label, Cover)`` pair.  ``eta_specs``
-    is a single strategy name or a mapping from cover label to strategy;
-    ``"stars"`` goes to :func:`star_bound`, which always takes the
-    ``star_best`` eta: cycle etas do not apply to stars, and ``star_best``
-    is never weaker than ``nicaise``.
-    Classical comparison bounds are always appended.  Rows are ordered by
-    method name, then index.
+    Each cover name is a strategy understood by :func:`covers.build_cover`,
+    bounded with ``eta``, or ``"stars"``, which goes to :func:`star_bound`:
+    it always takes the ``star_best`` eta, since cycle etas do not apply to
+    stars and ``star_best`` is never weaker than ``nicaise``.  Classical
+    comparison bounds are always appended.  Rows are ordered by method
+    name, then index.  Other covers, etas or oracle settings go through
+    :func:`tabulate` with the reports built directly.
     """
-    reports: list[BoundReport] = []
-    for spec in cover_specs:
-        if isinstance(spec, str) and spec == "stars":
-            reports.append(star_bound(g))
-            continue
-        if isinstance(spec, str):
-            label, cover = spec, build_cover(g, spec)
-        else:
-            label, cover = spec
-        eta = eta_specs if isinstance(eta_specs, str) else eta_specs[label]
-        reports.append(transfer_bound(g, cover, eta))
-    reports.extend(classical_bounds(g, k_max=k_max))
-    return tabulate(g, reports, with_oracle=with_oracle)
+    reports = [star_bound(g) if name == "stars" else transfer_bound(g, build_cover(g, name), eta)
+               for name in cover_names]
+    return tabulate(g, reports + classical_bounds(g))

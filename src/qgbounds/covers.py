@@ -300,8 +300,8 @@ def face_pair_cover(g: mg.MetricGraph) -> Cover:
 def copies_cover(g: mg.MetricGraph, m: int) -> Cover:
     """m copies of the whole edge set.  Degenerate but a useful baseline.
     At most _ELEMENT_CAP copies, checked before any is built."""
-    if m < 2:
-        raise BadSpec(f"copies cover needs m >= 2, got {m}")
+    if not mg.is_count(m, 2):
+        raise BadSpec(f"copies cover needs an integer m >= 2, got {m!r}")
     if m > _ELEMENT_CAP:
         raise TooLarge(f"copies cover of {m} copies (cap {_ELEMENT_CAP})",
                        copies=m, cap=_ELEMENT_CAP)
@@ -428,7 +428,7 @@ def build_cover(g: mg.MetricGraph, strategy: str) -> Cover:
         return layered_chain_cover(g)
     if strategy == "concatenated":
         return concatenated_chain_cover(g)
-    if strategy.startswith("copies:"):
+    if isinstance(strategy, str) and strategy.startswith("copies:"):
         m = strategy[len("copies:"):]
         if not m.isdecimal():
             raise BadParameter("copies cover needs an integer m", cover=strategy)

@@ -88,6 +88,11 @@ def _check_edge_count(count: int, family: str) -> None:
                        edges=count, cap=_EDGE_CAP)
 
 
+def is_count(x, least: int) -> bool:
+    """Whether x is a Python or numpy integer, not a bool, of at least ``least``."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= least
+
+
 def as_length(x) -> Length:
     """Coerce a length given in Python or read from JSON: integers (numpy's
     too), "p/q" strings, Fractions and short decimals (floats, numpy's too,
@@ -138,8 +143,9 @@ def length_to_json(value: Length):
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
     """Greatest common divisor of a collection of positive rationals."""
     values = list(values)
-    if not values:
-        raise BadParameter("gcd of an empty collection")
+    if not values or not all(isinstance(x, numbers.Rational) and not isinstance(x, bool)
+                             and x > 0 for x in values):
+        raise BadParameter("gcd needs a nonempty collection of positive rationals")
     return Grid.of(values).h
 
 
@@ -254,7 +260,11 @@ class MetricGraph:
                 expected[e.u].append((e.id, 0))
                 expected[e.v].append((e.id, 1))
             for v in self.vertices:
-                listed = list(self.rotation.get(v, ()))
+                try:
+                    listed = list(self.rotation.get(v, ()))
+                except TypeError:  # not a sequence
+                    raise BadParameter(f"rotation at vertex {v!r} is not a sequence "
+                                       f"of half-edges", vertex=v) from None
                 if sorted(map(str, listed)) != sorted(map(str, expected[v])):
                     raise BadParameter(
                         f"rotation at vertex {v!r} does not list each incident "
@@ -665,8 +675,8 @@ def platonic(name: str, length=1) -> MetricGraph:
 
 def pumpkin(m: int, lengths=1) -> MetricGraph:
     """m parallel edges between two vertices."""
-    if m < 1:
-        raise BadParameter(f"pumpkin needs at least one edge, got {m}")
+    if not is_count(m, 1):
+        raise BadParameter(f"pumpkin needs an integer count of edges >= 1, got {m!r}")
     _check_edge_count(m, "pumpkin")
     if isinstance(lengths, (list, tuple)):
         if len(lengths) != m:
@@ -693,11 +703,12 @@ def pumpkin_chain(multiplicities: Sequence[int], lengths=1) -> MetricGraph:
 
     ``lengths`` is one length for every edge, or one entry per pumpkin:
     a length for all its edges, or a list of its edge lengths."""
-    ms = tuple(int(m) for m in multiplicities)
+    ms = tuple(multiplicities)
     if not ms:
         raise BadSpec("a pumpkin chain needs at least one pumpkin")
-    if any(m < 1 for m in ms):
-        raise BadSpec(f"multiplicities must be >= 1, got {ms}")
+    if not all(is_count(m, 1) for m in ms):
+        raise BadSpec(f"multiplicities must be integers >= 1, got {ms!r}")
+    ms = tuple(map(int, ms))
     _check_edge_count(sum(ms), "pumpkin chain")
     if not isinstance(lengths, (list, tuple)):
         lengths = [lengths] * len(ms)
@@ -717,10 +728,11 @@ def pumpkin_chain(multiplicities: Sequence[int], lengths=1) -> MetricGraph:
 
 def cycle_graph(total_length=1, segments: int = 2) -> MetricGraph:
     """Cycle of the given total length, realized with `segments` equal edges."""
-    if segments < 2:
-        raise BadParameter("a loopless cycle needs at least 2 segments")
+    if not is_count(segments, 2):
+        raise BadParameter(f"a loopless cycle needs an integer count of segments >= 2, "
+                           f"got {segments!r}")
     _check_edge_count(segments, "cycle")
-    piece = as_length(total_length) / segments
+    piece = as_length(total_length) / int(segments)
     verts = tuple(f"v{i}" for i in range(segments))
     edges = tuple(Edge(f"e{i}", verts[i], verts[(i + 1) % segments], piece)
                   for i in range(segments))
@@ -769,7 +781,7 @@ def generate(family: str, *, length=None, segments=None) -> MetricGraph:
         if kind == "pumpkin_chain":
             return pumpkin_chain([int(x) for x in arg.split(",") if x], length)
         if kind == "cycle":
-            return cycle_graph(arg or 1, 2 if segments is None else int(segments))
+            return cycle_graph(arg or 1, 2 if segments is None else segments)
         if kind == "path":
             return path_graph(arg or 1)
         if not arg:

@@ -41,7 +41,6 @@ eigensolver, so agreement between them is meaningful.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -140,7 +139,7 @@ class SpectrumResult:
 
 
 def _check_count(count) -> None:
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+    if not mg.is_count(count, 1):
         raise BadParameter(f"count must be an integer >= 1, got {count!r}")
 
 
@@ -238,7 +237,6 @@ def subdivision_spectrum(g: mg.MetricGraph, count: int = 6,
                 a = min(max(a, 0.0), 2.0)
                 if a <= 2.0 - _BRANCH_EPS:
                     values.append((math.acos(1.0 - a) / ell) ** 2)
-            values.sort()
             threshold = (math.pi / ell) ** 2
             if len(values) >= count:
                 values[0] = 0.0  # alpha_1 = 0 exactly on a connected graph
@@ -488,11 +486,11 @@ class _Chains:
         want = min(count, self.nodes - 1)
         values = np.zeros(want)  # lam_0 = 0 on a connected graph, exactly
         d = self.dirichlet
-        centre = d[np.concatenate(([True], d[1:] != d[:-1]))]  # d is sorted
-        # one window per cluster, so that the probes below ascend strictly
-        cut = np.flatnonzero(centre[1:] * (1 - _FD_WINDOW) > centre[:-1] * (1 + _FD_WINDOW)) + 1
-        first = centre[np.concatenate(([0], cut))]
-        last = centre[np.concatenate((cut, [centre.size])) - 1]
+        # one window per cluster of the sorted table, so that the probes
+        # below ascend strictly; equal values never cut
+        cut = np.flatnonzero(d[1:] * (1 - _FD_WINDOW) > d[:-1] * (1 + _FD_WINDOW)) + 1
+        first = d[np.concatenate(([0], cut))]
+        last = d[np.concatenate((cut, [d.size])) - 1]
         if d.size >= want:
             first = first[:np.searchsorted(first, d[want - 1], "right")]
             last = last[:first.size]
@@ -569,27 +567,6 @@ def _finer(values: np.ndarray, h: float, h_new: float) -> np.ndarray:
     return values * (1 + values * (h * h - h_new * h_new) / 12)
 
 
-def _extrapolate(coarse: _Chains, fine: _Chains, coarse_values, fine_values,
-                 mesh: float, refinements: int) -> SpectrumResult:
-    ext, errs = [], []
-    for lc, lf in zip(coarse_values.tolist(), fine_values.tolist()):
-        e = (lf - lc) / 3
-        ext.append(lf + e)
-        errs.append(abs(e))
-    ext[0] = 0.0
-    bad = [i for i, (x, e) in enumerate(zip(ext, errs))
-           if e > _FD_RTOL * max(abs(x), 1.0)]
-    if bad:
-        raise MeshTooCoarse(
-            f"error estimate exceeds rtol={_FD_RTOL:g} at indices {bad}",
-            estimates=[errs[i] for i in bad], mesh=mesh)
-    return SpectrumResult(tuple(ext), "fd", {
-        "mesh": mesh, "nodes": fine.nodes, "error_estimates": errs,
-        "refinements": refinements,
-        "count_evaluations": coarse.evaluations + fine.evaluations,
-        "newton_rounds": coarse.rounds + fine.rounds})
-
-
 def fd_spectrum(g: mg.MetricGraph, count: int = 6,
                 mesh: Optional[float] = None) -> SpectrumResult:
     """Finite-element eigenvalues with Richardson extrapolation.
@@ -629,17 +606,26 @@ def fd_spectrum(g: mg.MetricGraph, count: int = 6,
     fine = _Chains(g, mesh / 2)  # the finer mesh first: it hits the cap
     coarse = _Chains(g, mesh)
     coarse_values = coarse.values(count)
-    fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
-    for done in range(refinements):
-        try:
-            return _extrapolate(coarse, fine, coarse_values, fine_values, mesh, done)
-        except MeshTooCoarse:
-            # mesh/2 rounds to the same segments, so its solve carries over
+    for done in range(refinements + 1):
+        if done:  # mesh/2 rounds to the same segments, so its solve carries over
             mesh /= 2
             coarse, coarse_values = fine, fine_values
             fine = _Chains(g, mesh / 2)
-            fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
-    return _extrapolate(coarse, fine, coarse_values, fine_values, mesh, refinements)
+        fine_values = fine.values(count, _finer(coarse_values, mesh, mesh / 2))
+        n = min(coarse_values.size, fine_values.size)
+        error = (fine_values[:n] - coarse_values[:n]) / 3
+        values = fine_values[:n] + error
+        values[0] = 0.0
+        errs = np.abs(error)
+        bad = np.flatnonzero(errs > _FD_RTOL * np.maximum(np.abs(values), 1.0))
+        if not bad.size:
+            return SpectrumResult(tuple(values.tolist()), "fd", {
+                "mesh": mesh, "nodes": fine.nodes, "error_estimates": errs.tolist(),
+                "refinements": done,
+                "count_evaluations": coarse.evaluations + fine.evaluations,
+                "newton_rounds": coarse.rounds + fine.rounds})
+    raise MeshTooCoarse(f"error estimate exceeds rtol={_FD_RTOL:g} at indices {bad.tolist()}",
+                        estimates=errs[bad].tolist(), mesh=mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,6 @@ def run_case(case_id: str) -> list:
         except (ValueError, ZeroDivisionError):
             raise BadParameter(f"bad four_pumpkin parameter {m.group(1)!r}") from None
         return _case_four_pumpkin(a)
-    if case_id == "four_pumpkin":
-        return _case_four_pumpkin(DEFAULT_FOUR_PUMPKIN_A)
     try:
         return CASES[case_id]()
     except KeyError:

@@ -357,11 +357,13 @@ def test_compare_report_table():
 def test_compare_report_custom_cover_and_no_oracle():
     g = corpus_graph("tetrahedron")
     cover = covers.face_pair_cover(g)
-    table = bounds.compare_report(
-        g, [("diamonds", cover)], {"diamonds": "exact_cycle"},
+    table = bounds.tabulate(
+        g, [bounds.transfer_bound(g, cover, "exact_cycle"), *bounds.classical_bounds(g)],
         with_oracle=False)
     assert all(r.oracle is None and r.ratio is None for r in table.rows)
     assert any(r.method == "transfer[face_pairs,exact_cycle]" for r in table.rows)
+    with pytest.raises(BadSpec, match="unknown cover strategy"):  # compare_report takes names
+        bounds.compare_report(g, [("diamonds", cover)])
 
 
 def test_compare_report_spells_a_copies_cover():

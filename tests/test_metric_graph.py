@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qgbounds import metric_graph as mg
-from qgbounds import oracle
+from qgbounds import covers, oracle
 from qgbounds.errors import (
     BadParameter,
     BadSpec,
@@ -100,6 +100,11 @@ def test_rational_gcd_empty():
         mg.rational_gcd([])
 
 
+def test_rational_gcd_refuses_a_float():
+    with pytest.raises(BadParameter, match="positive rationals"):
+        mg.rational_gcd([Fraction(1, 2), 0.5])
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -173,6 +178,20 @@ def test_pumpkin_chain_rejects():
         mg.pumpkin_chain((2,), [[1, -1]])
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda m: mg.pumpkin(m), BadParameter),
+    (lambda m: mg.pumpkin_chain([m, 3]), BadSpec),
+    (lambda m: mg.cycle_graph(1, segments=m), BadParameter),
+    (lambda m: covers.copies_cover(mg.pumpkin(2), m), BadSpec),
+], ids=["pumpkin", "pumpkin_chain", "cycle_graph", "copies_cover"])
+def test_a_count_is_a_python_or_numpy_integer(build, error):
+    # the error is the one each builder raises for a count out of range
+    assert build(np.int64(2)) == build(2)
+    for m in (True, 2.0, 2.7, "2"):
+        with pytest.raises(error):
+            build(m)
+
+
 def test_generator_edge_cap_is_checked_before_building(monkeypatch):
     cap = mg._EDGE_CAP
     assert len(mg.pumpkin_chain([2] * (cap // 2)).edges) == cap
@@ -215,6 +234,8 @@ def test_generate_dispatch():
         mg.generate("star")
     with pytest.raises(BadParameter):
         mg.cycle_graph(1, segments=1)
+    with pytest.raises(BadParameter, match="got 2.5"):  # not cut to 2
+        mg.generate("cycle:1", segments=2.5)
     with pytest.raises(BadParameter, match="nonempty list"):
         mg.star_graph([])
     with pytest.raises(BadParameter, match="expected 3 lengths, got 2"):
@@ -503,6 +524,13 @@ def test_graph_from_json_refuses_a_bad_rotation(rotation, message, vertex):
         mg.graph_from_json({**_PATH, "rotation": rotation})
     assert str(exc.value) == message
     assert exc.value.context == ({} if vertex is None else {"vertex": vertex})
+
+
+def test_a_rotation_entry_built_in_python_must_be_a_sequence():
+    path = mg.path_graph(1)
+    with pytest.raises(BadParameter, match="is not a sequence of half-edges") as exc:
+        mg.MetricGraph(path.vertices, path.edges, {path.vertices[0]: 5})
+    assert exc.value.context == {"vertex": path.vertices[0]}
 
 
 def test_a_null_vertex_id_with_a_rotation_round_trips():

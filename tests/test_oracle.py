@@ -244,9 +244,10 @@ def test_fd_unpinned_reach():
     # two-pumpkin needs it, and lambda_9 is past it
     res = oracle.fd_spectrum(mg.pumpkin(2), 9)
     assert (res.meta["mesh"], res.meta["nodes"]) == (1 / 64, 2 + 2 * 127)
-    with pytest.raises(MeshTooCoarse) as exc:
+    with pytest.raises(MeshTooCoarse, match=r"at indices \[9\]$") as exc:
         oracle.fd_spectrum(mg.pumpkin(2), 10)
     assert exc.value.context["mesh"] == 1 / 64
+    assert exc.value.context["estimates"] == [pytest.approx(0.30888, rel=1e-4)]
 
 
 def test_fd_node_cap_reach(monkeypatch):
@@ -445,6 +446,19 @@ def test_fd_vertex_count_continues_past_the_top_of_a_chain():
     assert chains.count(np.array([4.04 / chains.s.min() ** 2])).tolist() == [chains.nodes]
 
 
+def test_fd_dirichlet_values_closer_than_the_window_share_one():
+    # two edges of nearly one length put their chains' Dirichlet values in
+    # pairs 6e-11 apart, within a window (2e-10 wide): each pair must be one
+    # window, or the probes around the two would not ascend
+    g = mg.pumpkin(2, [math.sqrt(2), math.sqrt(2) * (1 + 3e-11)])
+    chains = oracle._Chains(g, math.sqrt(2) / 8)
+    d = chains.dirichlet
+    np.testing.assert_allclose(d[1::2] / d[0::2] - 1, 6e-11, rtol=1e-5)
+    values = chains.values(chains.nodes)
+    dense = np.linalg.eigvalsh(lumped_matrix(g, chains.n))
+    np.testing.assert_allclose(values, dense[:-1], rtol=1e-12, atol=1e-12)
+
+
 def test_fd_dirichlet_table_is_every_chains_values_edge_by_edge():
     # the vectorised table against the chains' values computed one edge at
     # a time, (4/s_e^2) sin^2(j pi/(2 n_e)) for j = 1..n_e-1: the same bits
@@ -566,7 +580,9 @@ def test_meta_records_halvings_refinements_and_newton_rounds():
     # its lambda_1 sits on the chains' Dirichlet value: counts alone settle it
     assert pinned.meta["newton_rounds"] == 0
     assert "requested" not in pinned.meta
-    # at most two halvings: lambda_8 of the unit two-pumpkin takes both
+    # at most two halvings: lambda_3 of the unit two-pumpkin takes one,
+    # lambda_8 both
+    assert oracle.fd_spectrum(mg.pumpkin(2), 4).meta["refinements"] == 1
     assert oracle.fd_spectrum(mg.pumpkin(2), 9).meta["refinements"] == 2
 
 
