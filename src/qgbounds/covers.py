@@ -33,6 +33,7 @@ recomputed from the data, never trusted from a file.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -164,7 +165,7 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
                        elements=len(cover), cap=_ELEMENT_CAP)
     index = {e.id: c for c, e in enumerate(g.edges)}
     seen = set()
-    rows, cols = [], []
+    rows, cols, places = [], [], []  # places: each element's edge positions, sorted
     for r, (lbl, eids) in enumerate(cover.elements):
         if lbl in seen:
             raise BadSpec(f"duplicate element label {lbl!r}", element=lbl)
@@ -173,13 +174,13 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
             raise BadSpec(f"element {lbl!r} is empty", element=lbl)
         if len(set(eids)) != len(eids):
             raise BadSpec(f"element {lbl!r} repeats an edge", element=lbl)
-        for eid in eids:
-            if eid not in index:
-                raise BadSpec(
-                    f"element {lbl!r} references unknown edge {eid!r}",
-                    element=lbl, edge=eid)
-            rows.append(r)
-            cols.append(index[eid])
+        try:
+            places.append(sorted(index[eid] for eid in eids))
+        except KeyError as exc:
+            raise BadSpec(f"element {lbl!r} references unknown edge {exc.args[0]!r}",
+                          element=lbl, edge=exc.args[0]) from None
+        rows += [r] * len(eids)
+        cols += places[-1]
     counts = np.bincount(cols, minlength=len(g.edges))
     fold, most = int(counts.min()), int(counts.max())
     if fold != most:
@@ -203,9 +204,11 @@ def _analyse_cover(g: mg.MetricGraph, cover: Cover) -> CoverReport:
     overlap = np.zeros((len(cover), len(cover)), dtype=k.dtype)
     np.add.at(overlap, (members[:, :, None], members[:, None, :]), k[:, None, None])
     subgraphs = {}
-    for (lbl, eids), size in zip(cover.elements, overlap.diagonal().tolist()):
+    for (lbl, _), at, size in zip(cover.elements, places, overlap.diagonal().tolist()):
+        edges = tuple(g.edges[c] for c in at)  # in graph order
+        used = {w for e in edges for w in e.ends}
         try:
-            sub = mg.subgraph(g, eids)
+            sub = mg.MetricGraph(tuple(v for v in g.vertices if v in used), edges)
         except Disconnected:
             raise DisconnectedElement(f"element {lbl!r} is disconnected",
                                       element=lbl) from None
@@ -366,15 +369,10 @@ def layered_chain_cover(g: mg.MetricGraph) -> Cover:
     n = len(ms)
     elements = []
     for j in range(1, max(ms)):
-        run = []
-        for i in range(1, n + 1):
-            if ms[i - 1] > j:
-                run.append(i)
-            elif run:
+        for thick, run in itertools.groupby(range(1, n + 1), lambda i: ms[i - 1] > j):
+            if thick:
+                run = list(run)
                 elements.append((f"layer{j}.{run[0]}", _union_slots(slots, run, j)))
-                run = []
-        if run:
-            elements.append((f"layer{j}.{run[0]}", _union_slots(slots, run, j)))
     closing = []
     for i in range(1, n + 1):
         closing.extend(slots[(i, ms[i - 1])])

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -86,6 +86,12 @@ def _check_edge_count(count: int, family: str) -> None:
     if count > _EDGE_CAP:
         raise TooLarge(f"{family} of {count} edges (cap {_EDGE_CAP})",
                        edges=count, cap=_EDGE_CAP)
+
+
+def _no_number(x) -> bool:
+    """Whether x is no real number (a bool is none), by type first."""
+    return type(x) not in _PLAIN_LENGTHS and (
+        isinstance(x, bool) or not isinstance(x, numbers.Real))
 
 
 def is_count(x, least: int) -> bool:
@@ -188,8 +194,7 @@ class Edge:
     length: Length
 
     def __post_init__(self):
-        if type(self.length) not in _PLAIN_LENGTHS and (
-                isinstance(self.length, bool) or not isinstance(self.length, numbers.Real)):
+        if _no_number(self.length):
             raise BadParameter(
                 f"edge {self.id!r} has length {self.length!r}, which is not a "
                 f"number", edge=self.id)
@@ -215,31 +220,37 @@ class Edge:
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Immutable metric graph.  Construct, then treat as read-only."""
+    """Immutable metric graph.  Construct, then treat as read-only.  The pass
+    that checks its ids and ends also builds ``incident`` (vertex -> tuple of
+    (Edge, other end), in edge order) and ``edge_map`` (edge id -> Edge)."""
 
     vertices: tuple
     edges: tuple
     rotation: Optional[Mapping] = None  # vertex -> tuple of (edge id, end)
+    incident: dict = field(init=False, repr=False, compare=False)
+    edge_map: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Refuse unhashable or duplicate ids, dangling ends, loops, no
         edges, more than one component and an incoherent rotation."""
-        seen_v = set()
-        seen_e = set()
+        incident = {}
+        edge_map = {}
         try:
             for v in self.vertices:
-                if v in seen_v:
+                if v in incident:
                     raise BadParameter(f"duplicate vertex id {v!r}", vertex=v)
-                seen_v.add(v)
+                incident[v] = []
             for e in self.edges:
-                if e.id in seen_e:
+                if e.id in edge_map:
                     raise BadParameter(f"duplicate edge id {e.id!r}", edge=e.id)
-                seen_e.add(e.id)
+                edge_map[e.id] = e
                 for w in (e.u, e.v):
-                    if w not in seen_v:
+                    if w not in incident:
                         raise UnknownEndpoint(
                             f"edge {e.id!r} references unknown vertex {w!r}",
                             edge=e.id, vertex=w)
+                incident[e.u].append((e, e.v))
+                incident[e.v].append((e, e.u))
         except TypeError as exc:  # a list or dict id
             raise BadParameter(f"vertex and edge ids must be hashable: {exc}") from None
         for e in self.edges:
@@ -251,37 +262,27 @@ class MetricGraph:
         if len(connected_components(self.vertices, (e.ends for e in self.edges))) > 1:
             raise Disconnected("a metric graph must be connected")
         if self.rotation is not None:
+            if not isinstance(self.rotation, Mapping):
+                raise BadParameter("a rotation must map vertices to sequences "
+                                   "of half-edges")
             for v in self.rotation:
-                if v not in seen_v:
+                if v not in incident:
                     raise BadParameter(
                         f"rotation lists unknown vertex {v!r}", vertex=v)
-            expected = {v: [] for v in self.vertices}
-            for e in self.edges:
-                expected[e.u].append((e.id, 0))
-                expected[e.v].append((e.id, 1))
-            for v in self.vertices:
+            for v, ends in incident.items():
                 try:
                     listed = list(self.rotation.get(v, ()))
                 except TypeError:  # not a sequence
                     raise BadParameter(f"rotation at vertex {v!r} is not a sequence "
                                        f"of half-edges", vertex=v) from None
-                if sorted(map(str, listed)) != sorted(map(str, expected[v])):
+                # no loops: v is end 0 of e exactly when its other end is e.v
+                expected = [(e.id, 0 if w == e.v else 1) for e, w in ends]
+                if sorted(map(str, listed)) != sorted(map(str, expected)):
                     raise BadParameter(
                         f"rotation at vertex {v!r} does not list each incident "
                         f"half-edge exactly once", vertex=v)
-
-    @cached_property
-    def edge_map(self) -> dict:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def incident(self) -> dict:
-        """vertex -> tuple of (Edge, other endpoint)."""
-        out = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.u].append((e, e.v))
-            out[e.v].append((e, e.u))
-        return {v: tuple(lst) for v, lst in out.items()}
+        object.__setattr__(self, "incident", {v: tuple(ends) for v, ends in incident.items()})
+        object.__setattr__(self, "edge_map", edge_map)
 
     @cached_property
     def grid(self) -> Optional[Grid]:
@@ -533,18 +534,6 @@ def metric_diameter(g: MetricGraph) -> Length:
              for (e, le), (f, lf) in itertools.combinations(edges, 2))
     twice = max(itertools.chain(singles, pairs))
     return g.grid.length(twice) / 2 if g.grid is not None else twice / 2
-
-
-def subgraph(g: MetricGraph, edge_ids: Iterable[EdgeId]) -> MetricGraph:
-    """Metric subgraph induced by a set of edges (rotation dropped)."""
-    wanted = set(edge_ids)
-    missing = wanted.difference(g.edge_map)
-    if missing:
-        raise UnknownEndpoint(f"unknown edge ids {sorted(map(str, missing))}")
-    edges = tuple(e for e in g.edges if e.id in wanted)
-    used = {w for e in edges for w in e.ends}
-    vertices = tuple(v for v in g.vertices if v in used)
-    return MetricGraph(vertices, edges, None)
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +876,7 @@ def graph_from_json(data) -> MetricGraph:
         if not isinstance(ends, list) or len(ends) != 2:
             raise ParseError(f"edge {eid!r}: 'ends' must be a pair")
         ends = [id_from_json(w, f"an end of edge {eid!r}") for w in ends]
-        if type(raw_len) not in _PLAIN_LENGTHS and (
-                isinstance(raw_len, bool) or not isinstance(raw_len, numbers.Real)):
+        if _no_number(raw_len):
             try:  # a "p/q" string; anything else but a number is refused
                 raw_len = as_length(raw_len)
             except BadParameter as exc:

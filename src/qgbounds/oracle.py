@@ -147,12 +147,10 @@ def _check_count(count) -> None:
 # transcendental route
 
 
-def equilateral_length(g: mg.MetricGraph) -> mg.Length:
-    lens = {e.length for e in g.edges}
-    if len(lens) != 1:
-        raise NotEquilateral(
-            f"edges have {len(lens)} distinct lengths")
-    return lens.pop()
+def _ends(g: mg.MetricGraph):
+    """Positions in ``g.vertices`` of each edge's two ends, as two int64 arrays."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return np.array([(index[e.u], index[e.v]) for e in g.edges], dtype=np.int64).T
 
 
 def _segments(g: mg.MetricGraph, n):
@@ -161,8 +159,7 @@ def _segments(g: mg.MetricGraph, n):
     then each edge's interior points, edge by edge.  The exact route's
     numbering; the tests assemble the finite-element matrix on it too."""
     n = np.asarray(n, dtype=np.int64)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    u, v = np.array([(index[e.u], index[e.v]) for e in g.edges], dtype=np.int64).T
+    u, v = _ends(g)
     fresh = len(g.vertices) + np.cumsum(n - 1) - (n - 1)  # first interior node
     edge = np.repeat(np.arange(len(n)), n)  # the edge of each segment
     k = np.arange(edge.size) - (np.cumsum(n) - n)[edge]  # its place on the edge
@@ -260,7 +257,10 @@ def von_below_spectrum(g: mg.MetricGraph, count: int = 6) -> SpectrumResult:
     (parallel edges add weight) gives them.  Eigenvalues at or past the
     branch threshold raise ThresholdExceeded; the subdivision route
     reaches them on a finer grid."""
-    res = subdivision_spectrum(g, count, h=equilateral_length(g))
+    lengths = {e.length for e in g.edges}
+    if len(lengths) != 1:
+        raise NotEquilateral(f"edges have {len(lengths)} distinct lengths")
+    res = subdivision_spectrum(g, count, h=lengths.pop())
     return SpectrumResult(res.values, "von_below", res.meta)
 
 
@@ -301,9 +301,7 @@ class _Chains:
         self.n = segments.astype(np.int64)
         self.s = lengths / self.n
         self.nodes = int(nodes)
-        index = {v: i for i, v in enumerate(g.vertices)}
-        self.u, self.v = np.array([(index[e.u], index[e.v]) for e in g.edges],
-                                  dtype=np.int64).T
+        self.u, self.v = _ends(g)
         self.V = len(g.vertices)
         # j/(2 n_e) for j = 1..n_e-1, edge by edge
         inner = self.n - 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric_graph as mg
-from .errors import Disconnected, NoConvergence, NotSymmetric, TooLarge
+from .errors import BadParameter, Disconnected, NoConvergence, NotSymmetric, TooLarge
 
 _CHEEGER_CAP = 22
 
@@ -229,7 +229,7 @@ def cheeger_constant(weights: np.ndarray, degrees: np.ndarray) -> float:
     side, so the size cap keeps this affordable."""
     n = len(degrees)
     if n < 2:
-        raise TooLarge("Cheeger constant needs at least two vertices")
+        raise BadParameter("Cheeger constant needs at least two vertices")
     if n > _CHEEGER_CAP:
         raise TooLarge(f"{n} vertices exceeds the exhaustive-cut cap {_CHEEGER_CAP}")
     pairs = _weighted_pairs(weights)

@@ -316,6 +316,11 @@ def test_classical_bounds_on_icosahedron():
     assert "reconstructed" in reps["kennedy_style"].flags
 
 
+def test_a_report_writes_its_upper_bounds():
+    nicaise, = (r for r in bounds.classical_bounds(corpus_graph("cube")) if r.method == "nicaise")
+    assert nicaise.to_json()["upper_bounds"] == {"2": pytest.approx(PI2)}
+
+
 def test_classical_bounds_drop_band_levy_on_bridges():
     methods = {r.method for r in bounds.classical_bounds(mg.path_graph(1))}
     assert "band_levy" not in methods

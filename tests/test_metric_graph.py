@@ -279,6 +279,22 @@ def test_split_loops():
     assert len(lone.vertices) == 2 and len(mg.faces(lone)) == 2
 
 
+def test_split_loops_skips_names_already_taken():
+    vertices = ("a", "a~e0")
+    edges = (mg.Edge("e0", "a", "a", 2), mg.Edge("e1", "a", "a~e0", 1),
+             mg.Edge("e0~a", "a", "a~e0", 1))
+    split = mg.split_loops(vertices, edges)
+    assert split.vertices == ("a", "a~e0", "a~e0'")
+    assert [(e.id, e.u, e.v, e.length) for e in split.edges] == [
+        ("e0~a'", "a", "a~e0'", 1), ("e0~b", "a~e0'", "a", 1),
+        ("e1", "a", "a~e0", 1), ("e0~a", "a", "a~e0", 1)]
+
+
+def test_an_unknown_edge_id_is_refused():
+    with pytest.raises(UnknownEndpoint, match="unknown edge id 'zz'"):
+        mg.path_graph(1).edge("zz")
+
+
 def test_structural_check_rejects():
     with pytest.raises(UnknownEndpoint):
         mg.validate(mg.MetricGraph(("a",), (mg.Edge("e", "a", "zz", Fraction(1)),)))
@@ -531,6 +547,13 @@ def test_a_rotation_entry_built_in_python_must_be_a_sequence():
     with pytest.raises(BadParameter, match="is not a sequence of half-edges") as exc:
         mg.MetricGraph(path.vertices, path.edges, {path.vertices[0]: 5})
     assert exc.value.context == {"vertex": path.vertices[0]}
+
+
+@pytest.mark.parametrize("rotation", [5, ["a", "b"], "ab"])
+def test_a_rotation_built_in_python_must_be_a_mapping(rotation):
+    path = mg.path_graph(1)
+    with pytest.raises(BadParameter, match="a rotation must map vertices"):
+        mg.MetricGraph(path.vertices, path.edges, rotation)
 
 
 def test_a_null_vertex_id_with_a_rotation_round_trips():

@@ -72,6 +72,17 @@ def test_four_pumpkin_parameter_parsing():
         repro.run_case("four_pumpkin(x)")
 
 
+@pytest.mark.parametrize("a, better", [
+    ("1", "tie"),  # the two formulas coincide
+    ("5", "grouped"),  # past the crossover 2 + sqrt5
+    ("4.2360679775", "tie"),  # above 2 + sqrt5, within 1e-9 of it
+])
+def test_the_better_row_on_each_side_of_the_crossover(a, better):
+    row = {r.row: r for r in repro.run_case(f"four_pumpkin({a})")}["better"]
+    assert row.status == "PASS"
+    assert row.note.startswith(f"better={better},")
+
+
 def test_unknown_case():
     with pytest.raises(UnknownFamily) as exc:
         repro.run_case("nope")

@@ -18,7 +18,7 @@ import pytest
 from qgbounds import covers
 from qgbounds import metric_graph as mg
 from qgbounds import spectral
-from qgbounds.errors import Disconnected, NoConvergence, NotSymmetric, TooLarge
+from qgbounds.errors import BadParameter, Disconnected, NoConvergence, NotSymmetric, TooLarge
 
 from conftest import corpus_graph, underlying
 
@@ -276,6 +276,14 @@ def test_cheeger_guards():
     broken[:2, :2] = _path(2)[0]
     with pytest.raises(Disconnected):
         spectral.cheeger_constant(broken, broken.sum(axis=1))
+
+
+def test_cheeger_needs_two_vertices():
+    one = np.zeros((1, 1)), np.ones(1)
+    with pytest.raises(BadParameter, match="needs at least two vertices"):
+        spectral.cheeger_constant(*one)
+    with pytest.raises(BadParameter, match="needs at least two vertices"):
+        spectral.alpha2_sandwich(*one)
 
 
 def test_inverse_weight_diameter():
