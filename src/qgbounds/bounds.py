@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .covers import Cover, build_cover, pumpkin_cycle_cover, star_cover, validate_cover
+from .covers import Cover, build_cover, pumpkin_cycle_cover, validate_cover
 from .errors import (
     BadParameter,
     BadSpec,
@@ -247,7 +247,8 @@ def transfer_bound(g: MetricGraph, cover: Cover, eta: str = "exact_cycle") -> Bo
 def star_bound(g: MetricGraph) -> BoundReport:
     """Whole-graph bounds from the cover by vertex stars.
 
-    This is :func:`transfer_bound` over :func:`covers.star_cover` with the
+    This is :func:`transfer_bound` over g's one stars cover (from
+    :func:`covers.build_cover`, so every bound on g shares it) with the
     ``star_best`` eta: the star cover has fold 2 and its vicinity graph is
     the length-weighted reduced graph, so
 
@@ -255,7 +256,7 @@ def star_bound(g: MetricGraph) -> BoundReport:
 
     where alpha_i is the spectrum of that reduced graph.
     """
-    return replace(transfer_bound(g, star_cover(g), "star_best"), method="stars")
+    return replace(transfer_bound(g, build_cover(g, "stars"), "star_best"), method="stars")
 
 
 def pumpkin_chain_bounds(g: MetricGraph) -> BoundReport:

@@ -17,11 +17,13 @@ the correctly rounded w p / q, so no fraction is ever summed.  On a graph
 with a float length k holds the lengths themselves, so each entry is a
 sum of Python numbers in graph edge order, whatever the hash seed.
 
-A cover is analysed once per graph: :func:`validate_cover` keeps each
-``CoverReport`` in the graph's own instance dict, keyed by the cover's
-content (labels and edge ids, not its name), so every bound drawn from
-one cover on one graph shares one read-only report, which lives as long
-as the graph.
+A cover is built and analysed once per graph: :func:`build_cover` keeps
+each ``Cover`` it builds in the graph's own instance dict, keyed by the
+strategy's name, and :func:`validate_cover` keeps each ``CoverReport``
+there too, keyed by the cover's content (labels and edge ids, not its
+name).  So every bound drawn from one strategy on one graph, with any eta,
+shares one immutable cover and one read-only report, and both live as
+long as the graph.
 
 Cover JSON format::
 
@@ -412,8 +414,26 @@ def concatenated_chain_cover(g: mg.MetricGraph) -> Cover:
 
 
 def build_cover(g: mg.MetricGraph, strategy: str) -> Cover:
-    """Construct a cover by name: stars, faces, face_pairs, pumpkin_cycles,
-    layered, concatenated, or copies:M for M copies of the edge set."""
+    """The cover a strategy names: stars, faces, face_pairs, pumpkin_cycles,
+    layered, concatenated, or copies:M for M copies of the edge set.
+
+    The first call for a graph and a strategy builds the cover; later calls
+    return the same ``Cover``, kept in the graph's own instance dict under
+    the strategy, so it lives as long as the graph.  An unknown strategy,
+    or one the graph refuses, is not kept and raises again on every call."""
+    built = vars(g).setdefault("_covers", {})
+    try:
+        cover = built.get(strategy)
+    except TypeError:  # an unhashable strategy names none
+        raise BadSpec(f"unknown cover strategy {strategy!r}") from None
+    if cover is None:
+        cover = built[strategy] = _construct(g, strategy)
+    return cover
+
+
+def _construct(g: mg.MetricGraph, strategy: str) -> Cover:
+    """The construction behind :func:`build_cover`, run once per graph and
+    strategy."""
     if strategy == "stars":
         return star_cover(g)
     if strategy == "faces":

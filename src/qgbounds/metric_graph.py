@@ -38,8 +38,9 @@ JSON serialization format::
 
 ``rotation`` is an optional combinatorial embedding: for each vertex, the
 cyclic counterclockwise order of its incident half-edges.  A half-edge is a
-pair (edge id, end index) with ``ends[end] == vertex``.  Rotations are only
-ever accepted as input (from files or generators), never inferred.
+tuple (edge id, end index) with ``ends[end] == vertex``, of the edge's own
+id and an int end.  Rotations are only ever accepted as input (from files
+or generators), never inferred.
 """
 
 from __future__ import annotations
@@ -123,10 +124,29 @@ def as_length(x) -> Length:
             raise BadParameter(f"cannot interpret {x!r} as a length")
         x = float(x)
     if math.isfinite(x):
-        exact = Fraction(str(x))
-        if exact.denominator <= _MAX_DECIMAL_DEN:
-            return exact
+        # the shortest decimal is digits * 10^shift, read from the repr
+        mantissa, _, exponent = repr(x).partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        digits = int(whole + decimals)
+        shift = int(exponent or 0) - len(decimals)
+        if shift >= 0:
+            return Fraction(digits * 10**shift)
+        den = 10**-shift
+        common = math.gcd(digits, den)
+        if den // common <= _MAX_DECIMAL_DEN:
+            return Fraction(digits // common, den // common)
     return x
+
+
+def _half_edge_key(h) -> Optional[tuple]:
+    """A rotation entry as (id type, edge id, end type, end), so that only
+    a plain (edge id, end) tuple whose values have the incident half-edge's
+    own types matches it (True or 1.0 name no edge 1); None for anything
+    but a pair."""
+    if type(h) is not tuple or len(h) != 2:
+        return None
+    eid, end = h
+    return type(eid), eid, type(end), end
 
 
 def id_from_json(raw, item: str):
@@ -259,7 +279,14 @@ class MetricGraph:
                                   f"with split_loops", edge=e.id)
         if not self.edges:
             raise BadParameter("a metric graph needs at least one edge")
-        if len(connected_components(self.vertices, (e.ends for e in self.edges))) > 1:
+        reached = {self.vertices[0]}  # one search over the table just filled
+        queue = [self.vertices[0]]
+        for x in queue:  # queue grows while it is scanned
+            for _, w in incident[x]:
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+        if len(reached) < len(incident):
             raise Disconnected("a metric graph must be connected")
         if self.rotation is not None:
             if not isinstance(self.rotation, Mapping):
@@ -275,9 +302,14 @@ class MetricGraph:
                 except TypeError:  # not a sequence
                     raise BadParameter(f"rotation at vertex {v!r} is not a sequence "
                                        f"of half-edges", vertex=v) from None
-                # no loops: v is end 0 of e exactly when its other end is e.v
-                expected = [(e.id, 0 if w == e.v else 1) for e, w in ends]
-                if sorted(map(str, listed)) != sorted(map(str, expected)):
+                # no loops, so v's half-edges are distinct: v is end 0 of e
+                # exactly when its other end is e.v
+                expected = {(type(e.id), e.id, int, 0 if w == e.v else 1) for e, w in ends}
+                try:
+                    keys = {_half_edge_key(h) for h in listed}
+                except TypeError:  # an unhashable edge id
+                    keys = None
+                if keys != expected or len(listed) != len(expected):
                     raise BadParameter(
                         f"rotation at vertex {v!r} does not list each incident "
                         f"half-edge exactly once", vertex=v)

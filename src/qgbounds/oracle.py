@@ -389,7 +389,9 @@ class _Chains:
             if slopes:
                 dc = np.stack(modes[2:], axis=2)
             borders = np.count_nonzero(big, axis=(1, 2))
-            groups = [(b, np.flatnonzero(borders == b)) for b in np.unique(borders).tolist()]
+            # the widths in ascending order (np.unique would load numpy.ma)
+            groups = [(b, np.flatnonzero(borders == b))
+                      for b in np.flatnonzero(np.bincount(borders)).tolist()]
         kp, kq = kept[0] / self.s, kept[1] / self.s
         diag, off = kp + kq, kp - kq
         w = np.concatenate((diag, diag, off, off), axis=1)

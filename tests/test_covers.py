@@ -39,6 +39,7 @@ from qgbounds.spectral import eigenvalues_lapack, normalized_laplacian_dense
 
 from conftest import (
     CHAIN_NAMES,
+    CORPUS,
     PLATONIC_NAMES,
     corpus_graph,
     edge_sets,
@@ -190,8 +191,49 @@ def test_chain_covers_recognise_the_chain_once(strategy, monkeypatch):
     recognise = mg.chain_structure
     monkeypatch.setattr(mg, "chain_structure",
                         lambda g: calls.append(g) or recognise(g))
-    covers.build_cover(corpus_graph("chain_324"), strategy)
+    covers.build_cover(CORPUS["chain_324"](), strategy)  # a fresh graph keeps no cover
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strategy", ["stars", "layered", "copies:3"])
+def test_a_cover_is_built_once_per_graph(strategy, monkeypatch):
+    g = CORPUS["chain_324"]()
+    first = covers.build_cover(g, strategy)
+    calls = []
+    recognise = mg.chain_structure
+    monkeypatch.setattr(mg, "chain_structure",
+                        lambda g: calls.append(g) or recognise(g))
+    monkeypatch.setattr(covers, "Cover", None)  # nothing may be built again
+    assert covers.build_cover(g, strategy) is first
+    assert calls == []
+    # another graph of the same shape builds its own
+    monkeypatch.undo()
+    assert covers.build_cover(CORPUS["chain_324"](), strategy) is not first
+
+
+@pytest.mark.parametrize("g, strategy, error", [
+    (mg.pumpkin(3), "faces", NoRotation),
+    (mg.pumpkin(3), "copies:0", BadSpec),
+    (mg.pumpkin(3), ["stars"], BadSpec),
+    (mg.pumpkin(3), "nonsense", BadSpec),
+    (mg.pumpkin_chain((2, 1, 2)), "layered", NotBridgeless),
+], ids=["faces_without_rotation", "copies_0", "unhashable", "unknown", "bridge"])
+def test_a_refused_strategy_raises_on_every_call(g, strategy, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            covers.build_cover(g, strategy)
+    assert not vars(g).get("_covers")
+
+
+def test_star_bound_shares_the_stars_cover(monkeypatch):
+    g = CORPUS["chain_324"]()
+    built = []
+    star_cover = covers.star_cover
+    monkeypatch.setattr(covers, "star_cover", lambda g: built.append(g) or star_cover(g))
+    star = bounds.star_bound(g)
+    cover = covers.build_cover(g, "stars")
+    assert bounds.transfer_bound(g, cover, "star_best").bounds == star.bounds
+    assert built == [g]
 
 
 def test_pumpkin_cycle_cover_on_a_chain_splits_per_pumpkin():

@@ -45,6 +45,25 @@ def test_as_length_exact_kinds():
     assert math.isnan(mg.as_length(math.nan))
 
 
+@pytest.mark.parametrize("x, want", [
+    (0.1234375, Fraction(79, 640)),
+    (1e-07, None),
+    (1e22, Fraction(10**22)),
+    (5e-324, None),
+    (-0.5, Fraction(-1, 2)),
+    (12345678.125, Fraction(98765425, 8)),
+    (-0.0, Fraction(0)),
+    (1.5e-6, None),
+])
+def test_as_length_reads_the_shortest_decimal(x, want):
+    # the decimal of the float's repr; a denominator past 10^6 keeps the float
+    got = mg.as_length(x)
+    if want is None:
+        assert type(got) is float and got == x
+    else:
+        assert type(got) is Fraction and got == want
+
+
 def test_as_length_takes_numpy_scalars():
     assert mg.as_length(np.int64(2)) == Fraction(2)
     assert mg.as_length(np.float32(0.5)) == Fraction(1, 2)
@@ -540,6 +559,36 @@ def test_graph_from_json_refuses_a_bad_rotation(rotation, message, vertex):
         mg.graph_from_json({**_PATH, "rotation": rotation})
     assert str(exc.value) == message
     assert exc.value.context == ({} if vertex is None else {"vertex": vertex})
+
+
+_INT_PATH = (("a", "b", "c"), (mg.Edge(0, "a", "b", 1), mg.Edge(1, "b", "c", 1)))
+_INT_PATH_ROTATION = {"a": ((0, 0),), "b": ((0, 1), (1, 0)), "c": ((1, 1),)}
+
+
+@pytest.mark.parametrize("at_b", [
+    ((0, 1),),
+    ((0, 1), (1, 0), (1, 0)),
+    ((0, 1), (0, 1)),
+    ((0, 1), (7, 0)),
+    ((0, 1), (1, 1)),
+    ((0, 1), [1, 0]),
+    ((0, 1), (1, 0, 0)),
+    ((0, 1), ([1], 0)),
+    ((0, 1), (True, 0)),
+    ((0, 1), (1.0, 0)),
+    ((0, True), (1, 0)),
+    ((0, 1.0), (1, 0)),
+], ids=["missing", "doubled", "doubled_for_another", "unknown_edge", "wrong_end",
+        "list_for_tuple", "triple", "unhashable_edge", "true_for_edge_1",
+        "float_for_edge_1", "true_for_end_1", "float_for_end_1"])
+def test_a_rotation_lists_each_half_edge_once_by_its_own_values(at_b):
+    vertices, edges = _INT_PATH
+    assert mg.MetricGraph(vertices, edges, _INT_PATH_ROTATION).rotation == _INT_PATH_ROTATION
+    with pytest.raises(BadParameter) as exc:
+        mg.MetricGraph(vertices, edges, {**_INT_PATH_ROTATION, "b": at_b})
+    assert str(exc.value) == ("rotation at vertex 'b' does not list each incident "
+                              "half-edge exactly once")
+    assert exc.value.context == {"vertex": "b"}
 
 
 def test_a_rotation_entry_built_in_python_must_be_a_sequence():

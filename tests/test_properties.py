@@ -228,6 +228,19 @@ def _subdivided_vertex_diameter(g: mg.MetricGraph) -> float:
     return float(shortest_path(adj.tocsr(), directed=False).max())
 
 
+@settings(max_examples=500)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda n, k: n / 10**k, st.integers(-10**12, 10**12), st.integers(0, 9))))
+def test_as_length_keeps_the_short_decimals_of_str(x):
+    exact = Fraction(str(x))
+    got = mg.as_length(x)
+    if exact.denominator <= mg._MAX_DECIMAL_DEN:
+        assert type(got) is Fraction and got == exact
+    else:
+        assert got is x
+
+
 @settings(max_examples=200)
 @given(multigraphs())
 def test_metric_diameter_matches_subdivided_vertex_diameter(g):
